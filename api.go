@@ -13,8 +13,10 @@
 //
 // Run simulates one (workload, protection scheme) pair on the configured
 // GPU and returns timing and traffic results. Workloads() and Schemes()
-// enumerate the available choices. For ablations, build a custom
-// CacheCraft with Options and RunCacheCraft.
+// enumerate the available choices. Run options attach the invariant
+// audit (WithAudit) and the time-resolved probes (WithProbes), or build
+// the cachecraft scheme from explicit Options for ablations
+// (WithCacheCraft).
 //
 // The underlying subsystem packages live in internal/; this package is the
 // stable surface.
@@ -22,6 +24,7 @@ package cachecraft
 
 import (
 	"context"
+	"fmt"
 
 	"cachecraft/internal/bench"
 	"cachecraft/internal/config"
@@ -83,49 +86,59 @@ func Workloads() []string { return trace.Names() }
 // inline-naive, ecc-cache, cachecraft.
 func Schemes() []string { return schemes.All() }
 
-// Run simulates the named workload under the named protection scheme.
-func Run(cfg Config, workload, scheme string) (Result, error) {
-	factory, err := schemes.ByName(scheme)
-	if err != nil {
-		return Result{}, err
-	}
-	m, err := gpu.New(cfg, workload, factory)
-	if err != nil {
-		return Result{}, err
-	}
-	res, err := m.Run()
-	if err != nil {
-		return Result{}, err
-	}
-	res.Workload = workload
-	res.Scheme = scheme
-	return res, nil
+// RunOption configures one Run.
+type RunOption func(*runOptions)
+
+type runOptions struct {
+	observe gpu.Observers
+	cc      *Options
 }
 
-// RunAudited is Run with the invariant-audit layer armed: the simulation
-// executes under internal/audit's checker, which verifies byte
-// conservation, MSHR pairing, tick monotonicity, DRAM scheduling
-// legality, and full end-of-sim drain as it runs. Auditing changes no
-// simulated timing — a clean audited run returns exactly Run's result —
-// but a run that violates an invariant fails with an error naming the
-// first violated rule. See docs/MODEL.md ("Invariants & auditing").
-func RunAudited(cfg Config, workload, scheme string) (Result, error) {
+// WithAudit arms the invariant-audit layer: the simulation executes under
+// internal/audit's checker, which verifies byte conservation, MSHR
+// pairing, tick monotonicity, DRAM scheduling legality, and full
+// end-of-sim drain as it runs. Auditing changes no simulated timing — a
+// clean audited run returns exactly the unaudited result — but a run
+// that violates an invariant fails with an error naming the first
+// violated rule. See docs/MODEL.md ("Invariants & auditing").
+func WithAudit() RunOption {
+	return func(o *runOptions) { o.observe.Audit = true }
+}
+
+// WithProbes attaches the time-resolved probe layer, recording every
+// probe track into p, a fresh set from NewProbes (which fixes the
+// sampling window). It composes with WithAudit. Probes never schedule
+// simulator events, so the result is identical to an unprobed run's;
+// after Run returns, p is flushed and ready for Timeline.AddCell or
+// Snapshot.
+func WithProbes(p *Probes) RunOption {
+	return func(o *runOptions) { o.observe.Probes = p }
+}
+
+// WithCacheCraft builds the cachecraft scheme with explicit controller
+// options (for ablation and sensitivity studies). Run's scheme must be
+// "cachecraft".
+func WithCacheCraft(opt Options) RunOption {
+	return func(o *runOptions) { o.cc = &opt }
+}
+
+// Run simulates the named workload under the named protection scheme.
+func Run(cfg Config, workload, scheme string, opts ...RunOption) (Result, error) {
+	var o runOptions
+	for _, opt := range opts {
+		opt(&o)
+	}
 	factory, err := schemes.ByName(scheme)
 	if err != nil {
 		return Result{}, err
 	}
-	m, err := gpu.New(cfg, workload, factory)
-	if err != nil {
-		return Result{}, err
+	if o.cc != nil {
+		if scheme != "cachecraft" {
+			return Result{}, fmt.Errorf("cachecraft: WithCacheCraft needs scheme \"cachecraft\", got %q", scheme)
+		}
+		factory = schemes.CacheCraftWith(*o.cc)
 	}
-	m.EnableAudit()
-	res, err := m.Run()
-	if err != nil {
-		return Result{}, err
-	}
-	res.Workload = workload
-	res.Scheme = scheme
-	return res, nil
+	return gpu.Simulate(context.Background(), cfg, workload, scheme, factory, o.observe)
 }
 
 // Probes is a simulation's time-resolved probe set: cycle-sampled series
@@ -135,43 +148,16 @@ func RunAudited(cfg Config, workload, scheme string) (Result, error) {
 // docs/OBSERVABILITY.md for the track catalog.
 type Probes = obs.Probes
 
+// NewProbes returns an empty probe set sampling every track at the given
+// window (in cycles; 0 uses a 1-cycle window), for WithProbes.
+func NewProbes(window uint64) *Probes { return obs.NewProbes(window) }
+
 // Timeline collects probe sets (and tracer spans) for export as NDJSON
 // or Chrome trace-event JSON loadable in Perfetto.
 type Timeline = obs.Timeline
 
 // NewTimeline returns an empty timeline.
 func NewTimeline() *Timeline { return obs.NewTimeline() }
-
-// RunProbed is Run with the time-resolved probe layer attached, sampling
-// every probe track at the given window (in cycles; 0 uses a 1-cycle
-// window). With audited set, the invariant-audit layer is armed as well —
-// the two observers use separate hooks and compose. Probes never
-// schedule simulator events, so the returned Result is identical to
-// Run's; the returned probe set is already flushed and ready for
-// Timeline.AddCell or Snapshot.
-func RunProbed(cfg Config, workload, scheme string, window uint64, audited bool) (Result, *Probes, error) {
-	factory, err := schemes.ByName(scheme)
-	if err != nil {
-		return Result{}, nil, err
-	}
-	m, err := gpu.New(cfg, workload, factory)
-	if err != nil {
-		return Result{}, nil, err
-	}
-	p := obs.NewProbes(window)
-	m.SetProbes(p)
-	if audited {
-		m.EnableAudit()
-	}
-	res, err := m.Run()
-	if err != nil {
-		return Result{}, nil, err
-	}
-	p.Flush()
-	res.Workload = workload
-	res.Scheme = scheme
-	return res, p, nil
-}
 
 // RunAll simulates every (workload, scheme) pair in the cross product,
 // fanning the independent simulations out across a worker pool bounded by
@@ -200,20 +186,4 @@ func RunAll(cfg Config, workloads, schemes []string) ([]Result, error) {
 		out[i] = res
 	}
 	return out, nil
-}
-
-// RunCacheCraft simulates the workload under a CacheCraft controller built
-// with explicit options (for ablation and sensitivity studies).
-func RunCacheCraft(cfg Config, workload string, opt Options) (Result, error) {
-	m, err := gpu.New(cfg, workload, schemes.CacheCraftWith(opt))
-	if err != nil {
-		return Result{}, err
-	}
-	res, err := m.Run()
-	if err != nil {
-		return Result{}, err
-	}
-	res.Workload = workload
-	res.Scheme = "cachecraft"
-	return res, nil
 }

@@ -1,6 +1,9 @@
 package cachecraft
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"testing"
 )
 
@@ -110,7 +113,7 @@ func TestRunCacheCraftOptions(t *testing.T) {
 	opt.Reconstruct = false
 	opt.UseRC = false
 	opt.WBuf = false
-	res, err := RunCacheCraft(quickCfg(), "scan", opt)
+	res, err := Run(quickCfg(), "scan", "cachecraft", WithCacheCraft(opt))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,6 +127,42 @@ func TestRunCacheCraftOptions(t *testing.T) {
 	// controller.
 	if res.ControllerSt.Get("red_rmw") == 0 {
 		t.Fatal("expected RMWs with RC and write buffer disabled")
+	}
+	if _, err := Run(quickCfg(), "scan", "inline-naive", WithCacheCraft(opt)); err == nil {
+		t.Fatal("WithCacheCraft accepted a non-cachecraft scheme")
+	}
+}
+
+// TestProbeTimelinePinned pins the probe layer's output byte for byte:
+// the SHA-256 of each cell's single-cell NDJSON timeline (quick config,
+// 500-cycle window) must match the digests recorded before the probe
+// points moved onto the machine observer, so both the track order and
+// every sample value are fixed.
+func TestProbeTimelinePinned(t *testing.T) {
+	want := map[string]string{
+		"spmv/inline-naive":    "a01d65c1e3bd3cf7d53a4db0ff4a982705b4d1c1946edabe4c13f2dbbb19b192",
+		"spmv/cachecraft":      "30f1820384fda2eab19d792e35ad8140aa43401a5a04fb16ad4abc70910505dc",
+		"stencil/inline-naive": "fb285adee0817b092ee2308280a315b974d7c79e4cbcba4046beb52db5a6b5c1",
+		"stencil/cachecraft":   "38154f1ad238f5a992317c532eabd30a5dbe2424c3281e3bd5c7bc00ce363ac8",
+	}
+	for _, wl := range []string{"spmv", "stencil"} {
+		for _, scheme := range []string{"inline-naive", "cachecraft"} {
+			label := wl + "/" + scheme
+			p := NewProbes(500)
+			if _, err := Run(QuickConfig(), wl, scheme, WithProbes(p)); err != nil {
+				t.Fatal(err)
+			}
+			tl := NewTimeline()
+			tl.AddCell(label, p)
+			var buf bytes.Buffer
+			if err := tl.WriteNDJSON(&buf); err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256(buf.Bytes())
+			if got := hex.EncodeToString(sum[:]); got != want[label] {
+				t.Errorf("%s: timeline sha256 %s, want %s", label, got, want[label])
+			}
+		}
 	}
 }
 

@@ -8,7 +8,7 @@
 //
 //	cachecraft-serve -addr :8344 -store /var/tmp/cachecraft
 //	cachecraft-serve -quick -j 4 -max-inflight 8
-//	cachecraft-serve -quick -debug-addr 127.0.0.1:6060   # pprof side listener
+//	cachecraft-serve -quick -debug-addr 127.0.0.1:6060   # pprof, /metrics, /healthz side listener
 //	cachecraft-serve -coordinator -store /var/tmp/cachecraft   # sweep cluster head
 //
 // Endpoints: POST /v1/simulate, POST /v1/sweep (NDJSON stream),
@@ -47,7 +47,6 @@ import (
 	"log"
 	"log/slog"
 	"net/http"
-	"net/http/pprof"
 	"os"
 	"os/signal"
 	"runtime"
@@ -58,6 +57,7 @@ import (
 	"cachecraft/internal/chaos"
 	"cachecraft/internal/cluster"
 	"cachecraft/internal/config"
+	"cachecraft/internal/debugsrv"
 	"cachecraft/internal/obs"
 	"cachecraft/internal/serve"
 	"cachecraft/internal/store"
@@ -73,7 +73,7 @@ func main() {
 		inflight  = flag.Int("max-inflight", runtime.NumCPU(), "max simulation-bearing requests in flight before queueing")
 		queue     = flag.Int("queue", 0, "max queued requests beyond -max-inflight before 429 (0 = 2x max-inflight)")
 		drain     = flag.Duration("drain", 30*time.Second, "graceful-shutdown grace period")
-		debugAddr = flag.String("debug-addr", "", "serve net/http/pprof on this extra address (empty = off)")
+		debugAddr = flag.String("debug-addr", "", "serve net/http/pprof, /metrics, and /healthz on this extra address (empty = off)")
 		quiet     = flag.Bool("quiet", false, "suppress per-request access logs")
 
 		coordinator = flag.Bool("coordinator", false, "mount the sweep-cluster control plane (/v1/cluster/*)")
@@ -168,21 +168,7 @@ func main() {
 	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
 
 	if *debugAddr != "" {
-		// A dedicated mux so pprof never rides the public listener: the
-		// main handler counts and rate-limits paper traffic, the debug
-		// listener stays bindable to loopback only.
-		dmux := http.NewServeMux()
-		dmux.HandleFunc("/debug/pprof/", pprof.Index)
-		dmux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		dmux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		dmux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		dmux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		go func() {
-			if err := http.ListenAndServe(*debugAddr, dmux); err != nil {
-				log.Printf("debug listener: %v", err)
-			}
-		}()
-		log.Printf("pprof on http://%s/debug/pprof/", *debugAddr)
+		debugsrv.Serve(*debugAddr, reg)
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

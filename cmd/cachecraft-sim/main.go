@@ -71,25 +71,23 @@ func main() {
 		cfg.Layout = *layoutStr
 	}
 
-	var (
-		res cachecraft.Result
-		err error
-	)
+	var opts []cachecraft.RunOption
+	if *auditOn {
+		opts = append(opts, cachecraft.WithAudit())
+	}
+	var probes *cachecraft.Probes
 	if *timeline != "" {
-		var probes *cachecraft.Probes
-		res, probes, err = cachecraft.RunProbed(cfg, *workload, *scheme, *tlWindow, *auditOn)
-		if err == nil {
-			tl := cachecraft.NewTimeline()
-			tl.AddCell(*workload+"/"+*scheme, probes)
-			if werr := tl.WriteFile(*timeline); werr != nil {
-				fmt.Fprintln(os.Stderr, "cachecraft-sim: timeline:", werr)
-				os.Exit(1)
-			}
+		probes = cachecraft.NewProbes(*tlWindow)
+		opts = append(opts, cachecraft.WithProbes(probes))
+	}
+	res, err := cachecraft.Run(cfg, *workload, *scheme, opts...)
+	if err == nil && probes != nil {
+		tl := cachecraft.NewTimeline()
+		tl.AddCell(*workload+"/"+*scheme, probes)
+		if werr := tl.WriteFile(*timeline); werr != nil {
+			fmt.Fprintln(os.Stderr, "cachecraft-sim: timeline:", werr)
+			os.Exit(1)
 		}
-	} else if *auditOn {
-		res, err = cachecraft.RunAudited(cfg, *workload, *scheme)
-	} else {
-		res, err = cachecraft.Run(cfg, *workload, *scheme)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "cachecraft-sim:", err)

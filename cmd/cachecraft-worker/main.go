@@ -39,8 +39,6 @@ import (
 	"flag"
 	"log"
 	"log/slog"
-	"net/http"
-	"net/http/pprof"
 	"os"
 	"os/signal"
 	"runtime"
@@ -51,6 +49,7 @@ import (
 	"cachecraft/internal/chaos"
 	"cachecraft/internal/cluster"
 	"cachecraft/internal/config"
+	"cachecraft/internal/debugsrv"
 	"cachecraft/internal/obs"
 	"cachecraft/internal/store"
 	"cachecraft/internal/version"
@@ -127,29 +126,7 @@ func main() {
 	}
 
 	if *debugAddr != "" {
-		// A dedicated mux, mirroring cachecraft-serve's -debug-addr: the
-		// worker has no public listener at all, so this stays bindable to
-		// loopback while the control-plane traffic flows outbound only.
-		dmux := http.NewServeMux()
-		dmux.HandleFunc("/debug/pprof/", pprof.Index)
-		dmux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		dmux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		dmux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		dmux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		dmux.HandleFunc("GET /metrics", func(wr http.ResponseWriter, _ *http.Request) {
-			wr.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-			reg.WritePrometheus(wr)
-		})
-		dmux.HandleFunc("GET /healthz", func(wr http.ResponseWriter, _ *http.Request) {
-			wr.Header().Set("Content-Type", "text/plain; charset=utf-8")
-			wr.Write([]byte("ok\n"))
-		})
-		go func() {
-			if err := http.ListenAndServe(*debugAddr, dmux); err != nil {
-				log.Printf("debug listener: %v", err)
-			}
-		}()
-		log.Printf("pprof and /metrics on http://%s/", *debugAddr)
+		debugsrv.Serve(*debugAddr, reg)
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

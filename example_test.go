@@ -24,15 +24,15 @@ func ExampleRun() {
 	// redundancy/demand = 0.250
 }
 
-// ExampleRunCacheCraft runs an ablated CacheCraft configuration.
-func ExampleRunCacheCraft() {
+// ExampleWithCacheCraft runs an ablated CacheCraft configuration.
+func ExampleWithCacheCraft() {
 	cfg := cachecraft.QuickConfig()
 	cfg.AccessesPerSM = 200
 
 	opt := cachecraft.DefaultOptions()
 	opt.Reconstruct = false // ablate mechanism R
 
-	res, err := cachecraft.RunCacheCraft(cfg, "stream", opt)
+	res, err := cachecraft.Run(cfg, "stream", "cachecraft", cachecraft.WithCacheCraft(opt))
 	if err != nil {
 		panic(err)
 	}

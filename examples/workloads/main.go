@@ -41,7 +41,7 @@ func main() {
 	for _, kb := range []int{16, 64, 256} {
 		opt := cachecraft.DefaultOptions()
 		opt.RCSizeBytes = kb << 10
-		res, err := cachecraft.RunCacheCraft(cfg, "histogram", opt)
+		res, err := cachecraft.Run(cfg, "histogram", "cachecraft", cachecraft.WithCacheCraft(opt))
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -1,8 +1,10 @@
-// Package audit is the simulator's opt-in invariant checker. A Checker
-// threads through the simulation stack via the hook points the substrate
-// packages expose (sim.Engine.SetStepHook, dram.DRAM.SetHook,
-// xbar.Crossbar.SetHook, protect.WrapAudited, and the gpu machine's token
-// calls) and verifies, while the simulation runs:
+// Package audit is the simulator's opt-in invariant checker. A Checker is
+// one of the two subscribers of the gpu machine's observer (the other is
+// the time-resolved probe tracks): the observer owns the one
+// observation slot each substrate layer exposes (sim.Engine.SetStepHook,
+// dram.DRAM.SetHook, xbar.Crossbar.SetHook, protect.WrapObserved) plus the
+// machine's own token, MSHR and drain events, and forwards each event to
+// the Checker, which verifies, while the simulation runs:
 //
 //   - tick monotonicity: the event engine never steps backwards in time;
 //   - transaction conservation: every sector an SM requests is delivered
@@ -21,9 +23,10 @@
 //   - full drain: at end of simulation no tokens, controller reads, MSHR
 //     entries, queued DRAM requests, or undelivered engine events remain.
 //
-// The checker is deliberately not wired when auditing is off: every hook
-// is a nil field in the substrate, so the disabled cost is one branch per
-// event. A Checker serves exactly one single-threaded simulation.
+// The checker is deliberately not wired when auditing is off: with no
+// subscriber the machine attaches no observer, every slot stays nil, and
+// the disabled cost is one branch per event. A Checker serves exactly one
+// single-threaded simulation.
 package audit
 
 import (
@@ -247,7 +250,7 @@ func (c *Checker) Delivered(now sim.Cycle, tok uint64, mask uint64) {
 	}
 }
 
-// ReadMissIssued implements protect.SchemeSink.
+// ReadMissIssued opens a controller-read call and returns its token.
 func (c *Checker) ReadMissIssued(now sim.Cycle, lineAddr uint64, mask uint64, class mem.Class) uint64 {
 	if c == nil {
 		return 0
@@ -261,7 +264,7 @@ func (c *Checker) ReadMissIssued(now sim.Cycle, lineAddr uint64, mask uint64, cl
 	return c.nextCall
 }
 
-// ReadMissDone implements protect.SchemeSink.
+// ReadMissDone closes a controller-read call exactly once.
 func (c *Checker) ReadMissDone(at sim.Cycle, tok uint64) {
 	if c == nil {
 		return
@@ -278,7 +281,7 @@ func (c *Checker) ReadMissDone(at sim.Cycle, tok uint64) {
 	delete(c.calls, tok)
 }
 
-// WritebackIssued implements protect.SchemeSink.
+// WritebackIssued checks a writeback handed to the controller.
 func (c *Checker) WritebackIssued(now sim.Cycle, lineAddr uint64, dirtyMask uint64) {
 	if c == nil {
 		return
@@ -287,9 +290,6 @@ func (c *Checker) WritebackIssued(now sim.Cycle, lineAddr uint64, dirtyMask uint
 		c.violatef(now, "scheme-writeback-mask", "Writeback with empty dirty mask for line %#x", lineAddr)
 	}
 }
-
-// DrainIssued implements protect.SchemeSink.
-func (c *Checker) DrainIssued(sim.Cycle) {}
 
 // MSHRAlloc records a new L2 bank MSHR entry; live counts the bank's
 // entries including this one.

@@ -47,7 +47,6 @@ func TestAuditNilCheckerIsSafe(t *testing.T) {
 	c.ReadMissIssued(0, 0x100, 1, mem.Demand)
 	c.ReadMissDone(1, 0)
 	c.WritebackIssued(1, 0x100, 1)
-	c.DrainIssued(1)
 	c.MSHRAlloc(0, 0, 0x100, 1)
 	c.MSHRFetch(0, 0, 0x100, 1)
 	c.MSHRFill(0, 0, 0x100, 1)
@@ -243,8 +242,10 @@ func TestAuditErrSummaryAndCap(t *testing.T) {
 }
 
 // TestAuditRunMatchesUnaudited pins the zero-observer property: auditing
-// must not change simulated behaviour. An audited run and a plain run of
-// the same cell return identical results, counters included.
+// must not change simulated behaviour, alone or sharing the machine
+// observer with the probe subscriber. Audited and audited+probed runs
+// return results identical to a plain run of the same cell, counters
+// included.
 func TestAuditRunMatchesUnaudited(t *testing.T) {
 	cfg := config.Quick()
 	cfg.AccessesPerSM = 400
@@ -253,12 +254,23 @@ func TestAuditRunMatchesUnaudited(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		audited, err := cachecraft.RunAudited(cfg, "gemm", scheme)
+		audited, err := cachecraft.Run(cfg, "gemm", scheme, cachecraft.WithAudit())
 		if err != nil {
 			t.Fatalf("%s: audited run failed: %v", scheme, err)
 		}
 		if !reflect.DeepEqual(plain, audited) {
 			t.Fatalf("%s: audited result differs from plain result:\n%+v\nvs\n%+v", scheme, plain, audited)
+		}
+		probes := cachecraft.NewProbes(500)
+		both, err := cachecraft.Run(cfg, "gemm", scheme, cachecraft.WithAudit(), cachecraft.WithProbes(probes))
+		if err != nil {
+			t.Fatalf("%s: audited+probed run failed: %v", scheme, err)
+		}
+		if !reflect.DeepEqual(plain, both) {
+			t.Fatalf("%s: audited+probed result differs from plain result:\n%+v\nvs\n%+v", scheme, plain, both)
+		}
+		if len(probes.Snapshot()) == 0 {
+			t.Fatalf("%s: probes recorded nothing alongside the audit", scheme)
 		}
 	}
 }

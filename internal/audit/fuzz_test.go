@@ -31,7 +31,7 @@ func fuzzConfig(seed int64, smSel uint8, accSel uint16, mshrSel uint8) config.GP
 // every registered scheme (plus the ideal bound) under the invariant
 // checker, and cross-validates the results against analytical oracles:
 //
-//   - any audit violation fails the input outright (RunAudited errors);
+//   - any audit violation fails the input outright (an audited Run errors);
 //   - none must produce zero redundancy-side DRAM traffic;
 //   - inline-naive's redundancy traffic must equal its redundancy-block
 //     fetch count (one per demand read miss, plus one per writeback RMW)
@@ -57,7 +57,7 @@ func FuzzSim(f *testing.F) {
 
 		results := make(map[string]gpu.Result)
 		for _, s := range schemes.Names() {
-			res, err := cachecraft.RunAudited(cfg, wl, s)
+			res, err := cachecraft.Run(cfg, wl, s, cachecraft.WithAudit())
 			if err != nil {
 				t.Fatalf("%s/%s: %v", wl, s, err)
 			}
@@ -96,7 +96,7 @@ func FuzzSim(f *testing.F) {
 				wl, ideal.Cycles, none.Cycles)
 		}
 
-		again, err := cachecraft.RunAudited(cfg, wl, "cachecraft")
+		again, err := cachecraft.Run(cfg, wl, "cachecraft", cachecraft.WithAudit())
 		if err != nil {
 			t.Fatal(err)
 		}

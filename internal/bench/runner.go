@@ -404,8 +404,19 @@ func (r *Runner) lead(ctx context.Context, s Spec, c *call, cfg config.GPU,
 		r.finish(s, c, gpu.Result{}, errAbandoned, false)
 		return gpu.Result{}, ctx.Err()
 	}
+	// With a tracer attached, the machine emits spans for its top-level
+	// stages (execute, drain) as children of the simulate span.
 	simCtx, sim := tr.Start(ctx, "simulate")
-	res, err := simulate(simCtx, cfg, f, s, tr, aud, prWin, prSink)
+	o := gpu.Observers{Audit: aud, Tracer: tr}
+	if prSink != nil {
+		o.Probes = obs.NewProbes(prWin)
+	}
+	res, err := gpu.Simulate(simCtx, cfg, s.Workload, s.Variant, f, o)
+	if err != nil {
+		err = fmt.Errorf("bench: %s/%s/%s: %w", s.CfgID, s.Workload, s.Variant, err)
+	} else if prSink != nil {
+		prSink(s, o.Probes)
+	}
 	sim.SetAttr(obs.Bool("ok", err == nil))
 	sim.End()
 	<-slots
@@ -450,37 +461,6 @@ func (r *Runner) finish(s Spec, c *call, res gpu.Result, err error, ran bool) {
 	}
 	r.mu.Unlock()
 	close(c.done)
-}
-
-// simulate executes one simulation from scratch. With a tracer attached,
-// the machine emits spans for its top-level stages (execute, drain) as
-// children of the caller's simulate span.
-func simulate(ctx context.Context, cfg config.GPU, f protect.Factory, s Spec, tr *obs.Tracer, aud bool,
-	prWin uint64, prSink ProbeSink) (gpu.Result, error) {
-	m, err := gpu.New(cfg, s.Workload, f)
-	if err != nil {
-		return gpu.Result{}, err
-	}
-	m.SetTracer(ctx, tr)
-	var probes *obs.Probes
-	if prSink != nil {
-		probes = obs.NewProbes(prWin)
-		m.SetProbes(probes)
-	}
-	if aud {
-		m.EnableAudit()
-	}
-	res, err := m.Run()
-	if err != nil {
-		return gpu.Result{}, fmt.Errorf("bench: %s/%s/%s: %w", s.CfgID, s.Workload, s.Variant, err)
-	}
-	if prSink != nil {
-		probes.Flush()
-		prSink(s, probes)
-	}
-	res.Workload = s.Workload
-	res.Scheme = s.Variant
-	return res, nil
 }
 
 // Prefetch fans the given specs out across the worker pool and blocks

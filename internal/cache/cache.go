@@ -12,7 +12,6 @@ package cache
 import (
 	"fmt"
 
-	"cachecraft/internal/obs"
 	"cachecraft/internal/stats"
 )
 
@@ -93,13 +92,6 @@ type Cache struct {
 	sectorsPerLine int
 	clock          uint64
 	Stats          *stats.Counters
-
-	// Time-resolved probe hooks (nil = off, one branch per access/fill).
-	// The tag store itself is clockless — the replacement clock counts
-	// accesses, not cycles — so the owner supplies the cycle source.
-	prNow  func() uint64
-	prHit  *obs.Series // Mean: 1 per hit, 0 per miss or sector miss
-	prFill *obs.Series // Sum: sector/line fills per window
 
 	// Pre-resolved counter handles for the per-access hot path. They
 	// resolve lazily so the Stats creation order still follows first touch.
@@ -243,18 +235,6 @@ func (c *Cache) Probe(addr uint64) Outcome {
 	return Hit
 }
 
-// SetProbes attaches time-resolved probe series: hit observes every
-// Access outcome (Mean mode: 1 hit, 0 miss), fill observes every fill
-// that brought in new sectors (Sum mode). now supplies the simulated
-// cycle, since the tag store has no clock of its own. Any series may be
-// nil; passing all nil (the default state) keeps the hot path at one
-// branch per call.
-func (c *Cache) SetProbes(now func() uint64, hit, fill *obs.Series) {
-	c.prNow = now
-	c.prHit = hit
-	c.prFill = fill
-}
-
 // Access performs a lookup for a read or write, updating replacement state
 // and statistics. A write hit marks the sector dirty. Writes to absent
 // sectors are misses (the cache is write-allocate: the controller fills and
@@ -266,17 +246,11 @@ func (c *Cache) Access(addr uint64, write bool) Outcome {
 	w := c.findWay(set, tag)
 	if w < 0 {
 		c.stMisses.Inc()
-		if c.prHit != nil {
-			c.prHit.Add(c.prNow(), 0)
-		}
 		return Miss
 	}
 	ln := &c.sets[set][w]
 	if ln.vmask&c.SectorMask(addr) == 0 {
 		c.stSectorMisses.Inc()
-		if c.prHit != nil {
-			c.prHit.Add(c.prNow(), 0)
-		}
 		return SectorMiss
 	}
 	ln.stamp = c.clock
@@ -285,9 +259,6 @@ func (c *Cache) Access(addr uint64, write bool) Outcome {
 		ln.dmask |= c.SectorMask(addr)
 	}
 	c.stHits.Inc()
-	if c.prHit != nil {
-		c.prHit.Add(c.prNow(), 1)
-	}
 	return Hit
 }
 
@@ -322,9 +293,6 @@ func (c *Cache) FillInto(lineAddr uint64, sectorMask, dirtyMask uint64, ev *Evic
 		ln.stamp = c.clock
 		if newSectors != 0 {
 			c.stSectorFills.Inc()
-			if c.prFill != nil {
-				c.prFill.Add(c.prNow(), 1)
-			}
 		}
 		return false
 	}
@@ -352,9 +320,6 @@ func (c *Cache) FillInto(lineAddr uint64, sectorMask, dirtyMask uint64, ev *Evic
 		rrpv:  maxRRPV - 1, // SRRIP long re-reference insertion
 	}
 	c.stLineFills.Inc()
-	if c.prFill != nil {
-		c.prFill.Add(c.prNow(), 1)
-	}
 	return evicted
 }
 

@@ -217,6 +217,33 @@ func TestClusterSweepEndToEnd(t *testing.T) {
 	}
 }
 
+// TestClusterSweepRejectsInvalidConfig: a sweep whose config override
+// fails validation is answered 400 before any cell is submitted, so no
+// worker is ever leased a geometry it cannot build.
+func TestClusterSweepRejectsInvalidConfig(t *testing.T) {
+	ts, co := newClusterServer(t, quickBase(), cluster.Options{}, nil)
+	bad := quickBase()
+	bad.XbarReqBytesPerCycle = -1
+	body, err := json.Marshal(cluster.SweepRequest{
+		Workloads: []string{"stream"}, Schemes: []string{"none"}, Config: &bad,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp := postSweep(t, ts.URL, string(body))
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400", resp.StatusCode)
+	}
+	msg, _ := io.ReadAll(resp.Body)
+	if !strings.Contains(string(msg), "bisection") {
+		t.Fatalf("error does not name the bad field: %s", msg)
+	}
+	if st := co.Status(); st.PendingCells+st.LeasedCells+st.DoneCells+st.FailedCells != 0 {
+		t.Fatalf("rejected sweep submitted cells: %+v", st)
+	}
+}
+
 // TestClusterSweepSurvivesWorkerDeath is the ISSUE's failure drill: a
 // worker takes a lease and dies (no heartbeat, no complete). The lease
 // expires, the cells re-queue, a healthy worker finishes them, and the

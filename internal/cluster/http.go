@@ -70,6 +70,12 @@ func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	cfg := c.opt.Base
 	if req.Config != nil {
+		// Reject a bad geometry here: once leased, it would panic the
+		// worker that builds the machine.
+		if err := req.Config.Validate(); err != nil {
+			httpError(w, http.StatusBadRequest, "bad config: %v", err)
+			return
+		}
 		cfg = *req.Config
 	}
 	var cells []Cell

@@ -123,6 +123,10 @@ func (g GPU) Validate() error {
 		return fmt.Errorf("config: MaxCycles must be positive")
 	case g.XbarPortBytesPerCycle <= 0:
 		return fmt.Errorf("config: crossbar port bandwidth must be positive")
+	case g.XbarReqBytesPerCycle < 0 || g.XbarRespBytesPerCycle < 0:
+		return fmt.Errorf("config: crossbar bisection bandwidth must not be negative")
+	case g.L2MSHRs <= 0:
+		return fmt.Errorf("config: L2MSHRs must be positive")
 	}
 	if err := g.L1.Validate(); err != nil {
 		return err

@@ -27,6 +27,10 @@ func TestValidateCatchesBadFields(t *testing.T) {
 		{"bad bank size", func(g *GPU) { g.L2.SizeBytes = 3 << 20 }}, // 3MiB/8 banks → 24576 sets? not pow2
 		{"bad dram", func(g *GPU) { g.DRAM.Channels = 0 }},
 		{"bad geometry", func(g *GPU) { g.Geometry.GranuleBytes = 100 }},
+		{"zero L2 MSHRs", func(g *GPU) { g.L2MSHRs = 0 }},
+		{"negative L2 MSHRs", func(g *GPU) { g.L2MSHRs = -1 }},
+		{"negative xbar req bisection", func(g *GPU) { g.XbarReqBytesPerCycle = -1 }},
+		{"negative xbar resp bisection", func(g *GPU) { g.XbarRespBytesPerCycle = -1 }},
 	}
 	for _, m := range mutations {
 		g := Default()

@@ -10,7 +10,6 @@ import (
 	"sort"
 
 	"cachecraft/internal/mem"
-	"cachecraft/internal/obs"
 	"cachecraft/internal/sim"
 	"cachecraft/internal/stats"
 )
@@ -129,10 +128,11 @@ type channel struct {
 	nextCmd sim.Cycle // command-pacing: no two issues within TCmd
 }
 
-// Hook observes the memory system's scheduling decisions for the
-// invariant-audit layer. Serviced reports the state the scheduler saw
-// before mutating it (the open row and bank-ready cycle at pick time), so
-// an observer can maintain shadow state and flag illegal transitions.
+// Hook observes the memory system's scheduling decisions. Serviced reports
+// the state the scheduler saw before mutating it (the open row and
+// bank-ready cycle at pick time), so an observer can maintain shadow state
+// and flag illegal transitions, or classify the access as a row hit
+// (row == openBefore).
 type Hook interface {
 	// Submitted fires when a request enters a bank queue.
 	Submitted(now sim.Cycle, req mem.Request, ch, bk int, row int64)
@@ -165,26 +165,11 @@ type DRAM struct {
 	stRowConflicts stats.Handle
 	stRefreshes    stats.Handle
 	stClassBytes   []stats.Handle
-
-	// Time-resolved probe series (nil = off, one branch per request).
-	// prClassBytes is indexed by mem.Class like stClassBytes.
-	prClassBytes []*obs.Series
-	prRowHit     *obs.Series
 }
 
-// SetHook installs a scheduling observer (nil = off, one branch per
-// request).
+// SetHook installs the memory system's one scheduling observer (nil =
+// off, one branch per request).
 func (d *DRAM) SetHook(h Hook) { d.hook = h }
-
-// SetProbes attaches time-resolved probe series, a separate slot from
-// the audit layer's SetHook so the two compose. classBytes is indexed by
-// mem.Class (Sum mode: bytes submitted per window, per traffic class);
-// rowHit observes every scheduling decision (Mean mode: 1 for a row
-// hit, 0 for a miss or conflict). Either may be nil.
-func (d *DRAM) SetProbes(classBytes []*obs.Series, rowHit *obs.Series) {
-	d.prClassBytes = classBytes
-	d.prRowHit = rowHit
-}
 
 // New builds the memory system on the given engine. It panics on an
 // invalid configuration (static setup).
@@ -253,9 +238,6 @@ func (d *DRAM) Submit(now sim.Cycle, req mem.Request) {
 		d.stClassBytes[req.Class].Add(uint64(req.Bytes))
 	} else {
 		d.Stats.Add("bytes_"+req.Class.String(), uint64(req.Bytes))
-	}
-	if d.prClassBytes != nil && int(req.Class) < len(d.prClassBytes) {
-		d.prClassBytes[req.Class].Add(uint64(now), float64(req.Bytes))
 	}
 	if req.Write {
 		d.stBytesWritten.Add(uint64(req.Bytes))
@@ -341,11 +323,9 @@ func (d *DRAM) service(c *channel, now sim.Cycle) {
 	// the bank for their full duration. This is what lets row-hit streams
 	// saturate the data bus instead of serializing CAS behind data.
 	var colIssued sim.Cycle
-	rowHit := 0.0
 	switch {
 	case b.openRow == row:
 		d.stRowHits.Inc()
-		rowHit = 1
 		colIssued = now
 	case b.openRow < 0:
 		d.stRowMisses.Inc()
@@ -353,9 +333,6 @@ func (d *DRAM) service(c *channel, now sim.Cycle) {
 	default:
 		d.stRowConflicts.Inc()
 		colIssued = now + d.cfg.TRP + d.cfg.TRCD
-	}
-	if d.prRowHit != nil {
-		d.prRowHit.Add(uint64(now), rowHit)
 	}
 	b.openRow = row
 

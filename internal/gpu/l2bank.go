@@ -144,6 +144,12 @@ func (b *L2Bank) noteEviction(lineAddr uint64, validMask uint64) {
 
 // fill inserts sectors and routes any dirty victim to the controller.
 func (b *L2Bank) fill(now sim.Cycle, lineAddr uint64, mask, dirtyMask uint64) {
+	if b.m.obs != nil {
+		// The fills FillInto counts: a new line, or new sectors in one.
+		if vm := b.cache.ValidMask(lineAddr); vm == 0 || mask&^vm != 0 {
+			b.m.obs.l2Fill()
+		}
+	}
 	var ev cache.Eviction
 	if b.cache.FillInto(lineAddr, mask, dirtyMask, &ev) {
 		b.noteEviction(ev.LineAddr, ev.ValidMask)
@@ -270,7 +276,11 @@ func (b *L2Bank) read(now sim.Cycle, op l2Op) {
 			continue
 		}
 		sa := op.lineAddr + uint64(i*b.m.cfg.L2.SectorBytes)
-		if b.cache.Access(sa, false) == cache.Hit {
+		hit := b.cache.Access(sa, false) == cache.Hit
+		if b.m.obs != nil {
+			b.m.obs.l2Access(b.id, hit)
+		}
+		if hit {
 			b.noteUse(sa)
 			hitMask |= 1 << i
 		} else {
@@ -300,8 +310,12 @@ func (b *L2Bank) store(now sim.Cycle, op l2Op) {
 		}
 		sa := op.lineAddr + uint64(i*b.m.cfg.L2.SectorBytes)
 		bit := uint64(1) << i
+		hit := b.cache.Access(sa, true) == cache.Hit
+		if b.m.obs != nil {
+			b.m.obs.l2Access(b.id, hit)
+		}
 		switch {
-		case b.cache.Access(sa, true) == cache.Hit:
+		case hit:
 			// Dirty bit set by the access; the write is absorbed.
 			b.m.stStoreHits.Inc()
 			b.noteUse(sa)
@@ -338,11 +352,8 @@ func (b *L2Bank) enqueueMiss(now sim.Cycle, lineAddr uint64, mask uint64, t l2Ta
 	if !ok {
 		ei = b.allocEntry()
 		b.mshr[lineAddr] = ei
-		if b.m.audit != nil {
-			b.m.audit.MSHRAlloc(now, b.id, lineAddr, len(b.mshr))
-		}
-		if b.m.prMSHR != nil {
-			b.m.prMSHR.Add(uint64(now), float64(len(b.mshr)))
+		if b.m.obs != nil {
+			b.m.obs.mshrAlloc(now, b.id, lineAddr, len(b.mshr))
 		}
 	}
 	e := &b.entries[ei]
@@ -352,8 +363,8 @@ func (b *L2Bank) enqueueMiss(now sim.Cycle, lineAddr uint64, mask uint64, t l2Ta
 	if fetch == 0 {
 		return
 	}
-	if b.m.audit != nil {
-		b.m.audit.MSHRFetch(now, b.id, lineAddr, fetch)
+	if b.m.obs != nil {
+		b.m.obs.audit.MSHRFetch(now, b.id, lineAddr, fetch)
 	}
 	class := memClassDemand
 	if t.write {
@@ -371,20 +382,17 @@ func (b *L2Bank) onFill(now sim.Cycle, lineAddr uint64, mask uint64) {
 	if !ok {
 		panic("gpu: L2 fill with no MSHR entry")
 	}
-	if b.m.audit != nil {
-		b.m.audit.MSHRFill(now, b.id, lineAddr, mask)
+	if b.m.obs != nil {
+		b.m.obs.audit.MSHRFill(now, b.id, lineAddr, mask)
 	}
 	b.fill(now, lineAddr, mask, 0)
 	b.entries[ei].filled |= mask
 	if b.entries[ei].filled != b.entries[ei].pending {
 		return
 	}
-	if b.m.audit != nil {
-		b.m.audit.MSHRRelease(now, b.id, lineAddr)
-	}
 	delete(b.mshr, lineAddr)
-	if b.m.prMSHR != nil {
-		b.m.prMSHR.Add(uint64(now), float64(len(b.mshr)))
+	if b.m.obs != nil {
+		b.m.obs.mshrRelease(now, b.id, lineAddr, len(b.mshr))
 	}
 	b.pump(now)
 	// pump can replay parked ops whose misses grow the entry slab, so
@@ -445,8 +453,8 @@ func (b *L2Bank) InsertReconstructed(now sim.Cycle, addr uint64) {
 	if b.cache.Probe(addr) != cache.Hit {
 		return
 	}
-	if b.m.prReconFill != nil {
-		b.m.prReconFill.Add(uint64(now), 1)
+	if b.m.obs != nil {
+		b.m.obs.reconFill(now)
 	}
 	b.reconPending[addr] = true
 	b.reconFIFO = append(b.reconFIFO, reconEntry{addr: addr, tick: b.fillTick})

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"cachecraft/internal/audit"
 	"cachecraft/internal/config"
 	"cachecraft/internal/dram"
 	"cachecraft/internal/layout"
@@ -62,16 +61,9 @@ type Machine struct {
 	tr    *obs.Tracer     // optional stage tracing (nil = off)
 	trCtx context.Context // parent span context for Run's stage spans
 
-	audit *audit.Checker // invariant checker (nil = off)
-
-	// Time-resolved probe layer (nil = off, one branch per probe point).
-	// Shared series are safe to feed from every bank: the engine runs
-	// events in cycle order, so observations arrive cycle-monotone.
-	probes      *obs.Probes
-	prIssue     *obs.Series // Sum: sector requests issued per window
-	prMSHR      *obs.Series // Mean: bank MSHR occupancy at alloc/release
-	prReconFill *obs.Series // Sum: reconstructed-line sector fills
-	prReconHit  *obs.Series // Mean: 1 per reconstructed sector used, 0 wasted
+	// obs fans machine events out to the audit and probe subscribers
+	// (nil = off, one branch per event; see observe.go).
+	obs *observer
 }
 
 // Result summarizes one simulation run.
@@ -232,103 +224,13 @@ func (m *Machine) bankFor(addr uint64) *L2Bank {
 
 // reconFeedback forwards reconstruction usage to an observing scheme.
 func (m *Machine) reconFeedback(addr uint64, used bool) {
-	if m.prReconHit != nil {
-		v := 0.0
-		if used {
-			v = 1
-		}
-		m.prReconHit.Add(uint64(m.eng.Now()), v)
+	if m.obs != nil {
+		m.obs.reconUse(used)
 	}
 	if ro, ok := m.scheme.(protect.ReconstructionObserver); ok {
 		ro.ReconstructedUse(addr, used)
 	}
 }
-
-// SetProbes attaches the time-resolved probe layer: every hot component
-// registers its tracks in p and feeds them synchronously at its own
-// probe points. Must be called before Run. Probes never schedule engine
-// events (see protect.Env.FinishDecode for why that would perturb
-// same-cycle ordering), so attaching them cannot change simulated
-// timing or results — only observe them. Composes with EnableAudit in
-// either order: the probe layer uses its own hook slots, and both
-// scheme wrappers preserve ReconstructionObserver. Calling it again is
-// a no-op.
-func (m *Machine) SetProbes(p *obs.Probes) {
-	if p == nil || m.probes != nil {
-		return
-	}
-	m.probes = p
-	m.prIssue = p.Series("sm.issue", obs.Sum)
-	m.prMSHR = p.Series("l2.mshr_occupancy", obs.Mean)
-	m.prReconFill = p.Series("l2.recon_fills", obs.Sum)
-	m.prReconHit = p.Series("l2.recon_hit_rate", obs.Mean)
-
-	now := func() uint64 { return uint64(m.eng.Now()) }
-	l2Fills := p.Series("l2.fills", obs.Sum)
-	for i, b := range m.banks {
-		b.cache.SetProbes(now, p.Series(fmt.Sprintf("l2.bank%d.hit_rate", i), obs.Mean), l2Fills)
-	}
-
-	maxClass := 0
-	for _, c := range mem.Classes() {
-		if int(c) > maxClass {
-			maxClass = int(c)
-		}
-	}
-	classBytes := make([]*obs.Series, maxClass+1)
-	for _, c := range mem.Classes() {
-		classBytes[c] = p.Series("dram.bytes."+c.String(), obs.Sum)
-	}
-	m.dram.SetProbes(classBytes, p.Series("dram.row_hit_rate", obs.Mean))
-
-	m.reqNet.SetProbe(p.Series("xbar.req.bytes", obs.Sum))
-	m.respNet.SetProbe(p.Series("xbar.resp.bytes", obs.Sum))
-
-	depth := p.Series("sim.queue_depth", obs.Mean)
-	m.eng.SetDepthProbe(func(at sim.Cycle, pending int) {
-		depth.Add(uint64(at), float64(pending))
-	})
-
-	// The wrapper preserves ReconstructionObserver, so reconFeedback's
-	// type assertion on m.scheme keeps working for CacheCraft.
-	m.scheme = protect.WrapProbed(m.scheme, p.Series("protect.join_latency", obs.Mean))
-}
-
-// Probes reports the attached probe set (nil when probes are off).
-func (m *Machine) Probes() *obs.Probes { return m.probes }
-
-// EnableAudit arms the invariant checker on every layer of the machine:
-// engine step ordering, SM↔L2 transaction tokens, L2 MSHR pairing, the
-// protection controller's read/writeback protocol, crossbar byte and
-// latency accounting, and DRAM scheduling legality. It must be called
-// before Run and returns the checker so callers can inspect violations
-// even when Run fails for an unrelated reason. Calling it again returns
-// the already-armed checker.
-func (m *Machine) EnableAudit() *audit.Checker {
-	if m.audit != nil {
-		return m.audit
-	}
-	c := audit.NewChecker()
-	m.audit = c
-	c.SetMSHRCapacity(m.cfg.L2MSHRs)
-	m.eng.SetStepHook(c.EngineStep)
-	m.dram.SetHook(c)
-	reqLat := m.reqNet.Latency()
-	m.reqNet.SetHook(func(at, deliver sim.Cycle, src, dst, bytes int) {
-		c.XbarTransfer("req", at, deliver, bytes, reqLat)
-	})
-	respLat := m.respNet.Latency()
-	m.respNet.SetHook(func(at, deliver sim.Cycle, src, dst, bytes int) {
-		c.XbarTransfer("resp", at, deliver, bytes, respLat)
-	})
-	// The wrapper preserves ReconstructionObserver, so reconFeedback's type
-	// assertion on m.scheme keeps working for CacheCraft.
-	m.scheme = protect.WrapAudited(m.scheme, c)
-	return c
-}
-
-// Audit reports the armed checker (nil when auditing is off).
-func (m *Machine) Audit() *audit.Checker { return m.audit }
 
 // sendRead models the SM→L2 request hop and the L2→SM data hop for a line
 // read; the issuing SM's onLoadResponse fires once per delivered sector
@@ -336,8 +238,8 @@ func (m *Machine) Audit() *audit.Checker { return m.audit }
 func (m *Machine) sendRead(now sim.Cycle, smID int, lineAddr uint64, mask uint64) {
 	m.outstanding++
 	var tok uint64
-	if m.audit != nil {
-		tok = m.audit.ReadIssued(now, smID, lineAddr, mask)
+	if m.obs != nil {
+		tok = m.obs.audit.ReadIssued(now, smID, lineAddr, mask)
 	}
 	ti := m.allocToken()
 	m.tokens[ti] = l2Token{
@@ -358,8 +260,8 @@ func (m *Machine) sendRead(now sim.Cycle, smID int, lineAddr uint64, mask uint64
 func (m *Machine) sendStore(now sim.Cycle, smID int, g lineGroup, recIdx int32) {
 	m.outstanding++
 	var tok uint64
-	if m.audit != nil {
-		tok = m.audit.StoreIssued(now, smID, g.lineAddr, g.sectorMask)
+	if m.obs != nil {
+		tok = m.obs.audit.StoreIssued(now, smID, g.lineAddr, g.sectorMask)
 	}
 	ti := m.allocToken()
 	m.tokens[ti] = l2Token{
@@ -437,17 +339,8 @@ func (m *Machine) Run() (Result, error) {
 	}
 	drain.End()
 
-	if m.audit != nil {
-		end := m.eng.Now()
-		for _, b := range m.banks {
-			m.audit.BankDrained(end, b.id, len(b.mshr), b.waitingCount())
-			m.audit.CacheViolation(end, b.cache.CheckConsistency())
-		}
-		m.audit.FinishSim(end, m.outstanding, m.eng.Pending())
-		m.audit.FinishDRAM(end, m.dram.Stats)
-		m.audit.FinishXbar(end, "req", m.reqNet.TotalBytes())
-		m.audit.FinishXbar(end, "resp", m.respNet.TotalBytes())
-		if err := m.audit.Err(); err != nil {
+	if m.obs != nil {
+		if err := m.obs.finish(m); err != nil {
 			return Result{}, err
 		}
 	}

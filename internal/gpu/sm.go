@@ -157,8 +157,8 @@ func (s *SM) issue(now sim.Cycle, a trace.Access) {
 		s.blocked = true
 	}
 	s.m.stSectorReqs.Add(uint64(len(reqs)))
-	if s.m.prIssue != nil {
-		s.m.prIssue.Add(uint64(now), float64(len(reqs)))
+	if s.m.obs != nil {
+		s.m.obs.issued(now, len(reqs))
 	}
 
 	s.groupScratch = groupByLineInto(s.groupScratch[:0], reqs, s.m.cfg.L1.LineBytes, s.m.cfg.L1.SectorBytes)

@@ -76,8 +76,8 @@ func (h *deliverHandler) OnEvent(dn sim.Cycle, a0, a1 uint64) {
 	ti := int32(uint32(a0))
 	got := a1
 	t := &m.tokens[ti]
-	if m.audit != nil {
-		m.audit.Delivered(dn, t.audTok, got)
+	if m.obs != nil {
+		m.obs.audit.Delivered(dn, t.audTok, got)
 	}
 	t.remaining &^= got
 	last := t.remaining == 0

@@ -39,10 +39,11 @@ func TestPostStepZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestDepthProbeZeroAllocs is the observability PR's alloc guard: the
-// engine hot path must stay allocation-free both with the depth probe
-// detached (the default — one nil check per Step) and with a probe
-// feeding a preallocated obs.Series (the -timeline path).
+// TestDepthProbeZeroAllocs is the probe layer's alloc guard: the engine
+// hot path must stay allocation-free both with no step hook (the default
+// — one nil check per Step) and with a step-hook subscriber feeding the
+// queue depth into a preallocated obs.Series, as the machine observer's
+// sim.queue_depth probe does on the -timeline path.
 func TestDepthProbeZeroAllocs(t *testing.T) {
 	run := func(e *Engine, h *countHandler) float64 {
 		for i := 0; i < 64; i++ {
@@ -67,8 +68,8 @@ func TestDepthProbeZeroAllocs(t *testing.T) {
 		e := NewEngine()
 		p := obs.NewProbesDepth(16, 32)
 		depth := p.Series("sim.queue_depth", obs.Mean)
-		e.SetDepthProbe(func(at Cycle, pending int) {
-			depth.Add(uint64(at), float64(pending))
+		e.SetStepHook(func(at Cycle) {
+			depth.Add(uint64(at), float64(e.Pending()))
 		})
 		if allocs := run(e, &countHandler{}); allocs != 0 {
 			t.Fatalf("probe-on Step allocated %.1f times per run, want 0", allocs)

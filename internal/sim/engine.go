@@ -83,22 +83,14 @@ type Engine struct {
 	// cycle — which is what keeps bucket FIFO order equal to seq order.
 	overflow []int32
 
-	stepHook   func(at Cycle)
-	depthProbe func(at Cycle, pending int)
+	stepHook func(at Cycle)
 }
 
-// SetStepHook installs an observer called once per Step with the cycle of
-// the event about to run, before time advances. It exists for the
-// invariant-audit layer (tick-monotonicity checking); a nil hook (the
+// SetStepHook installs the engine's one observer, called once per Step
+// with the cycle of the event about to run, after it is dequeued (so
+// Pending already excludes it) and before time advances. A nil hook (the
 // default) costs one predictable branch per event.
 func (e *Engine) SetStepHook(fn func(at Cycle)) { e.stepHook = fn }
-
-// SetDepthProbe installs a second per-Step observer reporting the queue
-// depth after the event is dequeued. It is a separate slot from
-// SetStepHook — that one is owned by the invariant-audit layer — so the
-// time-resolved probe layer and -audit compose. Nil (the default) costs
-// one predictable branch per event.
-func (e *Engine) SetDepthProbe(fn func(at Cycle, pending int)) { e.depthProbe = fn }
 
 // NewEngine returns an engine positioned at cycle 0 with an empty queue.
 func NewEngine() *Engine {
@@ -260,9 +252,6 @@ func (e *Engine) Step() bool {
 	e.pending--
 	if e.stepHook != nil {
 		e.stepHook(at)
-	}
-	if e.depthProbe != nil {
-		e.depthProbe(at, e.pending)
 	}
 	e.now = at
 	if h != nil {

@@ -12,7 +12,6 @@ package xbar
 import (
 	"fmt"
 
-	"cachecraft/internal/obs"
 	"cachecraft/internal/sim"
 )
 
@@ -55,23 +54,15 @@ type Crossbar struct {
 	eject     []sim.ThrottledPort
 	bisection *sim.ThrottledPort
 	hook      func(at, deliver sim.Cycle, src, dst, bytes int)
-	prBytes   *obs.Series
 }
 
-// SetHook installs an observer called once per Transfer with the injection
-// cycle, the computed delivery cycle, and the endpoints. It exists for the
-// invariant-audit layer; a nil hook (the default) costs one branch per
+// SetHook installs the crossbar's one observer, called once per Transfer
+// with the injection cycle, the computed delivery cycle, the endpoints,
+// and the message size. A nil hook (the default) costs one branch per
 // transfer.
 func (x *Crossbar) SetHook(fn func(at, deliver sim.Cycle, src, dst, bytes int)) {
 	x.hook = fn
 }
-
-// SetProbe attaches a time-resolved byte-traffic series (Sum mode:
-// bytes injected per sampling window). Link utilization is the window
-// sum divided by window × bisection bandwidth. This is a separate slot
-// from SetHook, which the audit layer owns, so -audit and probes
-// compose. Nil (the default) costs one branch per transfer.
-func (x *Crossbar) SetProbe(s *obs.Series) { x.prBytes = s }
 
 // Latency reports the configured fabric traversal latency.
 func (x *Crossbar) Latency() sim.Cycle { return x.cfg.Latency }
@@ -120,9 +111,6 @@ func (x *Crossbar) Transfer(at sim.Cycle, src, dst, bytes int) sim.Cycle {
 	deliver := t + x.cfg.Latency
 	if x.hook != nil {
 		x.hook(at, deliver, src, dst, bytes)
-	}
-	if x.prBytes != nil {
-		x.prBytes.Add(uint64(at), float64(bytes))
 	}
 	return deliver
 }
