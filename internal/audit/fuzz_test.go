@@ -1,15 +1,37 @@
 package audit_test
 
 import (
+	"context"
+	"math/bits"
 	"reflect"
 	"testing"
 
 	cachecraft "cachecraft"
 	"cachecraft/internal/config"
 	"cachecraft/internal/gpu"
+	"cachecraft/internal/mem"
+	"cachecraft/internal/protect"
 	"cachecraft/internal/schemes"
+	"cachecraft/internal/sim"
 	"cachecraft/internal/trace"
 )
+
+// rmwFetchCounter passes every call through to the scheme it wraps and
+// counts the data sectors the L2 asks it to fetch before partial-sector
+// writes (ReadMiss with class RMW) — the calls the audit layer sees as
+// ReadMissIssued. Each such sector becomes one RMW-class DRAM read.
+type rmwFetchCounter struct {
+	protect.Scheme
+	lineMask uint64
+	sectors  uint64
+}
+
+func (c *rmwFetchCounter) ReadMiss(now sim.Cycle, lineAddr, mask uint64, class mem.Class, done func(sim.Cycle)) {
+	if class == mem.RMW {
+		c.sectors += uint64(bits.OnesCount64(mask & c.lineMask))
+	}
+	c.Scheme.ReadMiss(now, lineAddr, mask, class, done)
+}
 
 // fuzzConfig derives a small-but-adversarial configuration from raw fuzz
 // bytes: few SMs, a short access budget, and a deliberately tight L2 MSHR
@@ -36,7 +58,9 @@ func fuzzConfig(seed int64, smSel uint8, accSel uint16, mshrSel uint8) config.GP
 //   - inline-naive's redundancy traffic must equal its redundancy-block
 //     fetch count (one per demand read miss, plus one per writeback RMW)
 //     times the redundancy-block size — the closed form the paper's
-//     problem statement rests on;
+//     problem statement rests on — and its rmw traffic must equal one
+//     redundancy block per writeback RMW plus one sector per data sector
+//     fetched before a partial-sector write;
 //   - with decode latency and error injection both zero, the ideal bound
 //     must agree with the unprotected baseline cycle-for-cycle whenever
 //     the workload triggers no partial-write fetches (the one cost even
@@ -56,8 +80,20 @@ func FuzzSim(f *testing.F) {
 		wl := names[int(accSel>>8)%len(names)]
 
 		results := make(map[string]gpu.Result)
+		rmwFetch := &rmwFetchCounter{lineMask: uint64(1)<<cfg.Geometry.SectorsPerLine() - 1}
 		for _, s := range schemes.Names() {
-			res, err := cachecraft.Run(cfg, wl, s, cachecraft.WithAudit())
+			var res gpu.Result
+			var err error
+			if s == "inline-naive" {
+				// The rmw oracle needs the partial-write fetch count, which
+				// the result does not carry; count it at the scheme.
+				res, err = gpu.Simulate(context.Background(), cfg, wl, s, func(env *protect.Env) protect.Scheme {
+					rmwFetch.Scheme = protect.NewInlineNaive(env)
+					return rmwFetch
+				}, gpu.Observers{Audit: true})
+			} else {
+				res, err = cachecraft.Run(cfg, wl, s, cachecraft.WithAudit())
+			}
 			if err != nil {
 				t.Fatalf("%s/%s: %v", wl, s, err)
 			}
@@ -85,9 +121,10 @@ func FuzzSim(f *testing.F) {
 			t.Fatalf("%s/inline-naive: redundancy bytes = %d, want (%d reads + %d rmws) × %d = %d",
 				wl, got, redReads, redRMWs, redBlk, want)
 		}
-		if got, want := naive.DRAMBytes["rmw"], redRMWs*redBlk; got != want {
-			t.Fatalf("%s/inline-naive: rmw bytes = %d, want %d × %d = %d",
-				wl, got, redRMWs, redBlk, want)
+		sector := uint64(cfg.Geometry.SectorBytes)
+		if got, want := naive.DRAMBytes["rmw"], redRMWs*redBlk+rmwFetch.sectors*sector; got != want {
+			t.Fatalf("%s/inline-naive: rmw bytes = %d, want %d rmws × %d + %d partial-write sector fetches × %d = %d",
+				wl, got, redRMWs, redBlk, rmwFetch.sectors, sector, want)
 		}
 
 		ideal := results["ideal"]

@@ -104,7 +104,6 @@ func TestHungHeartbeatsDoNotWedgeTheSweep(t *testing.T) {
 	}, st)
 	// Front the real server with a proxy that swallows heartbeats.
 	hang := make(chan struct{})
-	defer close(hang)
 	proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/v1/cluster/heartbeat" {
 			<-hang
@@ -142,7 +141,12 @@ func TestHungHeartbeatsDoNotWedgeTheSweep(t *testing.T) {
 			}
 		}
 	}))
-	defer proxy.Close()
+	// Release any heartbeat handler parked on hang before Close waits for
+	// the proxy's in-flight requests, or teardown deadlocks.
+	defer func() {
+		close(hang)
+		proxy.Close()
+	}()
 
 	r := bench.NewRunner(config.Default())
 	r.SetWorkers(2)

@@ -96,22 +96,18 @@ type CacheCraft struct {
 	opt Options
 
 	rc         *cache.Cache
-	pendingRed map[uint64]*redFetch
+	pendingRed *protect.Fetches // redundancy fetches by tagged address
 
 	// reconInFlight tracks reconstruction fetches by sector address; a
 	// demand miss arriving while its sector is already being reconstructed
 	// merges with the fetch instead of duplicating it.
-	reconInFlight map[uint64][]func(sim.Cycle)
+	reconInFlight *protect.Fetches
 
 	pred       []uint8
 	sampleTick uint64
 
-	wbuf    map[uint64]*wbufEntry
+	wbuf    map[uint64]wbufEntry
 	wbufGen uint64
-}
-
-type redFetch struct {
-	waiters []func(sim.Cycle)
 }
 
 type wbufEntry struct {
@@ -122,12 +118,12 @@ type wbufEntry struct {
 // New builds a CacheCraft controller.
 func New(env *protect.Env, opt Options) *CacheCraft {
 	c := &CacheCraft{
-		env:           env,
-		opt:           opt,
-		pendingRed:    make(map[uint64]*redFetch),
-		reconInFlight: make(map[uint64][]func(sim.Cycle)),
-		wbuf:          make(map[uint64]*wbufEntry),
+		env:  env,
+		opt:  opt,
+		wbuf: make(map[uint64]wbufEntry),
 	}
+	c.pendingRed = protect.NewFetches(env, c.redArrived)
+	c.reconInFlight = protect.NewFetches(env, c.reconArrived)
 	if opt.UseRC {
 		c.rc = cache.New(cache.Config{
 			Name:        "rc",
@@ -172,11 +168,11 @@ func (c *CacheCraft) granuleSectorIndex(sa uint64) int {
 
 // --- Redundancy read path -------------------------------------------------
 
-// redReady invokes ready once the redundancy block covering lineAddr is
-// available, trying the write buffer, the RC, and DRAM in that order.
+// redReady arrives at ready once the redundancy block covering lineAddr
+// is available, trying the write buffer, the RC, and DRAM in that order.
 // neededMask is the granule-sector mask the caller must verify (for write
 // buffer forwarding).
-func (c *CacheCraft) redReady(now sim.Cycle, lineAddr uint64, neededMask uint64, ready func(sim.Cycle)) {
+func (c *CacheCraft) redReady(now sim.Cycle, lineAddr uint64, neededMask uint64, ready protect.Join) {
 	env := c.env
 	tagged := c.taggedRed(lineAddr)
 
@@ -185,37 +181,32 @@ func (c *CacheCraft) redReady(now sim.Cycle, lineAddr uint64, neededMask uint64,
 	if c.opt.WBuf {
 		if e, ok := c.wbuf[tagged]; ok && e.mask&neededMask == neededMask {
 			env.Stats.Inc("red_wbuf_fwd")
-			env.Eng.At(now, ready)
+			env.ArriveAt(now, ready)
 			return
 		}
 	}
 	if c.opt.UseRC {
 		if c.rc.Access(tagged, false) == cache.Hit {
 			env.Stats.Inc("red_rc_hits")
-			env.Eng.At(now+c.opt.RCLatency, ready)
+			env.ArriveAt(now+c.opt.RCLatency, ready)
 			return
 		}
 	}
-	if f, ok := c.pendingRed[tagged]; ok {
+	if c.pendingRed.Wait(tagged, false, ready) {
 		env.Stats.Inc("red_merged")
-		f.waiters = append(f.waiters, ready)
 		return
 	}
-	f := &redFetch{waiters: []func(sim.Cycle){ready}}
-	c.pendingRed[tagged] = f
 	env.Stats.Inc("red_reads_dram")
-	env.DRAM.Submit(now, mem.Request{
+	c.pendingRed.Start(now, tagged, false, ready, mem.Request{
 		Addr:  tagged &^ protect.RedTag,
 		Bytes: env.Map.Geometry().RedBlockBytes,
 		Class: mem.Redundancy,
-		Done: func(at sim.Cycle) {
-			delete(c.pendingRed, tagged)
-			c.insertRC(at, tagged, false)
-			for _, w := range f.waiters {
-				w(at)
-			}
-		},
 	})
+}
+
+// redArrived fills a fetched redundancy block into the RC.
+func (c *CacheCraft) redArrived(at sim.Cycle, tagged uint64, _, _ bool) {
+	c.insertRC(at, tagged, false)
 }
 
 // insertRC fills a redundancy block into the RC, writing back any dirty
@@ -228,7 +219,8 @@ func (c *CacheCraft) insertRC(now sim.Cycle, tagged uint64, dirty bool) {
 	if dirty {
 		dmask = 1
 	}
-	if ev := c.rc.Fill(tagged, 1, dmask); ev != nil && ev.DirtyMask != 0 {
+	var ev cache.Eviction
+	if c.rc.FillInto(tagged, 1, dmask, &ev) && ev.DirtyMask != 0 {
 		c.env.Stats.Inc("red_rc_dirty_evictions")
 		c.env.DRAM.Submit(now, mem.Request{
 			Addr:  ev.LineAddr &^ protect.RedTag,
@@ -329,38 +321,34 @@ func (c *CacheCraft) reconstruct(now sim.Cycle, lineAddr uint64, demandMask uint
 		if env.L2.Present(sa) || env.L2.Pending(sa) {
 			continue
 		}
-		if _, ok := c.reconInFlight[sa]; ok {
+		if c.reconInFlight.InFlight(sa) {
 			continue
 		}
 		env.Stats.Inc("reconstruct_sectors")
-		c.reconInFlight[sa] = nil
-		env.DRAM.Submit(now, mem.Request{
+		c.reconInFlight.Start(now, sa, false, protect.NoJoin, mem.Request{
 			Addr:  env.Map.DataPhys(sa),
 			Bytes: geo.SectorBytes,
 			Class: mem.Reconstruct,
-			Done: func(at sim.Cycle) {
-				waiters := c.reconInFlight[sa]
-				delete(c.reconInFlight, sa)
-				if len(waiters) > 0 {
-					// A demand miss merged with this fetch. Traffic-wise
-					// this is neutral (the demand would have fetched the
-					// sector anyway), so it does NOT train the predictor —
-					// only genuine later-use is evidence that prefetching
-					// the granule was worth extra bandwidth.
-					env.Stats.Inc("reconstruct_merged")
-					env.L2.Insert(at, sa, false)
-					for _, w := range waiters {
-						w(at)
-					}
-					return
-				}
-				env.L2.InsertReconstructed(at, sa)
-			},
 		})
 		if probe {
 			return
 		}
 	}
+}
+
+// reconArrived inserts a reconstructed sector into the L2.
+func (c *CacheCraft) reconArrived(at sim.Cycle, sa uint64, _, merged bool) {
+	env := c.env
+	if !merged {
+		env.L2.InsertReconstructed(at, sa)
+		return
+	}
+	// A demand miss merged with this fetch. Traffic-wise this is neutral
+	// (the demand would have fetched the sector anyway), so it does NOT
+	// train the predictor — only genuine later-use is evidence that
+	// prefetching the granule was worth extra bandwidth.
+	env.Stats.Inc("reconstruct_merged")
+	env.L2.Insert(at, sa, false)
 }
 
 // --- Scheme interface -----------------------------------------------------
@@ -379,30 +367,21 @@ func (c *CacheCraft) ReadMiss(now sim.Cycle, lineAddr uint64, mask uint64, class
 			neededMask |= 1 << c.granuleSectorIndex(lineAddr+uint64(s*geo.SectorBytes))
 		}
 	}
-	finish := func(at sim.Cycle) { env.FinishDecode(at, lineAddr, done) }
-	remaining := bits.OnesCount64(mask) + 1
-	join := func(at sim.Cycle) {
-		remaining--
-		if remaining == 0 {
-			finish(at)
-		}
-	}
+	join := env.NewJoin(now, bits.OnesCount64(mask)+1, lineAddr, true, done)
 	for s := 0; s < spl; s++ {
 		if mask&(1<<s) == 0 {
 			continue
 		}
 		sa := lineAddr + uint64(s*geo.SectorBytes)
-		if waiters, ok := c.reconInFlight[sa]; ok {
+		if c.reconInFlight.Wait(sa, false, join) {
 			// The sector is already on its way as a reconstruction; merge.
-			c.reconInFlight[sa] = append(waiters, join)
 			continue
 		}
-		env.DRAM.Submit(now, mem.Request{
+		env.SubmitTo(now, mem.Request{
 			Addr:  env.Map.DataPhys(sa),
 			Bytes: geo.SectorBytes,
 			Class: class,
-			Done:  join,
-		})
+		}, join)
 	}
 	c.redReady(now, lineAddr, neededMask, join)
 	if class == mem.Demand && c.opt.Reconstruct {
@@ -474,58 +453,58 @@ func (c *CacheCraft) redUpdate(now sim.Cycle, lineAddr uint64, writtenMask uint6
 				c.flushOldest(now)
 			}
 			c.wbufGen++
-			e = &wbufEntry{gen: c.wbufGen}
-			c.wbuf[tagged] = e
-			gen := e.gen
-			env.Eng.At(now+c.wbufTimeout(), func(at sim.Cycle) {
-				if cur, ok := c.wbuf[tagged]; ok && cur.gen == gen {
-					env.Stats.Inc("red_wbuf_timeout")
-					c.flushEntry(at, tagged, cur)
-				}
-			})
+			e = wbufEntry{gen: c.wbufGen}
+			env.Eng.Post(now+c.wbufTimeout(), (*wbufExpiry)(c), tagged, e.gen)
 		}
 		e.mask |= writtenMask
-		if e.mask == fullMask {
-			// Every check byte of the block is known: write it blind.
-			delete(c.wbuf, tagged)
-			env.Stats.Inc("red_blind_writes")
-			env.DRAM.Submit(now, mem.Request{
-				Addr:  tagged &^ protect.RedTag,
-				Write: true,
-				Bytes: geo.RedBlockBytes,
-				Class: mem.Redundancy,
-			})
+		if e.mask != fullMask {
+			c.wbuf[tagged] = e
+			return
 		}
+		// Every check byte of the block is known: write it blind.
+		delete(c.wbuf, tagged)
+		env.Stats.Inc("red_blind_writes")
+		env.DRAM.Submit(now, mem.Request{
+			Addr:  tagged &^ protect.RedTag,
+			Write: true,
+			Bytes: geo.RedBlockBytes,
+			Class: mem.Redundancy,
+		})
 		return
 	}
 	if c.opt.UseRC {
 		// Allocate into the RC via a fetch, then merge there.
 		env.Stats.Inc("red_rmw")
-		env.DRAM.Submit(now, mem.Request{
+		env.DRAM.SubmitPost(now, mem.Request{
 			Addr:  tagged &^ protect.RedTag,
 			Bytes: geo.RedBlockBytes,
 			Class: mem.RMW,
-			Done: func(at sim.Cycle) {
-				c.insertRC(at, tagged, true)
-			},
-		})
+		}, (*rcFill)(c), tagged)
 		return
 	}
 	// No RC, no write buffer: naive read-modify-write.
-	env.Stats.Inc("red_rmw")
-	env.DRAM.Submit(now, mem.Request{
-		Addr:  tagged &^ protect.RedTag,
-		Bytes: geo.RedBlockBytes,
-		Class: mem.RMW,
-		Done: func(at sim.Cycle) {
-			env.DRAM.Submit(at+env.DecodeLat, mem.Request{
-				Addr:  tagged &^ protect.RedTag,
-				Write: true,
-				Bytes: geo.RedBlockBytes,
-				Class: mem.Redundancy,
-			})
-		},
-	})
+	env.RedundancyRMW(now, tagged&^protect.RedTag)
+}
+
+// rcFill merges a write-allocate redundancy fetch (a0, the tagged block
+// address) into the RC.
+type rcFill CacheCraft
+
+func (h *rcFill) OnEvent(at sim.Cycle, tagged, _ uint64) {
+	(*CacheCraft)(h).insertRC(at, tagged, true)
+}
+
+// wbufExpiry flushes a write-buffer entry (a0, the tagged block address)
+// still partially coalesced when its timeout expires; a1 is the entry's
+// generation, so a timeout outlived by its entry does nothing.
+type wbufExpiry CacheCraft
+
+func (h *wbufExpiry) OnEvent(at sim.Cycle, tagged, gen uint64) {
+	c := (*CacheCraft)(h)
+	if cur, ok := c.wbuf[tagged]; ok && cur.gen == gen {
+		c.env.Stats.Inc("red_wbuf_timeout")
+		c.flushEntry(at, tagged)
+	}
 }
 
 func (c *CacheCraft) wbufEntriesMax() int {
@@ -545,38 +524,24 @@ func (c *CacheCraft) wbufTimeout() sim.Cycle {
 // flushOldest evicts the lowest-generation write-buffer entry.
 func (c *CacheCraft) flushOldest(now sim.Cycle) {
 	var oldestAddr uint64
-	var oldest *wbufEntry
+	var oldestGen uint64
+	found := false
 	for a, e := range c.wbuf {
-		if oldest == nil || e.gen < oldest.gen {
-			oldest, oldestAddr = e, a
+		if !found || e.gen < oldestGen {
+			oldestAddr, oldestGen, found = a, e.gen, true
 		}
 	}
-	if oldest != nil {
+	if found {
 		c.env.Stats.Inc("red_wbuf_overflow")
-		c.flushEntry(now, oldestAddr, oldest)
+		c.flushEntry(now, oldestAddr)
 	}
 }
 
 // flushEntry retires a partially-coalesced entry: the unknown check bytes
 // must be read back (read-modify-write) before the block can be written.
-func (c *CacheCraft) flushEntry(now sim.Cycle, tagged uint64, e *wbufEntry) {
+func (c *CacheCraft) flushEntry(now sim.Cycle, tagged uint64) {
 	delete(c.wbuf, tagged)
-	env := c.env
-	geo := env.Map.Geometry()
-	env.Stats.Inc("red_rmw")
-	env.DRAM.Submit(now, mem.Request{
-		Addr:  tagged &^ protect.RedTag,
-		Bytes: geo.RedBlockBytes,
-		Class: mem.RMW,
-		Done: func(at sim.Cycle) {
-			env.DRAM.Submit(at+env.DecodeLat, mem.Request{
-				Addr:  tagged &^ protect.RedTag,
-				Write: true,
-				Bytes: geo.RedBlockBytes,
-				Class: mem.Redundancy,
-			})
-		},
-	})
+	c.env.RedundancyRMW(now, tagged&^protect.RedTag)
 }
 
 // NeedsRMWFetch is true under ECC.
@@ -593,7 +558,7 @@ func (c *CacheCraft) Drain(now sim.Cycle) {
 	}
 	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
 	for _, tagged := range addrs {
-		c.flushEntry(now, tagged, c.wbuf[tagged])
+		c.flushEntry(now, tagged)
 	}
 	if c.rc != nil {
 		geo := c.env.Map.Geometry()

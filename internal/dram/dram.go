@@ -7,6 +7,8 @@ package dram
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"sort"
 
 	"cachecraft/internal/mem"
@@ -74,11 +76,37 @@ func DefaultConfig() Config {
 	}
 }
 
+// initialQueue is each bank queue's preallocated capacity.
+const initialQueue = 16
+
+// pendingReq is one queued request. Queues hold thousands of them while a
+// run drains its dirty lines, so the request's fields are packed in.
 type pendingReq struct {
-	req     mem.Request
+	addr    uint64
 	arrival sim.Cycle
 	row     int64 // decoded once at submit; FR-FCFS scans compare it often
+	// done completes the request when set: it is posted as
+	// done.OnEvent(finish, arg, 0). A Request.Done rides as a doneFunc.
+	done  sim.Handler
+	arg   uint64
+	bytes int32
+	class uint8
+	write bool
 }
+
+// request rebuilds the request as submitted (for the hook).
+func (pr *pendingReq) request() mem.Request {
+	req := mem.Request{Addr: pr.addr, Write: pr.write, Bytes: int(pr.bytes), Class: mem.Class(pr.class)}
+	if f, ok := pr.done.(doneFunc); ok {
+		req.Done = f
+	}
+	return req
+}
+
+// doneFunc completes a request submitted with a Done callback.
+type doneFunc func(now sim.Cycle)
+
+func (f doneFunc) OnEvent(now sim.Cycle, _, _ uint64) { f(now) }
 
 // bank holds its own FIFO request queue (with a head index so dequeues are
 // O(1) and in-window promotions are O(window)).
@@ -87,30 +115,63 @@ type bank struct {
 	readyAt sim.Cycle
 	queue   []pendingReq
 	head    int
+	// hits counts the requests in the scheduler window (the first window
+	// queued) whose row is open, so the scheduler knows whether the bank
+	// has a row hit without scanning its window.
+	hits int
 }
 
 func (b *bank) pending() int { return len(b.queue) - b.head }
 
-func (b *bank) push(pr pendingReq) { b.queue = append(b.queue, pr) }
+func (b *bank) push(pr pendingReq, window int) {
+	if b.pending() < window && pr.row == b.openRow {
+		b.hits++
+	}
+	if len(b.queue) == cap(b.queue) && b.head*2 >= len(b.queue) && b.head > 0 {
+		// Full, but at least half of it is the consumed prefix: slide the
+		// live requests down instead of growing the backing array.
+		n := copy(b.queue, b.queue[b.head:])
+		clear(b.queue[n:])
+		b.queue = b.queue[:n]
+		b.head = 0
+	}
+	b.queue = append(b.queue, pr)
+}
 
-// removeAt extracts the request at absolute index i (>= head), shifting
-// the intervening entries to preserve arrival order.
-func (b *bank) removeAt(i int) pendingReq {
+// removeAt extracts the request at absolute index i, which must lie in the
+// scheduler window, shifting the intervening entries to preserve arrival
+// order; the first request beyond the window moves into it.
+func (b *bank) removeAt(i, window int) pendingReq {
 	pr := b.queue[i]
+	if pr.row == b.openRow {
+		b.hits--
+	}
+	if j := b.head + window; j < len(b.queue) && b.queue[j].row == b.openRow {
+		b.hits++
+	}
 	copy(b.queue[b.head+1:i+1], b.queue[b.head:i])
 	b.queue[b.head] = pendingReq{}
 	b.head++
 	if b.head == len(b.queue) {
-		// Empty: rewind so pushes reuse the slots instead of growing the
-		// backing array forever.
+		// Empty: rewind so pushes reuse the slots.
 		b.queue = b.queue[:0]
-		b.head = 0
-	} else if b.head > 1024 && b.head*2 > len(b.queue) {
-		n := copy(b.queue, b.queue[b.head:])
-		b.queue = b.queue[:n]
 		b.head = 0
 	}
 	return pr
+}
+
+// setOpenRow opens row, recounting the window's hits when it changes.
+func (b *bank) setOpenRow(row int64, window int) {
+	if row == b.openRow {
+		return
+	}
+	b.openRow = row
+	b.hits = 0
+	for i := b.head; i < len(b.queue) && i < b.head+window; i++ {
+		if b.queue[i].row == row {
+			b.hits++
+		}
+	}
 }
 
 type channel struct {
@@ -119,6 +180,13 @@ type channel struct {
 	bus         *sim.Resource
 	rr          int // round-robin pointer over banks
 	nextRefresh sim.Cycle
+
+	// pending has bit i set while bank i has queued requests (one word per
+	// 64 banks); queued counts the channel's requests. ready and hit are
+	// pickBank's scratch masks, shaped like pending.
+	pending    []uint64
+	ready, hit []uint64
+	queued     int
 
 	// Scheduler arming state: one wake event is outstanding at a time;
 	// re-arming earlier supersedes it via the generation counter.
@@ -199,8 +267,14 @@ func New(eng *sim.Engine, cfg Config) *DRAM {
 	for i := 0; i < cfg.Channels; i++ {
 		ch := &channel{id: i, bus: sim.NewResource(fmt.Sprintf("dram-ch%d", i)), nextRefresh: cfg.TREFI}
 		ch.banks = make([]bank, cfg.BanksPerChannel)
+		words := (cfg.BanksPerChannel + 63) / 64
+		ch.pending, ch.ready, ch.hit = make([]uint64, words), make([]uint64, words), make([]uint64, words)
+		// One backing array gives every bank's queue its first slots, so
+		// queues grow from there instead of from empty during the run.
+		backing := make([]pendingReq, cfg.BanksPerChannel*initialQueue)
 		for b := range ch.banks {
 			ch.banks[b].openRow = -1
+			ch.banks[b].queue = backing[b*initialQueue : b*initialQueue : (b+1)*initialQueue]
 		}
 		d.chans = append(d.chans, ch)
 	}
@@ -227,9 +301,31 @@ func (d *DRAM) route(addr uint64) (ch, bk int, row int64) {
 // completion time. Reads and writes are scheduled identically (write
 // latency matters because protection read-modify-writes serialize on it).
 func (d *DRAM) Submit(now sim.Cycle, req mem.Request) {
+	var done sim.Handler
+	if req.Done != nil {
+		done = doneFunc(req.Done)
+	}
+	d.submit(now, req, done, 0)
+}
+
+// SubmitPost is Submit for callers that track their requests by index:
+// the request completes by posting done.OnEvent(finish, arg, 0) — one
+// event at the cycle Done would run — and req.Done is ignored, so
+// completing it needs no closure.
+func (d *DRAM) SubmitPost(now sim.Cycle, req mem.Request, done sim.Handler, arg uint64) {
+	d.submit(now, req, done, arg)
+}
+
+func (d *DRAM) submit(now sim.Cycle, req mem.Request, done sim.Handler, arg uint64) {
+	if req.Class < 0 || req.Class > math.MaxUint8 || req.Bytes < 0 || req.Bytes > math.MaxInt32 {
+		panic(fmt.Sprintf("dram: request out of range: %v", req))
+	}
 	ch, bk, row := d.route(req.Addr)
 	c := d.chans[ch]
-	c.banks[bk].push(pendingReq{req: req, arrival: now, row: row})
+	c.push(bk, pendingReq{
+		addr: req.Addr, arrival: now, row: row, done: done, arg: arg,
+		bytes: int32(req.Bytes), class: uint8(req.Class), write: req.Write,
+	}, d.cfg.SchedulerWindow)
 	if d.hook != nil {
 		d.hook.Submitted(now, req, ch, bk, row)
 	}
@@ -278,13 +374,52 @@ func (h *armHandler) OnEvent(now sim.Cycle, a0, a1 uint64) {
 	d.service(c, now)
 }
 
+// push queues a request on bank bk.
+func (c *channel) push(bk int, pr pendingReq, window int) {
+	c.banks[bk].push(pr, window)
+	c.pending[bk>>6] |= 1 << uint(bk&63)
+	c.queued++
+}
+
+// remove dequeues the request at absolute index i of bank bk.
+func (c *channel) remove(bk, i, window int) pendingReq {
+	b := &c.banks[bk]
+	pr := b.removeAt(i, window)
+	if b.pending() == 0 {
+		c.pending[bk>>6] &^= 1 << uint(bk&63)
+	}
+	c.queued--
+	return pr
+}
+
+// nextSet returns the first bank set in mask at or after from, wrapping
+// around to the lowest; -1 when mask is empty.
+func nextSet(mask []uint64, from int) int {
+	w := from >> 6
+	word := mask[w] &^ (1<<uint(from&63) - 1)
+	for n := 0; word == 0; n++ {
+		if n > len(mask) {
+			return -1
+		}
+		w = (w + 1) % len(mask)
+		word = mask[w]
+	}
+	return w<<6 + bits.TrailingZeros64(word)
+}
+
+// bit is 1 for true, 0 for false.
+func bit(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 // QueueLen reports the total queued requests (for backpressure tests).
 func (d *DRAM) QueueLen() int {
 	total := 0
 	for _, c := range d.chans {
-		for i := range c.banks {
-			total += c.banks[i].pending()
-		}
+		total += c.queued
 	}
 	return total
 }
@@ -296,25 +431,25 @@ func (d *DRAM) QueueLen() int {
 // bank's recovery.
 func (d *DRAM) service(c *channel, now sim.Cycle) {
 	d.maybeRefresh(c, now)
-	bk := d.pickBank(c, now)
+	bk, wake := d.pickBank(c, now)
 	if bk < 0 {
-		if wake, ok := d.earliestWork(c, now); ok {
+		if c.queued > 0 {
 			d.arm(c, wake)
 		}
 		return
 	}
+	window := d.cfg.SchedulerWindow
 	b := &c.banks[bk]
 	idx := b.head
-	for i := b.head; i < len(b.queue) && i < b.head+d.cfg.SchedulerWindow; i++ {
-		if b.queue[i].row == b.openRow {
-			idx = i
-			break
+	if b.hits > 0 {
+		for b.queue[idx].row != b.openRow {
+			idx++
 		}
 	}
-	pr := b.removeAt(idx)
+	pr := c.remove(bk, idx, window)
 	row := pr.row
 	if d.hook != nil {
-		d.hook.Serviced(now, pr.req, c.id, bk, row, b.openRow, b.readyAt)
+		d.hook.Serviced(now, pr.request(), c.id, bk, row, b.openRow, b.readyAt)
 	}
 
 	// Split bank occupancy from access latency: a row hit issues its CAS
@@ -334,9 +469,9 @@ func (d *DRAM) service(c *channel, now sim.Cycle) {
 		d.stRowConflicts.Inc()
 		colIssued = now + d.cfg.TRP + d.cfg.TRCD
 	}
-	b.openRow = row
+	b.setOpenRow(row, window)
 
-	bursts := (pr.req.Bytes + 31) / 32
+	bursts := (int(pr.bytes) + 31) / 32
 	if bursts == 0 {
 		bursts = 1
 	}
@@ -346,15 +481,15 @@ func (d *DRAM) service(c *channel, now sim.Cycle) {
 	finish := busStart + busDur
 
 	d.LatHist.Observe(uint64(finish - pr.arrival))
-	if done := pr.req.Done; done != nil {
-		d.eng.At(finish, done)
+	if pr.done != nil {
+		d.eng.Post(finish, pr.done, pr.arg, 0)
 	}
 
 	// The next command issues after the command gap, independent of this
 	// request's data phase — banks overlap their activations, which is
 	// what gives DRAM its bank-level parallelism.
 	c.nextCmd = now + d.cfg.TCmd
-	if _, ok := d.earliestWork(c, now); ok {
+	if c.queued > 0 {
 		d.arm(c, c.nextCmd)
 	}
 }
@@ -373,6 +508,7 @@ func (d *DRAM) maybeRefresh(c *channel, now sim.Cycle) {
 				b.readyAt = end
 			}
 			b.openRow = -1
+			b.hits = 0
 		}
 		c.nextRefresh += d.cfg.TREFI
 		d.stRefreshes.Inc()
@@ -383,68 +519,44 @@ func (d *DRAM) maybeRefresh(c *channel, now sim.Cycle) {
 }
 
 // pickBank returns a ready bank with pending work, preferring (1) a ready
-// bank whose open row matches its queue window (a row hit) and (2)
-// round-robin order for fairness; -1 when every pending bank is busy.
-func (d *DRAM) pickBank(c *channel, now sim.Cycle) int {
-	n := len(c.banks)
-	fallback := -1
-	for off := 0; off < n; off++ {
-		bk := (c.rr + off) % n
-		b := &c.banks[bk]
-		if b.pending() == 0 || b.readyAt > now {
-			continue
+// bank with a row hit in its window and (2) round-robin order from c.rr
+// for fairness. It returns -1 when no pending bank is ready, together with
+// the earliest cycle at which one will be (meaningless when nothing is
+// queued).
+func (d *DRAM) pickBank(c *channel, now sim.Cycle) (int, sim.Cycle) {
+	// Mask the pending banks ready now, and those of them with a row hit
+	// in their window, without a data-dependent branch per bank.
+	wake := ^sim.Cycle(0)
+	var anyReady uint64
+	for w, pend := range c.pending {
+		var ready, hit uint64
+		for m := pend; m != 0; m &= m - 1 {
+			i := bits.TrailingZeros64(m)
+			b := &c.banks[w<<6|i]
+			r := bit(b.readyAt <= now)
+			ready |= r << uint(i)
+			hit |= (r & bit(b.hits > 0)) << uint(i)
+			wake = min(wake, b.readyAt)
 		}
-		// Does this bank's window contain a row hit?
-		hit := false
-		for i := b.head; i < len(b.queue) && i < b.head+d.cfg.SchedulerWindow; i++ {
-			if b.queue[i].row == b.openRow {
-				hit = true
-				break
-			}
-		}
-		if hit {
-			c.rr = (bk + 1) % n
-			return bk
-		}
-		if fallback < 0 {
-			fallback = bk
-		}
+		c.ready[w], c.hit[w] = ready, hit
+		anyReady |= ready
 	}
-	if fallback >= 0 {
-		c.rr = (fallback + 1) % n
+	if anyReady == 0 {
+		return -1, wake
 	}
-	return fallback
-}
-
-// earliestWork reports the earliest cycle at which any bank with pending
-// work could be serviced; ok is false when no work is queued.
-func (d *DRAM) earliestWork(c *channel, now sim.Cycle) (sim.Cycle, bool) {
-	earliest := sim.Cycle(0)
-	found := false
-	for i := range c.banks {
-		b := &c.banks[i]
-		if b.pending() == 0 {
-			continue
-		}
-		at := b.readyAt
-		if at < now {
-			at = now
-		}
-		if !found || at < earliest {
-			earliest = at
-			found = true
-		}
+	bk := nextSet(c.hit, c.rr)
+	if bk < 0 {
+		bk = nextSet(c.ready, c.rr)
 	}
-	return earliest, found
+	c.rr = (bk + 1) % len(c.banks)
+	return bk, 0
 }
 
 // Drain returns true when all channels have empty queues.
 func (d *DRAM) Drain() bool {
 	for _, c := range d.chans {
-		for i := range c.banks {
-			if c.banks[i].pending() > 0 {
-				return false
-			}
+		if c.queued > 0 {
+			return false
 		}
 	}
 	return true

@@ -7,20 +7,21 @@ import (
 )
 
 // l2Target is one requester waiting on an L2 miss entry, identified by its
-// pooled transaction token.
+// pooled transaction token. An entry's targets form a FIFO list linked
+// through the bank's target pool.
 type l2Target struct {
 	sectorMask uint64 // the sectors this requester needs from the line
 	tok        int32
-	write      bool // fetch-on-write: mark dirty and ack the store
+	write      bool  // fetch-on-write: mark dirty and ack the store
+	next       int32 // next target of the same entry; -1 ends the list
 }
 
 // l2Entry is one outstanding line miss (the bank's MSHR entry). Entries
-// live in the bank's pooled slab and are referenced by slot index; a
-// recycled entry keeps its targets slice's capacity.
+// live in the bank's pool and are referenced by slot index.
 type l2Entry struct {
-	pending uint64 // sectors requested from the protection controller
-	filled  uint64
-	targets []l2Target
+	pending    uint64 // sectors requested from the protection controller
+	filled     uint64
+	head, tail int32 // the entry's target list; -1 when empty
 }
 
 // l2Op is one scheduled bank operation: a read or store that has crossed
@@ -44,10 +45,11 @@ type L2Bank struct {
 	cache *cache.Cache
 
 	mshr    map[uint64]int32 // line address → entry slot
-	entries []l2Entry
-	entFree []int32
-	ops     []l2Op
-	opFree  []int32
+	entries sim.Pool[l2Entry]
+	targets sim.Pool[l2Target]
+	ops     sim.Pool[l2Op]
+	// misses holds the outstanding controller reads.
+	misses sim.Pool[l2Miss]
 
 	// waiting parks op slots that arrived while the MSHR file was full;
 	// whead is the consumed prefix, compacted once it dominates the slice
@@ -64,6 +66,16 @@ type L2Bank struct {
 	reconFIFO    []reconEntry
 	rfHead       int
 	fillTick     uint64
+}
+
+// l2Miss is one outstanding controller read: the sectors of a line it
+// fills, and its completion callback — built once per slot, since
+// protect.Scheme.ReadMiss takes a plain func, and reused by every read
+// the slot carries.
+type l2Miss struct {
+	lineAddr uint64
+	mask     uint64
+	done     func(sim.Cycle)
 }
 
 type reconEntry struct {
@@ -87,33 +99,6 @@ func newL2Bank(m *Machine, id int) *L2Bank {
 		reconPending: make(map[uint64]bool),
 	}
 }
-
-func (b *L2Bank) allocEntry() int32 {
-	if n := len(b.entFree); n > 0 {
-		ei := b.entFree[n-1]
-		b.entFree = b.entFree[:n-1]
-		e := &b.entries[ei]
-		e.pending, e.filled = 0, 0
-		e.targets = e.targets[:0]
-		return ei
-	}
-	b.entries = append(b.entries, l2Entry{})
-	return int32(len(b.entries) - 1)
-}
-
-func (b *L2Bank) freeEntry(ei int32) { b.entFree = append(b.entFree, ei) }
-
-func (b *L2Bank) allocOp() int32 {
-	if n := len(b.opFree); n > 0 {
-		oi := b.opFree[n-1]
-		b.opFree = b.opFree[:n-1]
-		return oi
-	}
-	b.ops = append(b.ops, l2Op{})
-	return int32(len(b.ops) - 1)
-}
-
-func (b *L2Bank) freeOp(oi int32) { b.opFree = append(b.opFree, oi) }
 
 // waitingCount reports how many requests sit parked behind the MSHR file.
 func (b *L2Bank) waitingCount() int { return len(b.waiting) - b.whead }
@@ -192,16 +177,16 @@ func (h *bankOpHandler) OnEvent(now sim.Cycle, a0, _ uint64) {
 // scheduleRead queues a demand-read line request behind the L2 tag latency,
 // responding through the token.
 func (b *L2Bank) scheduleRead(now sim.Cycle, lineAddr uint64, mask uint64, tok int32) {
-	oi := b.allocOp()
-	b.ops[oi] = l2Op{lineAddr: lineAddr, mask: mask, tok: tok}
+	oi := b.ops.Get()
+	*b.ops.At(oi) = l2Op{lineAddr: lineAddr, mask: mask, tok: tok}
 	b.m.eng.Post(now+b.m.cfg.L2Latency, (*bankOpHandler)(b), uint64(uint32(oi)), 0)
 }
 
 // scheduleStore queues a store line request behind the L2 tag latency.
 // fullMask marks sectors whose bytes the warp fully covers.
 func (b *L2Bank) scheduleStore(now sim.Cycle, lineAddr uint64, mask, fullMask uint64, tok int32) {
-	oi := b.allocOp()
-	b.ops[oi] = l2Op{lineAddr: lineAddr, mask: mask, fullMask: fullMask, tok: tok, write: true}
+	oi := b.ops.Get()
+	*b.ops.At(oi) = l2Op{lineAddr: lineAddr, mask: mask, fullMask: fullMask, tok: tok, write: true}
 	b.m.eng.Post(now+b.m.cfg.L2Latency, (*bankOpHandler)(b), uint64(uint32(oi)), 0)
 }
 
@@ -237,13 +222,13 @@ func (b *L2Bank) mshrFull(lineAddr uint64) bool {
 // exec runs one bank op, parking it (credit-style backpressure toward the
 // interconnect) while the MSHR file is full.
 func (b *L2Bank) exec(now sim.Cycle, oi int32) {
-	op := b.ops[oi]
+	op := *b.ops.At(oi)
 	if b.mshrFull(op.lineAddr) {
 		b.m.stMSHRStalls.Inc()
 		b.waiting = append(b.waiting, oi)
 		return
 	}
-	b.freeOp(oi)
+	b.ops.Put(oi)
 	if op.write {
 		b.store(now, op)
 	} else {
@@ -350,14 +335,23 @@ func (b *L2Bank) store(now sim.Cycle, op l2Op) {
 func (b *L2Bank) enqueueMiss(now sim.Cycle, lineAddr uint64, mask uint64, t l2Target) {
 	ei, ok := b.mshr[lineAddr]
 	if !ok {
-		ei = b.allocEntry()
+		ei = b.entries.Get()
+		*b.entries.At(ei) = l2Entry{head: -1, tail: -1}
 		b.mshr[lineAddr] = ei
 		if b.m.obs != nil {
 			b.m.obs.mshrAlloc(now, b.id, lineAddr, len(b.mshr))
 		}
 	}
-	e := &b.entries[ei]
-	e.targets = append(e.targets, t)
+	ti := b.targets.Get()
+	t.next = -1
+	*b.targets.At(ti) = t
+	e := b.entries.At(ei)
+	if e.tail < 0 {
+		e.head = ti
+	} else {
+		b.targets.At(e.tail).next = ti
+	}
+	e.tail = ti
 	fetch := mask &^ e.pending
 	e.pending |= mask
 	if fetch == 0 {
@@ -370,9 +364,22 @@ func (b *L2Bank) enqueueMiss(now sim.Cycle, lineAddr uint64, mask uint64, t l2Ta
 	if t.write {
 		class = memClassRMW
 	}
-	b.m.scheme.ReadMiss(now, lineAddr, fetch, class, func(at sim.Cycle) {
-		b.onFill(at, lineAddr, fetch)
-	})
+	slot := b.misses.Get()
+	ms := b.misses.At(slot)
+	ms.lineAddr, ms.mask = lineAddr, fetch
+	if ms.done == nil {
+		ms.done = func(at sim.Cycle) { b.missFilled(at, slot) }
+	}
+	b.m.scheme.ReadMiss(now, lineAddr, fetch, class, ms.done)
+}
+
+// missFilled completes a controller read: it frees the read's slot and
+// fills its sectors.
+func (b *L2Bank) missFilled(at sim.Cycle, slot int32) {
+	ms := b.misses.At(slot)
+	lineAddr, mask := ms.lineAddr, ms.mask
+	b.misses.Put(slot)
+	b.onFill(at, lineAddr, mask)
 }
 
 // onFill receives sectors from the controller, fills the cache, and
@@ -386,8 +393,9 @@ func (b *L2Bank) onFill(now sim.Cycle, lineAddr uint64, mask uint64) {
 		b.m.obs.audit.MSHRFill(now, b.id, lineAddr, mask)
 	}
 	b.fill(now, lineAddr, mask, 0)
-	b.entries[ei].filled |= mask
-	if b.entries[ei].filled != b.entries[ei].pending {
+	e := b.entries.At(ei)
+	e.filled |= mask
+	if e.filled != e.pending {
 		return
 	}
 	delete(b.mshr, lineAddr)
@@ -395,12 +403,15 @@ func (b *L2Bank) onFill(now sim.Cycle, lineAddr uint64, mask uint64) {
 		b.m.obs.mshrRelease(now, b.id, lineAddr, len(b.mshr))
 	}
 	b.pump(now)
-	// pump can replay parked ops whose misses grow the entry slab, so
-	// re-index entries[ei] each pass instead of holding a pointer across
-	// it; the slot itself stays ours until freed below (its map entry is
-	// gone, so nothing merges into it).
-	for i := 0; i < len(b.entries[ei].targets); i++ {
-		t := b.entries[ei].targets[i]
+	// pump can replay parked ops whose misses grow the pools, so read the
+	// entry only now; its targets stay ours (the map entry is gone, so
+	// nothing merges into it) and each is copied out before it is freed.
+	head := b.entries.At(ei).head
+	b.entries.Put(ei)
+	for ti := head; ti >= 0; {
+		t := *b.targets.At(ti)
+		b.targets.Put(ti)
+		ti = t.next
 		if t.write {
 			spl := b.cache.SectorsPerLine()
 			for j := 0; j < spl; j++ {
@@ -420,7 +431,6 @@ func (b *L2Bank) onFill(now sim.Cycle, lineAddr uint64, mask uint64) {
 		}
 		b.m.respondToken(now, t.tok, t.sectorMask)
 	}
-	b.freeEntry(ei)
 }
 
 // Present reports sector validity (CacheSide).
@@ -430,7 +440,7 @@ func (b *L2Bank) Present(addr uint64) bool { return b.cache.Probe(addr) == cache
 func (b *L2Bank) Pending(addr uint64) bool {
 	lineAddr := b.cache.LineAddr(addr)
 	ei, ok := b.mshr[lineAddr]
-	return ok && b.entries[ei].pending&b.cache.SectorMask(addr) != 0
+	return ok && b.entries.At(ei).pending&b.cache.SectorMask(addr) != 0
 }
 
 // Insert places a sector into the bank (CacheSide).

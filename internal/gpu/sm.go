@@ -42,8 +42,7 @@ type SM struct {
 	accessesDone uint64
 
 	// Pools and per-issue scratch (reused, never escaping an issue).
-	accs    []smAccess
-	accFree []int32
+	accs    sim.Pool[smAccess]
 	waiters []l1Waiter
 	wFree   int32
 
@@ -62,18 +61,6 @@ func newSM(id int, m *Machine, wl trace.Workload) *SM {
 		waiters: make([]l1Waiter, 1), // slot 0 is the chain sentinel
 	}
 }
-
-func (s *SM) allocAcc() int32 {
-	if n := len(s.accFree); n > 0 {
-		idx := s.accFree[n-1]
-		s.accFree = s.accFree[:n-1]
-		return idx
-	}
-	s.accs = append(s.accs, smAccess{})
-	return int32(len(s.accs) - 1)
-}
-
-func (s *SM) freeAcc(idx int32) { s.accFree = append(s.accFree, idx) }
 
 func (s *SM) allocWaiter(rec int32) int32 {
 	idx := s.wFree
@@ -146,8 +133,8 @@ func (s *SM) tryIssue(now sim.Cycle) {
 func (s *SM) issue(now sim.Cycle, a trace.Access) {
 	s.reqScratch = coalesceInto(s.reqScratch[:0], a, s.m.cfg.L1.SectorBytes)
 	reqs := s.reqScratch
-	ri := s.allocAcc()
-	s.accs[ri] = smAccess{
+	ri := s.accs.Get()
+	*s.accs.At(ri) = smAccess{
 		remaining: int32(len(reqs)),
 		instrs:    uint64(1 + a.ComputeWeight),
 		dependent: a.Dependent,
@@ -249,7 +236,7 @@ func popcount(m uint64) int {
 // retiring the access itself (and recycling its slot) when the count
 // reaches zero.
 func (s *SM) completeSectorsIdx(now sim.Cycle, ri int32, n int) {
-	rec := &s.accs[ri]
+	rec := s.accs.At(ri)
 	rec.remaining -= int32(n)
 	if rec.remaining > 0 {
 		return
@@ -261,7 +248,7 @@ func (s *SM) completeSectorsIdx(now sim.Cycle, ri int32, n int) {
 	s.instrRetired += rec.instrs
 	s.accessesDone++
 	dep := rec.dependent
-	s.freeAcc(ri)
+	s.accs.Put(ri)
 	if dep {
 		s.blocked = false
 	}

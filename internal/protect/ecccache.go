@@ -11,27 +11,26 @@ import (
 // with demand data — and redundancy writebacks are coalesced in the L2 the
 // same way data writebacks are.
 type eccCache struct {
-	env     *Env
-	pending map[uint64]*redFetch // outstanding redundancy fetches by tagged address
-}
-
-type redFetch struct {
-	waiters []func(sim.Cycle)
-	dirty   bool
+	env *Env
+	// pending holds outstanding redundancy fetches by tagged address; a
+	// fetch's flag marks it dirty (a writeback folded into it).
+	pending *Fetches
 }
 
 // NewECCCache builds the L2-redundancy-caching baseline.
 func NewECCCache(env *Env) Scheme {
-	return &eccCache{env: env, pending: make(map[uint64]*redFetch)}
+	s := &eccCache{env: env}
+	s.pending = NewFetches(env, s.redArrived)
+	return s
 }
 
 // Name identifies the scheme.
 func (s *eccCache) Name() string { return "ecc-cache" }
 
-// redReady arranges for ready to run as soon as the redundancy block
-// covering lineAddr is available: immediately on an L2 hit, or when the
-// (possibly already outstanding) DRAM fetch returns.
-func (s *eccCache) redReady(now sim.Cycle, lineAddr uint64, markDirty bool, ready func(sim.Cycle)) {
+// redReady arranges for one arrival at ready as soon as the redundancy
+// block covering lineAddr is available: immediately on an L2 hit, or when
+// the (possibly already outstanding) DRAM fetch returns.
+func (s *eccCache) redReady(now sim.Cycle, lineAddr uint64, markDirty bool, ready Join) {
 	env := s.env
 	tagged := RedTag | env.Map.RedundancyAddr(lineAddr)
 	if env.L2.Present(tagged) {
@@ -39,34 +38,28 @@ func (s *eccCache) redReady(now sim.Cycle, lineAddr uint64, markDirty bool, read
 		if markDirty {
 			env.L2.MarkDirty(tagged)
 		}
-		env.Eng.At(now, ready)
+		env.ArriveAt(now, ready)
 		return
 	}
-	if f, ok := s.pending[tagged]; ok {
+	if s.pending.Wait(tagged, markDirty, ready) {
 		env.Stats.Inc("red_merged")
-		f.dirty = f.dirty || markDirty
-		f.waiters = append(f.waiters, ready)
 		return
 	}
-	f := &redFetch{waiters: []func(sim.Cycle){ready}, dirty: markDirty}
-	s.pending[tagged] = f
 	env.Stats.Inc("red_reads_dram")
 	class := mem.Redundancy
 	if markDirty {
 		class = mem.RMW // a write-allocate fetch exists only to merge new checks
 	}
-	env.DRAM.Submit(now, mem.Request{
+	s.pending.Start(now, tagged, markDirty, ready, mem.Request{
 		Addr:  tagged &^ RedTag,
 		Bytes: env.Map.Geometry().RedBlockBytes,
 		Class: class,
-		Done: func(at sim.Cycle) {
-			delete(s.pending, tagged)
-			env.L2.Insert(at, tagged, f.dirty)
-			for _, w := range f.waiters {
-				w(at)
-			}
-		},
 	})
+}
+
+// redArrived fills a fetched redundancy block into the L2.
+func (s *eccCache) redArrived(at sim.Cycle, tagged uint64, dirty, _ bool) {
+	s.env.L2.Insert(at, tagged, dirty)
 }
 
 // ReadMiss fetches the demanded sectors and waits for the redundancy block
@@ -74,18 +67,16 @@ func (s *eccCache) redReady(now sim.Cycle, lineAddr uint64, markDirty bool, read
 func (s *eccCache) ReadMiss(now sim.Cycle, lineAddr uint64, mask uint64, class mem.Class, done func(sim.Cycle)) {
 	env := s.env
 	geo := env.Map.Geometry()
-	finish := func(at sim.Cycle) { env.FinishDecode(at, lineAddr, done) }
-	join := joinN(env, now, sectorCount(geo, mask)+1, finish)
+	join := env.NewJoin(now, sectorCount(geo, mask)+1, lineAddr, true, done)
 	for sec := 0; sec < geo.SectorsPerLine(); sec++ {
 		if mask&(1<<sec) == 0 {
 			continue
 		}
-		env.DRAM.Submit(now, mem.Request{
+		env.SubmitTo(now, mem.Request{
 			Addr:  env.Map.DataPhys(lineAddr + uint64(sec*geo.SectorBytes)),
 			Bytes: geo.SectorBytes,
 			Class: class,
-			Done:  join,
-		})
+		}, join)
 	}
 	s.redReady(now, lineAddr, false, join)
 }
@@ -124,7 +115,7 @@ func (s *eccCache) Writeback(now sim.Cycle, lineAddr uint64, dirtyMask uint64) {
 			Class: mem.Writeback,
 		})
 	}
-	s.redReady(now, lineAddr, true, func(sim.Cycle) {})
+	s.redReady(now, lineAddr, true, NoJoin)
 }
 
 // NeedsRMWFetch is true under ECC.

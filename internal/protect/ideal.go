@@ -27,18 +27,16 @@ func (s *ideal) Name() string { return "ideal" }
 func (s *ideal) ReadMiss(now sim.Cycle, lineAddr uint64, mask uint64, class mem.Class, done func(sim.Cycle)) {
 	env := s.env
 	geo := env.Map.Geometry()
-	finish := func(at sim.Cycle) { env.FinishDecode(at, lineAddr, done) }
-	join := joinN(env, now, sectorCount(geo, mask), finish)
+	join := env.NewJoin(now, sectorCount(geo, mask), lineAddr, true, done)
 	for sec := 0; sec < geo.SectorsPerLine(); sec++ {
 		if mask&(1<<sec) == 0 {
 			continue
 		}
-		env.DRAM.Submit(now, mem.Request{
+		env.SubmitTo(now, mem.Request{
 			Addr:  env.Map.DataPhys(lineAddr + uint64(sec*geo.SectorBytes)),
 			Bytes: geo.SectorBytes,
 			Class: class,
-			Done:  join,
-		})
+		}, join)
 	}
 }
 

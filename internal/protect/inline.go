@@ -27,28 +27,23 @@ func (s *inlineNaive) Name() string { return "inline-naive" }
 func (s *inlineNaive) ReadMiss(now sim.Cycle, lineAddr uint64, mask uint64, class mem.Class, done func(sim.Cycle)) {
 	geo := s.env.Map.Geometry()
 	env := s.env
-	finish := func(at sim.Cycle) {
-		env.FinishDecode(at, lineAddr, done)
-	}
-	join := joinN(env, now, sectorCount(geo, mask)+1, finish)
+	join := env.NewJoin(now, sectorCount(geo, mask)+1, lineAddr, true, done)
 	for sec := 0; sec < geo.SectorsPerLine(); sec++ {
 		if mask&(1<<sec) == 0 {
 			continue
 		}
-		env.DRAM.Submit(now, mem.Request{
+		env.SubmitTo(now, mem.Request{
 			Addr:  env.Map.DataPhys(lineAddr + uint64(sec*geo.SectorBytes)),
 			Bytes: geo.SectorBytes,
 			Class: class,
-			Done:  join,
-		})
+		}, join)
 	}
 	env.Stats.Inc("red_reads_dram")
-	env.DRAM.Submit(now, mem.Request{
+	env.SubmitTo(now, mem.Request{
 		Addr:  env.Map.RedundancyAddr(lineAddr),
 		Bytes: geo.RedBlockBytes,
 		Class: mem.Redundancy,
-		Done:  join,
-	})
+	}, join)
 }
 
 // Writeback writes the dirty data sectors and performs the redundancy
@@ -71,21 +66,7 @@ func (s *inlineNaive) Writeback(now sim.Cycle, lineAddr uint64, dirtyMask uint64
 			Class: mem.Writeback,
 		})
 	}
-	redAddr := env.Map.RedundancyAddr(lineAddr)
-	env.Stats.Inc("red_rmw")
-	env.DRAM.Submit(now, mem.Request{
-		Addr:  redAddr,
-		Bytes: geo.RedBlockBytes,
-		Class: mem.RMW,
-		Done: func(at sim.Cycle) {
-			env.DRAM.Submit(at+env.DecodeLat, mem.Request{
-				Addr:  redAddr,
-				Write: true,
-				Bytes: geo.RedBlockBytes,
-				Class: mem.Redundancy,
-			})
-		},
-	})
+	env.RedundancyRMW(now, env.Map.RedundancyAddr(lineAddr))
 }
 
 // NeedsRMWFetch is true: partial-sector stores must read the old sector

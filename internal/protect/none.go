@@ -21,17 +21,16 @@ func (s *none) Name() string { return "none" }
 // ReadMiss fetches each requested sector and completes when all arrive.
 func (s *none) ReadMiss(now sim.Cycle, lineAddr uint64, mask uint64, class mem.Class, done func(sim.Cycle)) {
 	geo := s.env.Map.Geometry()
-	join := joinN(s.env, now, sectorCount(geo, mask), done)
+	join := s.env.NewJoin(now, sectorCount(geo, mask), lineAddr, false, done)
 	for sec := 0; sec < geo.SectorsPerLine(); sec++ {
 		if mask&(1<<sec) == 0 {
 			continue
 		}
-		s.env.DRAM.Submit(now, mem.Request{
+		s.env.SubmitTo(now, mem.Request{
 			Addr:  s.env.Map.DataPhys(lineAddr + uint64(sec*geo.SectorBytes)),
 			Bytes: geo.SectorBytes,
 			Class: class,
-			Done:  join,
-		})
+		}, join)
 	}
 }
 

@@ -72,6 +72,101 @@ type Env struct {
 	// ErrorPenalty is the extra correction latency per flagged decode
 	// (default 32 when zero and injection is enabled).
 	ErrorPenalty sim.Cycle
+
+	// joins holds the pending joins (see NewJoin).
+	joins sim.Pool[joinSlot]
+}
+
+// Join identifies a pending join: a completion that runs once all of its
+// parts have arrived. Joins are pooled slots in the Env, so DRAM requests
+// and merged fetches arrive at them through handler events, not closures.
+type Join int32
+
+// NoJoin is a join that ignores arrivals, for fire-and-forget fetches.
+const NoJoin Join = -1
+
+type joinSlot struct {
+	remaining int
+	lineAddr  uint64
+	decode    bool
+	done      func(sim.Cycle)
+}
+
+// NewJoin returns a join that runs done once n parts have arrived — or,
+// when decode is set, hands done to FinishDecode for lineAddr then. With
+// n zero the join completes at now, through the event queue.
+func (e *Env) NewJoin(now sim.Cycle, n int, lineAddr uint64, decode bool, done func(sim.Cycle)) Join {
+	slot := e.joins.Get()
+	*e.joins.At(slot) = joinSlot{remaining: max(n, 1), lineAddr: lineAddr, decode: decode, done: done}
+	if n == 0 {
+		e.ArriveAt(now, Join(slot))
+	}
+	return Join(slot)
+}
+
+// arrive counts one part of j arriving at cycle at, completing the join
+// on its last part.
+func (e *Env) arrive(at sim.Cycle, j Join) {
+	if j == NoJoin {
+		return
+	}
+	js := e.joins.At(int32(j))
+	js.remaining--
+	if js.remaining > 0 {
+		return
+	}
+	lineAddr, decode, done := js.lineAddr, js.decode, js.done
+	js.done = nil
+	e.joins.Put(int32(j))
+	if decode {
+		e.FinishDecode(at, lineAddr, done)
+		return
+	}
+	done(at)
+}
+
+// ArriveAt schedules one arrival at j for cycle at.
+func (e *Env) ArriveAt(at sim.Cycle, j Join) {
+	e.Eng.Post(at, (*joinArrival)(e), uint64(uint32(j)), 0)
+}
+
+// SubmitTo submits a DRAM request whose completion arrives at j.
+func (e *Env) SubmitTo(now sim.Cycle, req mem.Request, j Join) {
+	e.DRAM.SubmitPost(now, req, (*joinArrival)(e), uint64(uint32(j)))
+}
+
+// joinArrival delivers one arrival (a0, the join) as an event.
+type joinArrival Env
+
+func (h *joinArrival) OnEvent(at sim.Cycle, a0, _ uint64) {
+	(*Env)(h).arrive(at, Join(int32(uint32(a0))))
+}
+
+// RedundancyRMW counts and performs a redundancy read-modify-write of the
+// block at physical address addr: it reads the old block (class RMW) and,
+// a decode latency after the read completes, writes the merged block
+// (class Redundancy).
+func (e *Env) RedundancyRMW(now sim.Cycle, addr uint64) {
+	e.Stats.Inc("red_rmw")
+	e.DRAM.SubmitPost(now, mem.Request{
+		Addr:  addr,
+		Bytes: e.Map.Geometry().RedBlockBytes,
+		Class: mem.RMW,
+	}, (*rmwWrite)(e), addr)
+}
+
+// rmwWrite writes back a redundancy block (a0) whose read-modify-write
+// read has completed.
+type rmwWrite Env
+
+func (h *rmwWrite) OnEvent(at sim.Cycle, addr, _ uint64) {
+	e := (*Env)(h)
+	e.DRAM.Submit(at+e.DecodeLat, mem.Request{
+		Addr:  addr,
+		Write: true,
+		Bytes: e.Map.Geometry().RedBlockBytes,
+		Class: mem.Redundancy,
+	})
 }
 
 // errorAt deterministically decides whether the decode of the granule at
@@ -147,37 +242,7 @@ type Scheme interface {
 // Factory builds a scheme against a machine environment.
 type Factory func(env *Env) Scheme
 
-// sectorsOf enumerates the sector addresses selected by mask within a
-// line, using the mapper's geometry. It allocates; hot paths iterate the
-// mask bits directly and size join counters with sectorCount.
-func sectorsOf(geo layout.Geometry, lineAddr uint64, mask uint64) []uint64 {
-	out := make([]uint64, 0, geo.SectorsPerLine())
-	for s := 0; s < geo.SectorsPerLine(); s++ {
-		if mask&(1<<s) != 0 {
-			out = append(out, lineAddr+uint64(s*geo.SectorBytes))
-		}
-	}
-	return out
-}
-
-// sectorCount reports how many in-line sectors mask selects — the length
-// sectorsOf would return, without materializing the slice.
+// sectorCount reports how many in-line sectors mask selects.
 func sectorCount(geo layout.Geometry, mask uint64) int {
 	return bits.OnesCount64(mask & (uint64(1)<<geo.SectorsPerLine() - 1))
-}
-
-// joinN invokes done once after n completions have been observed; if n is
-// zero it fires immediately at now.
-func joinN(env *Env, now sim.Cycle, n int, done func(sim.Cycle)) func(sim.Cycle) {
-	if n == 0 {
-		env.Eng.At(now, done)
-		return func(sim.Cycle) {}
-	}
-	remaining := n
-	return func(at sim.Cycle) {
-		remaining--
-		if remaining == 0 {
-			done(at)
-		}
-	}
 }

@@ -1,6 +1,7 @@
 package protect
 
 import (
+	"fmt"
 	"testing"
 
 	"cachecraft/internal/dram"
@@ -251,21 +252,73 @@ func TestSchemeNames(t *testing.T) {
 	}
 }
 
-func TestJoinNZero(t *testing.T) {
+// TestFetchesMergeAndRelease: a second request for an address in flight
+// merges into its fetch, ORing in its flag; the fetch's completion sees
+// the merged flag before its waiters are released, in join order, and the
+// address leaves the table.
+func TestFetchesMergeAndRelease(t *testing.T) {
 	env, eng, _ := testEnv(t)
-	ran := false
-	joinN(env, 5, 0, func(sim.Cycle) { ran = true })
+	var order []string
+	var gotFlag, gotMerged bool
+	f := NewFetches(env, func(at sim.Cycle, addr uint64, flag, merged bool) {
+		order = append(order, "arrived")
+		gotFlag, gotMerged = flag, merged
+	})
+	j1 := env.NewJoin(0, 1, 0, false, func(sim.Cycle) { order = append(order, "j1") })
+	j2 := env.NewJoin(0, 1, 0, false, func(sim.Cycle) { order = append(order, "j2") })
+	if f.Wait(64, false, j1) {
+		t.Fatal("Wait merged into a fetch that was never started")
+	}
+	f.Start(0, 64, false, j1, mem.Request{Addr: 64, Bytes: 32})
+	if !f.InFlight(64) || !f.Wait(64, true, j2) {
+		t.Fatal("second request did not merge into the outstanding fetch")
+	}
 	drain(eng)
-	if !ran {
-		t.Fatal("joinN(0) must fire immediately")
+	if got := fmt.Sprint(order); got != "[arrived j1 j2]" {
+		t.Fatalf("completion order = %s", got)
+	}
+	if !gotFlag || !gotMerged {
+		t.Fatalf("arrived saw flag %v merged %v, want both true", gotFlag, gotMerged)
+	}
+	if f.InFlight(64) {
+		t.Fatal("completed fetch still in flight")
 	}
 }
 
-func TestSectorsOf(t *testing.T) {
-	geo := layout.DefaultGeometry()
-	got := sectorsOf(geo, 256, 0b1001)
-	if len(got) != 2 || got[0] != 256 || got[1] != 256+96 {
-		t.Fatalf("sectorsOf = %v", got)
+// TestReadMissZeroAllocs: once its pools are warm, protected read misses
+// and writebacks — joins, data, redundancy and read-modify-write fetches,
+// merges, decode — allocate nothing.
+func TestReadMissZeroAllocs(t *testing.T) {
+	env, eng, l2 := testEnv(t)
+	for name, s := range map[string]Scheme{
+		"inline-naive": NewInlineNaive(env),
+		"ecc-cache":    NewECCCache(env),
+	} {
+		done := func(sim.Cycle) {}
+		miss := func() {
+			// Forget the redundancy blocks cached so far, so ecc-cache
+			// fetches (and merges) them again.
+			clear(l2.present)
+			l2.inserts = l2.inserts[:0]
+			s.ReadMiss(eng.Now(), 0, 0b0011, mem.Demand, done)
+			s.ReadMiss(eng.Now(), 128, 0b0001, mem.Demand, done)
+			s.Writeback(eng.Now(), 4096, 0b0001)
+			drain(eng)
+		}
+		miss()
+		if allocs := testing.AllocsPerRun(100, miss); allocs != 0 {
+			t.Errorf("%s: a read miss and writeback allocated %.1f times, want 0", name, allocs)
+		}
+	}
+}
+
+func TestJoinZeroFiresImmediately(t *testing.T) {
+	env, eng, _ := testEnv(t)
+	ran := false
+	env.NewJoin(5, 0, 0, false, func(sim.Cycle) { ran = true })
+	drain(eng)
+	if !ran {
+		t.Fatal("NewJoin(0) must fire immediately")
 	}
 }
 
