@@ -138,7 +138,7 @@ func Run(cfg Config, workload, scheme string, opts ...RunOption) (Result, error)
 		}
 		factory = schemes.CacheCraftWith(*o.cc)
 	}
-	return gpu.Simulate(context.Background(), cfg, workload, scheme, factory, o.observe)
+	return gpu.Simulate(context.Background(), cfg, workload, scheme, factory, nil, o.observe)
 }
 
 // Probes is a simulation's time-resolved probe set: cycle-sampled series

@@ -90,7 +90,7 @@ func FuzzSim(f *testing.F) {
 				res, err = gpu.Simulate(context.Background(), cfg, wl, s, func(env *protect.Env) protect.Scheme {
 					rmwFetch.Scheme = protect.NewInlineNaive(env)
 					return rmwFetch
-				}, gpu.Observers{Audit: true})
+				}, nil, gpu.Observers{Audit: true})
 			} else {
 				res, err = cachecraft.Run(cfg, wl, s, cachecraft.WithAudit())
 			}

@@ -43,9 +43,9 @@ type call struct {
 var errAbandoned = errors.New("bench: in-flight simulation abandoned")
 
 // ResultStore is the persistence hook beneath the runner: a durable
-// result cache consulted after the in-memory memo misses and populated
-// after each successful simulation (check store → singleflight →
-// simulate → persist). *store.Store implements it; tests may substitute
+// result cache, the chain's first tier, consulted after the in-memory
+// memo misses and populated with every result a lower tier produces
+// (remote fetch or simulation). *store.Store implements it; tests may substitute
 // stubs. Implementations must be safe for concurrent use and must treat
 // any unreadable or stale entry as a miss.
 type ResultStore interface {
@@ -90,23 +90,55 @@ type Stats struct {
 // for the same Spec are deduplicated (singleflight): the first request
 // runs the simulation while the rest block on the in-flight call and
 // share its result, so a parallel fan-out never races or duplicates work.
-// With SetStore, results additionally persist across processes: a miss in
-// the memo falls through to the store before simulating, and every fresh
-// simulation is written back, so a warm re-run performs zero simulations.
+// Beneath the memo sits one ordered chain of result tiers — the durable
+// store (SetStore), the remote backend (SetRemote), then local
+// simulation — and the first tier that produces a result finishes the
+// call. Results from below the store are written back to it, so a warm
+// re-run performs zero simulations.
 type Runner struct {
 	mu      sync.Mutex
 	memo    map[Spec]*call
 	configs map[string]config.GPU
 	facts   map[string]protect.Factory
-	store   ResultStore   // optional durable tier (nil = disabled)
-	remote  Remote        // optional distributed tier (nil = disabled)
-	tracer  *obs.Tracer   // optional span tracing (nil = off, zero cost)
-	audit   bool          // run simulations under the invariant checker
-	prWin   uint64        // probe sampling window (0 = probes off)
-	prSink  ProbeSink     // receives each executed simulation's probes
-	stat    Stats         // counters; stat.Runs mirrors Runs()
-	slots   chan struct{} // bounded worker slots
+	store   ResultStore // optional durable tier (nil = disabled)
+	remote  Remote      // optional distributed tier (nil = disabled)
+	ch      chain       // what each leader snapshots; tiers rebuilt by SetStore/SetRemote
+	stat    Stats       // counters; stat.Runs mirrors Runs()
 }
+
+// tier is one source in the runner's result chain: the durable store,
+// the remote backend, or — with neither set — local simulation, which is
+// always the chain's last tier.
+type tier struct {
+	store  ResultStore
+	remote Remote
+}
+
+// chain is everything a leader needs beyond its cell, snapshotted as one
+// value when the call begins: the ordered tiers and the settings of the
+// local tier. Setters replace fields (and SetStore/SetRemote the tiers
+// slice) rather than mutate shared state, so a snapshot never changes
+// under an in-flight call.
+type chain struct {
+	tiers  []tier
+	slots  chan struct{} // bounded worker slots
+	tracer *obs.Tracer   // optional span tracing (nil = off, zero cost)
+	audit  bool          // run simulations under the invariant checker
+	prWin  uint64        // probe sampling window (0 = probes off)
+	prSink ProbeSink     // receives each executed simulation's probes
+}
+
+// job is the cell a leader materializes: its Spec and what the Spec
+// resolved to when the call began.
+type job struct {
+	s   Spec
+	cfg config.GPU
+	f   protect.Factory
+}
+
+// errMiss is a tier's answer when it cannot produce a cell; the leader
+// moves on to the next tier.
+var errMiss = errors.New("bench: tier miss")
 
 // NewRunner builds a runner seeded with the base configuration under id
 // "base" and the four standard scheme variants. The worker pool defaults
@@ -116,7 +148,7 @@ func NewRunner(base config.GPU) *Runner {
 		memo:    make(map[Spec]*call),
 		configs: map[string]config.GPU{"base": base},
 		facts:   make(map[string]protect.Factory),
-		slots:   make(chan struct{}, runtime.NumCPU()),
+		ch:      chain{tiers: []tier{{}}, slots: make(chan struct{}, runtime.NumCPU())},
 	}
 	for _, s := range schemes.Names() {
 		f, err := schemes.ByName(s)
@@ -137,14 +169,14 @@ func (r *Runner) SetWorkers(n int) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.slots = make(chan struct{}, n)
+	r.ch.slots = make(chan struct{}, n)
 }
 
 // Workers reports the current worker-pool bound.
 func (r *Runner) Workers() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return cap(r.slots)
+	return cap(r.ch.slots)
 }
 
 // SetStore attaches a durable result store beneath the memo (nil detaches
@@ -154,6 +186,7 @@ func (r *Runner) SetStore(s ResultStore) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.store = s
+	r.buildTiers()
 }
 
 // SetRemote attaches a distributed-execution backend beneath the memo and
@@ -166,6 +199,20 @@ func (r *Runner) SetRemote(rem Remote) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.remote = rem
+	r.buildTiers()
+}
+
+// buildTiers orders the chain store → remote → local simulation. It
+// allocates a fresh slice, so calls holding the old snapshot keep it.
+func (r *Runner) buildTiers() {
+	tiers := make([]tier, 0, 3)
+	if r.store != nil {
+		tiers = append(tiers, tier{store: r.store})
+	}
+	if r.remote != nil {
+		tiers = append(tiers, tier{remote: r.remote})
+	}
+	r.ch.tiers = append(tiers, tier{})
 }
 
 // SetTracer attaches span tracing to the runner (nil detaches it). Each
@@ -175,7 +222,7 @@ func (r *Runner) SetRemote(rem Remote) {
 func (r *Runner) SetTracer(t *obs.Tracer) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.tracer = t
+	r.ch.tracer = t
 }
 
 // ProbeSink receives the probe set of one executed simulation, after
@@ -196,10 +243,10 @@ func (r *Runner) SetProbes(window uint64, sink ProbeSink) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if sink == nil || window == 0 {
-		r.prWin, r.prSink = 0, nil
+		r.ch.prWin, r.ch.prSink = 0, nil
 		return
 	}
-	r.prWin, r.prSink = window, sink
+	r.ch.prWin, r.ch.prSink = window, sink
 }
 
 // SetAudit runs every subsequent simulation under the invariant-audit
@@ -212,7 +259,7 @@ func (r *Runner) SetProbes(window uint64, sink ProbeSink) {
 func (r *Runner) SetAudit(on bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.audit = on
+	r.ch.audit = on
 }
 
 // Stats returns a snapshot of the runner's accounting: executed
@@ -306,125 +353,45 @@ func (r *Runner) ResultCtx(ctx context.Context, s Spec) (gpu.Result, error) {
 		}
 		c := &call{done: make(chan struct{})}
 		r.memo[s] = c
-		st := r.store
-		rem := r.remote
-		slots := r.slots
-		tr := r.tracer
-		aud := r.audit
-		prWin, prSink := r.prWin, r.prSink
+		ch := r.ch
 		r.mu.Unlock()
-		return r.lead(ctx, s, c, cfg, f, st, rem, slots, tr, aud, prWin, prSink)
+		return r.lead(ctx, c, job{s: s, cfg: cfg, f: f}, ch)
 	}
 }
 
-// lead is the singleflight leader's path: consult the store, wait for a
-// worker slot, simulate, persist. When a tracer is attached it wraps the
-// whole cell in a span with one child per phase, so a trace shows exactly
-// where a cell's wall time went.
-func (r *Runner) lead(ctx context.Context, s Spec, c *call, cfg config.GPU,
-	f protect.Factory, st ResultStore, rem Remote, slots chan struct{}, tr *obs.Tracer, aud bool,
-	prWin uint64, prSink ProbeSink) (gpu.Result, error) {
-	ctx, cell := tr.Start(ctx, "cell",
-		obs.String("config", s.CfgID),
-		obs.String("workload", s.Workload),
-		obs.String("scheme", s.Variant))
+// lead is the singleflight leader's path: walk the chain until a tier
+// produces the cell, persist a result that came from below the store,
+// and publish it. When a tracer is attached it wraps the whole cell in a
+// span with one child per phase, so a trace shows exactly where a cell's
+// wall time went.
+func (r *Runner) lead(ctx context.Context, c *call, j job, ch chain) (gpu.Result, error) {
+	ctx, cell := ch.tracer.Start(ctx, "cell",
+		obs.String("config", j.s.CfgID),
+		obs.String("workload", j.s.Workload),
+		obs.String("scheme", j.s.Variant))
 	defer cell.End()
 
-	// Durable tier: a store hit satisfies the call (and everyone
-	// singleflighted onto it) without consuming a worker slot.
-	if st != nil {
-		_, lk := tr.Start(ctx, "store-lookup")
-		res, ok := st.Lookup(cfg, s.Workload, s.Variant)
-		lk.SetAttr(obs.Bool("hit", ok))
-		lk.End()
-		if ok {
-			r.mu.Lock()
-			r.stat.StoreHits++
-			r.mu.Unlock()
-			cell.SetAttr(obs.String("outcome", "store-hit"))
-			r.finish(s, c, res, nil, false)
-			return res, nil
+	var (
+		res  gpu.Result
+		err  error
+		from int
+	)
+	for from = range ch.tiers {
+		if res, err = r.fetch(ctx, ch.tiers[from], &j, &ch); !errors.Is(err, errMiss) {
+			break // local simulation, the last tier, never misses
 		}
-		r.mu.Lock()
-		r.stat.StoreMisses++
-		r.mu.Unlock()
 	}
-
-	// Distributed tier: an expressible cell is fetched from the remote
-	// backend — like a store hit, it satisfies the call (and everyone
-	// singleflighted onto it) without consuming a local worker slot. The
-	// fetched result is persisted locally so the next cold process skips
-	// both the simulation and the network. A remote failure is recorded
-	// and the cell falls through to local simulation.
-	if rem != nil && rem.Can(s.Workload, s.Variant) {
-		_, rs := tr.Start(ctx, "remote")
-		res, err := rem.Run(ctx, cfg, s.Workload, s.Variant)
-		rs.SetAttr(obs.Bool("ok", err == nil))
-		rs.End()
-		if err == nil {
-			r.mu.Lock()
-			r.stat.RemoteHits++
-			r.mu.Unlock()
-			if st != nil {
-				if perr := st.Save(cfg, s.Workload, s.Variant, res); perr != nil {
-					r.mu.Lock()
-					r.stat.StoreErrors++
-					r.mu.Unlock()
-				}
-			}
-			cell.SetAttr(obs.String("outcome", "remote"))
-			r.finish(s, c, res, nil, false)
-			return res, nil
-		}
-		if ctx.Err() != nil {
-			cell.SetAttr(obs.String("outcome", "abandoned"))
-			r.finish(s, c, gpu.Result{}, errAbandoned, false)
-			return gpu.Result{}, ctx.Err()
-		}
-		r.mu.Lock()
-		r.stat.RemoteErrors++
-		r.mu.Unlock()
-	}
-
-	// Check cancellation before racing for a slot: with both a free
-	// slot and a done context ready, select would choose arbitrarily.
-	if err := ctx.Err(); err != nil {
+	t := ch.tiers[from]
+	if errors.Is(err, errAbandoned) {
 		cell.SetAttr(obs.String("outcome", "abandoned"))
-		r.finish(s, c, gpu.Result{}, errAbandoned, false)
-		return gpu.Result{}, err
-	}
-	_, qw := tr.Start(ctx, "queue-wait")
-	select {
-	case slots <- struct{}{}:
-		qw.End()
-	case <-ctx.Done():
-		qw.SetAttr(obs.Bool("cancelled", true))
-		qw.End()
-		cell.SetAttr(obs.String("outcome", "abandoned"))
-		r.finish(s, c, gpu.Result{}, errAbandoned, false)
+		r.finish(j.s, c, gpu.Result{}, errAbandoned, false)
 		return gpu.Result{}, ctx.Err()
 	}
-	// With a tracer attached, the machine emits spans for its top-level
-	// stages (execute, drain) as children of the simulate span.
-	simCtx, sim := tr.Start(ctx, "simulate")
-	o := gpu.Observers{Audit: aud, Tracer: tr}
-	if prSink != nil {
-		o.Probes = obs.NewProbes(prWin)
-	}
-	res, err := gpu.Simulate(simCtx, cfg, s.Workload, s.Variant, f, o)
-	if err != nil {
-		err = fmt.Errorf("bench: %s/%s/%s: %w", s.CfgID, s.Workload, s.Variant, err)
-	} else if prSink != nil {
-		prSink(s, o.Probes)
-	}
-	sim.SetAttr(obs.Bool("ok", err == nil))
-	sim.End()
-	<-slots
-	if err == nil && st != nil {
+	if err == nil && from > 0 && ch.tiers[0].store != nil {
 		// Persist best-effort: a full disk must not fail the caller,
 		// but it is counted so operators can see the store is dark.
-		_, ps := tr.Start(ctx, "persist")
-		perr := st.Save(cfg, s.Workload, s.Variant, res)
+		_, ps := ch.tracer.Start(ctx, "persist")
+		perr := ch.tiers[0].store.Save(j.cfg, j.s.Workload, j.s.Variant, res)
 		ps.SetAttr(obs.Bool("ok", perr == nil))
 		ps.End()
 		if perr != nil {
@@ -433,22 +400,116 @@ func (r *Runner) lead(ctx context.Context, s Spec, c *call, cfg config.GPU,
 			r.mu.Unlock()
 		}
 	}
-	cell.SetAttr(obs.String("outcome", outcomeOf(err)))
-	r.finish(s, c, res, err, true)
+	cell.SetAttr(t.outcome(err))
+	ran := t.store == nil && t.remote == nil
+	r.finish(j.s, c, res, err, ran)
 	return res, err
 }
 
-func outcomeOf(err error) string {
-	if err != nil {
-		return "error"
+// outcome is the cell span's attribute naming how a tier finished the
+// cell. Each value is a constant, so building it never allocates.
+func (t tier) outcome(err error) obs.Attr {
+	switch {
+	case t.store != nil:
+		return obs.String("outcome", "store-hit")
+	case t.remote != nil:
+		return obs.String("outcome", "remote")
+	case err != nil:
+		return obs.String("outcome", "error")
 	}
-	return "run"
+	return obs.String("outcome", "run")
+}
+
+// fetch asks one tier for the cell. It returns errMiss when the tier
+// cannot produce it, errAbandoned when ctx ended before a simulation
+// started, or the result (or simulation error) that finishes the call.
+func (r *Runner) fetch(ctx context.Context, t tier, j *job, ch *chain) (gpu.Result, error) {
+	switch {
+	case t.store != nil:
+		// A store hit satisfies the call (and everyone singleflighted
+		// onto it) without consuming a worker slot.
+		_, lk := ch.tracer.Start(ctx, "store-lookup")
+		res, ok := t.store.Lookup(j.cfg, j.s.Workload, j.s.Variant)
+		lk.SetAttr(obs.Bool("hit", ok))
+		lk.End()
+		var err error
+		r.mu.Lock()
+		if ok {
+			r.stat.StoreHits++
+		} else {
+			r.stat.StoreMisses++
+			err = errMiss
+		}
+		r.mu.Unlock()
+		return res, err
+	case t.remote != nil:
+		// Only expressible cells travel; a remote failure is a miss, so
+		// the cell simulates locally and results never depend on where
+		// they were computed. A cancelled ctx is not a remote error: the
+		// local tier then abandons the call.
+		if !t.remote.Can(j.s.Workload, j.s.Variant) {
+			return gpu.Result{}, errMiss
+		}
+		_, rs := ch.tracer.Start(ctx, "remote")
+		res, err := t.remote.Run(ctx, j.cfg, j.s.Workload, j.s.Variant)
+		rs.SetAttr(obs.Bool("ok", err == nil))
+		rs.End()
+		r.mu.Lock()
+		switch {
+		case err == nil:
+			r.stat.RemoteHits++
+		case ctx.Err() == nil:
+			r.stat.RemoteErrors++
+		}
+		r.mu.Unlock()
+		if err != nil {
+			err = errMiss
+		}
+		return res, err
+	}
+	return r.simulate(ctx, j, ch)
+}
+
+// simulate is the local tier: wait for a worker slot, then run the cell
+// under the chain's observers.
+func (r *Runner) simulate(ctx context.Context, j *job, ch *chain) (gpu.Result, error) {
+	// Check cancellation before racing for a slot: with both a free
+	// slot and a done context ready, select would choose arbitrarily.
+	if ctx.Err() != nil {
+		return gpu.Result{}, errAbandoned
+	}
+	_, qw := ch.tracer.Start(ctx, "queue-wait")
+	select {
+	case ch.slots <- struct{}{}:
+		qw.End()
+	case <-ctx.Done():
+		qw.SetAttr(obs.Bool("cancelled", true))
+		qw.End()
+		return gpu.Result{}, errAbandoned
+	}
+	// With a tracer attached, the machine emits spans for its top-level
+	// stages (execute, drain) as children of the simulate span.
+	simCtx, sim := ch.tracer.Start(ctx, "simulate")
+	o := gpu.Observers{Audit: ch.audit, Tracer: ch.tracer}
+	if ch.prSink != nil {
+		o.Probes = obs.NewProbes(ch.prWin)
+	}
+	res, err := gpu.Simulate(simCtx, j.cfg, j.s.Workload, j.s.Variant, j.f, nil, o)
+	if err != nil {
+		err = fmt.Errorf("bench: %s/%s/%s: %w", j.s.CfgID, j.s.Workload, j.s.Variant, err)
+	} else if ch.prSink != nil {
+		ch.prSink(j.s, o.Probes)
+	}
+	sim.SetAttr(obs.Bool("ok", err == nil))
+	sim.End()
+	<-ch.slots
+	return res, err
 }
 
 // finish publishes a call's outcome. Failed or abandoned calls are
 // removed from the memo (if still current) so a later request retries.
-// ran distinguishes an executed simulation from a store hit, which
-// completes the call without counting as a run.
+// ran distinguishes an executed simulation from a store or remote hit,
+// which completes the call without counting as a run.
 func (r *Runner) finish(s Spec, c *call, res gpu.Result, err error, ran bool) {
 	r.mu.Lock()
 	c.res, c.err = res, err
@@ -494,16 +555,6 @@ func (r *Runner) Prefetch(ctx context.Context, specs []Spec) error {
 		firstErr = ctx.Err()
 	}
 	return firstErr
-}
-
-// MustResult is Result for experiment code where configuration and
-// variants are statically registered; it panics on error.
-func (r *Runner) MustResult(s Spec) gpu.Result {
-	res, err := r.Result(s)
-	if err != nil {
-		panic(err)
-	}
-	return res
 }
 
 // Runs reports how many distinct simulations have completed successfully.

@@ -3,10 +3,14 @@ package bench
 import (
 	"bytes"
 	"context"
+	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
 	"cachecraft/internal/gpu"
+	"cachecraft/internal/version"
 )
 
 // TestConcurrentSameSpecSingleflight: N goroutines requesting the same
@@ -156,7 +160,11 @@ func TestSetWorkersClampsAndReports(t *testing.T) {
 
 // TestParallelSweepMatchesSerial renders every experiment through a
 // serial (1 worker) runner and a parallel (8 worker) runner and requires
-// byte-identical output: the determinism guarantee behind -j.
+// byte-identical output: the determinism guarantee behind -j. The serial
+// render must also match the golden file committed for the current
+// version.SimRevision. Stores and journals serve old results whenever the
+// revision matches, so a change to simulated results must bump the
+// revision and commit a new golden directory.
 func TestParallelSweepMatchesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full sweep comparison is slow")
@@ -173,9 +181,44 @@ func TestParallelSweepMatchesSerial(t *testing.T) {
 		return buf.String()
 	}
 	serial := render(1)
+	checkGolden(t, "quick-all.txt", serial)
 	parallel := render(8)
 	if serial != parallel {
 		t.Fatalf("parallel sweep output differs from serial:\n--- serial ---\n%s\n--- parallel ---\n%s",
 			serial, parallel)
 	}
+}
+
+// checkGolden compares got with testdata/golden/<SimRevision>/name. A
+// missing file or any difference fails the test and leaves got in a temp
+// file for review.
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", "golden", version.SimRevision, name)
+	want, err := os.ReadFile(path)
+	if err == nil && string(want) == got {
+		return
+	}
+	saved := "(not saved)"
+	if f, ferr := os.CreateTemp("", "golden-*-"+name); ferr == nil {
+		f.WriteString(got)
+		f.Close()
+		saved = f.Name()
+	}
+	if err != nil {
+		t.Fatalf("no golden output for simulator revision %s (%v); this run's output is in %s",
+			version.SimRevision, err, saved)
+	}
+	line := 1 + strings.Count(got[:commonPrefix(string(want), got)], "\n")
+	t.Fatalf("output differs from %s at line %d without a SimRevision bump; this run's output is in %s. "+
+		"If the change is intended, bump version.SimRevision and commit that output as the new revision's %s",
+		path, line, saved, name)
+}
+
+func commonPrefix(a, b string) int {
+	n := 0
+	for n < len(a) && n < len(b) && a[n] == b[n] {
+		n++
+	}
+	return n
 }

@@ -262,22 +262,12 @@ func (c *Cache) Access(addr uint64, write bool) Outcome {
 	return Hit
 }
 
-// Fill inserts the given sectors of a line, allocating (and possibly
-// evicting) as needed. dirty sectors in dirtyMask are marked dirty. The
-// returned eviction is non-nil when a valid line with dirty sectors was
-// displaced. Filling sectors that are already present leaves their dirty
-// bits intact (a fill never cleans newer data).
-func (c *Cache) Fill(lineAddr uint64, sectorMask, dirtyMask uint64) *Eviction {
-	var ev Eviction
-	if c.FillInto(lineAddr, sectorMask, dirtyMask, &ev) {
-		return &ev
-	}
-	return nil
-}
-
-// FillInto is Fill writing any victim into ev (which callers can keep on
-// the stack and reuse); it reports whether a valid line was displaced. ev
-// is left unchanged when the fill evicts nothing.
+// FillInto inserts the given sectors of a line, allocating (and possibly
+// evicting) as needed; sectors in dirtyMask are marked dirty. Filling
+// sectors that are already present leaves their dirty bits intact (a
+// fill never cleans newer data). It reports whether a valid line was
+// displaced and writes that victim into ev, which callers can keep on
+// the stack and reuse; ev is left unchanged when the fill evicts nothing.
 func (c *Cache) FillInto(lineAddr uint64, sectorMask, dirtyMask uint64, ev *Eviction) bool {
 	if lineAddr%uint64(c.cfg.LineBytes) != 0 {
 		panic(fmt.Sprintf("cache %q: misaligned fill %#x", c.cfg.Name, lineAddr))

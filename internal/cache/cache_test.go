@@ -17,6 +17,12 @@ func testConfig() Config {
 	}
 }
 
+// fill is FillInto for tests that do not inspect the victim.
+func fill(c *Cache, lineAddr, sectorMask, dirtyMask uint64) {
+	var ev Eviction
+	c.FillInto(lineAddr, sectorMask, dirtyMask, &ev)
+}
+
 func TestConfigValidate(t *testing.T) {
 	if err := testConfig().Validate(); err != nil {
 		t.Fatal(err)
@@ -41,7 +47,7 @@ func TestColdMissThenHit(t *testing.T) {
 	if got := c.Access(addr, false); got != Miss {
 		t.Fatalf("cold access = %v", got)
 	}
-	c.Fill(c.LineAddr(addr), c.SectorMask(addr), 0)
+	fill(c, c.LineAddr(addr), c.SectorMask(addr), 0)
 	if got := c.Access(addr, false); got != Hit {
 		t.Fatalf("after fill = %v", got)
 	}
@@ -74,7 +80,7 @@ func TestWriteMarksDirtyAndEvictionReportsIt(t *testing.T) {
 	cfg := testConfig()
 	c := New(cfg)
 	addr := uint64(0)
-	c.Fill(0, 0b0001, 0)
+	fill(c, 0, 0b0001, 0)
 	if got := c.Access(addr, true); got != Hit {
 		t.Fatalf("write hit = %v", got)
 	}
@@ -85,11 +91,12 @@ func TestWriteMarksDirtyAndEvictionReportsIt(t *testing.T) {
 	// carry the dirty mask. Same set = same line number modulo numSets.
 	numSets := cfg.SizeBytes / (cfg.LineBytes * cfg.Ways)
 	stride := uint64(numSets * cfg.LineBytes)
-	var ev *Eviction
-	for i := 1; (ev == nil || ev.DirtyMask == 0) && i <= cfg.Ways+1; i++ {
-		ev = c.Fill(uint64(i)*stride, 0b1111, 0)
+	var ev Eviction
+	evicted := false
+	for i := 1; (!evicted || ev.DirtyMask == 0) && i <= cfg.Ways+1; i++ {
+		evicted = c.FillInto(uint64(i)*stride, 0b1111, 0, &ev)
 	}
-	if ev == nil || ev.DirtyMask == 0 {
+	if !evicted || ev.DirtyMask == 0 {
 		t.Fatal("no dirty eviction after overfilling the set")
 	}
 	if ev.LineAddr != 0 || ev.DirtyMask != 0b0001 || ev.ValidMask != 0b0001 {
@@ -104,13 +111,13 @@ func TestLRUVictimSelection(t *testing.T) {
 	stride := uint64(numSets * cfg.LineBytes)
 	// Fill 4 ways of set 0.
 	for i := 0; i < 4; i++ {
-		c.Fill(uint64(i)*stride, 0b1111, 0)
+		fill(c, uint64(i)*stride, 0b1111, 0)
 	}
 	// Touch lines 0,1,2 — line 3 is now LRU.
 	for i := 0; i < 3; i++ {
 		c.Access(uint64(i)*stride, false)
 	}
-	c.Fill(4*stride, 0b1111, 0)
+	fill(c, 4*stride, 0b1111, 0)
 	if c.ValidMask(3*stride) != 0 {
 		t.Fatal("line 3 should have been the LRU victim")
 	}
@@ -129,10 +136,10 @@ func TestSRRIPResistsStreaming(t *testing.T) {
 	stride := uint64(numSets * cfg.LineBytes)
 	// A hot line, re-referenced between streaming fills.
 	hot := uint64(0)
-	c.Fill(hot, 0b1111, 0)
+	fill(c, hot, 0b1111, 0)
 	c.Access(hot, false) // promote to rrpv=0
 	for i := 1; i <= 16; i++ {
-		c.Fill(uint64(i)*stride, 0b1111, 0)
+		fill(c, uint64(i)*stride, 0b1111, 0)
 		c.Access(hot, false)
 	}
 	if c.ValidMask(hot) == 0 {
@@ -142,8 +149,8 @@ func TestSRRIPResistsStreaming(t *testing.T) {
 
 func TestFillMergeKeepsDirty(t *testing.T) {
 	c := New(testConfig())
-	c.Fill(0, 0b0001, 0b0001) // dirty fill (write-allocate)
-	c.Fill(0, 0b0011, 0)      // later clean fill must not clean sector 0
+	fill(c, 0, 0b0001, 0b0001) // dirty fill (write-allocate)
+	fill(c, 0, 0b0011, 0)      // later clean fill must not clean sector 0
 	if c.DirtyMask(0) != 0b0001 {
 		t.Fatalf("dirty mask = %#b, want 0b0001", c.DirtyMask(0))
 	}
@@ -154,7 +161,7 @@ func TestFillMergeKeepsDirty(t *testing.T) {
 
 func TestDirtyMaskLimitedToFilledSectors(t *testing.T) {
 	c := New(testConfig())
-	c.Fill(0, 0b0001, 0b1111) // dirty mask wider than fill mask
+	fill(c, 0, 0b0001, 0b1111) // dirty mask wider than fill mask
 	if c.DirtyMask(0) != 0b0001 {
 		t.Fatalf("dirty leaked beyond filled sectors: %#b", c.DirtyMask(0))
 	}
@@ -167,12 +174,12 @@ func TestMisalignedFillPanics(t *testing.T) {
 			t.Fatal("misaligned fill must panic")
 		}
 	}()
-	c.Fill(32, 1, 0)
+	fill(c, 32, 1, 0)
 }
 
 func TestMarkDirtyAndClean(t *testing.T) {
 	c := New(testConfig())
-	c.Fill(0, 0b0001, 0)
+	fill(c, 0, 0b0001, 0)
 	c.MarkDirty(0)
 	if c.DirtyMask(0) != 0b0001 {
 		t.Fatal("MarkDirty failed")
@@ -197,7 +204,7 @@ func TestMarkDirtyAbsentPanics(t *testing.T) {
 
 func TestInvalidateLine(t *testing.T) {
 	c := New(testConfig())
-	c.Fill(0, 0b0011, 0b0010)
+	fill(c, 0, 0b0011, 0b0010)
 	if d := c.InvalidateLine(0); d != 0b0010 {
 		t.Fatalf("invalidate returned %#b", d)
 	}
@@ -213,7 +220,7 @@ func TestWalkVisitsAllValidLines(t *testing.T) {
 	c := New(testConfig())
 	addrs := []uint64{0, 0x1000, 0x2000}
 	for _, a := range addrs {
-		c.Fill(a, 0b1111, 0b0001)
+		fill(c, a, 0b1111, 0b0001)
 	}
 	seen := map[uint64]bool{}
 	c.Walk(func(lineAddr, vmask, dmask uint64) {
@@ -245,7 +252,7 @@ func TestCacheInvariantsUnderRandomOps(t *testing.T) {
 			case 1:
 				mask := uint64(rng.Intn(15) + 1)
 				la := c.LineAddr(addr)
-				c.Fill(la, mask, 0)
+				fill(c, la, mask, 0)
 				for s := 0; s < 4; s++ {
 					if mask&(1<<s) != 0 {
 						filled[la+uint64(s*32)] = true
@@ -271,63 +278,6 @@ func TestCacheInvariantsUnderRandomOps(t *testing.T) {
 	}
 }
 
-func TestMSHRMergeAndComplete(t *testing.T) {
-	m := NewMSHR[int](4, 4)
-	res, fetch := m.Allocate(0x100, 0b0001, 1)
-	if res != MSHRNew || fetch != 0b0001 {
-		t.Fatalf("first allocate: %v %#b", res, fetch)
-	}
-	// Same sector merges with no new fetch.
-	res, fetch = m.Allocate(0x100, 0b0001, 2)
-	if res != MSHRMerged || fetch != 0 {
-		t.Fatalf("same-sector merge: %v %#b", res, fetch)
-	}
-	// New sector merges and requests the extra fetch.
-	res, fetch = m.Allocate(0x100, 0b0010, 3)
-	if res != MSHRMerged || fetch != 0b0010 {
-		t.Fatalf("new-sector merge: %v %#b", res, fetch)
-	}
-	if m.Pending(0x100) != 0b0011 {
-		t.Fatalf("pending = %#b", m.Pending(0x100))
-	}
-	targets := m.Complete(0x100)
-	if len(targets) != 3 || targets[0] != 1 || targets[1] != 2 || targets[2] != 3 {
-		t.Fatalf("targets = %v", targets)
-	}
-	if m.InFlight() != 0 {
-		t.Fatal("entry not retired")
-	}
-	if m.Complete(0x100) != nil {
-		t.Fatal("completing absent entry must return nil")
-	}
-}
-
-func TestMSHRCapacityLimits(t *testing.T) {
-	m := NewMSHR[int](2, 2)
-	m.Allocate(0x100, 1, 0)
-	m.Allocate(0x200, 1, 0)
-	if res, _ := m.Allocate(0x300, 1, 0); res != MSHRFull {
-		t.Fatalf("entry overflow: %v", res)
-	}
-	if !m.Full() {
-		t.Fatal("Full() should report true")
-	}
-	// Target overflow on an existing entry.
-	m.Allocate(0x100, 1, 1)
-	if res, _ := m.Allocate(0x100, 1, 2); res != MSHRFull {
-		t.Fatalf("target overflow: %v", res)
-	}
-}
-
-func TestMSHRInvalidGeometryPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("invalid MSHR geometry must panic")
-		}
-	}()
-	NewMSHR[int](0, 1)
-}
-
 func TestStringersAndAccessors(t *testing.T) {
 	if LRU.String() != "lru" || SRRIP.String() != "srrip" {
 		t.Fatal("policy strings")
@@ -344,22 +294,5 @@ func TestStringersAndAccessors(t *testing.T) {
 	c := New(testConfig())
 	if c.Config().Name != "t" {
 		t.Fatal("Config accessor")
-	}
-	if MSHRNew.String() != "new" || MSHRMerged.String() != "merged" || MSHRFull.String() != "full" {
-		t.Fatal("mshr result strings")
-	}
-	if MSHRResult(9).String() == "" {
-		t.Fatal("unknown mshr result must render")
-	}
-}
-
-func TestMSHRPendingMask(t *testing.T) {
-	m := NewMSHR[int](4, 4)
-	if m.Pending(0x100) != 0 {
-		t.Fatal("absent entry must report zero pending")
-	}
-	m.Allocate(0x100, 0b0110, 1)
-	if m.Pending(0x100) != 0b0110 {
-		t.Fatalf("pending = %#b", m.Pending(0x100))
 	}
 }

@@ -13,7 +13,7 @@ func TestHashedSetsStillRoundTrip(t *testing.T) {
 	addrs := []uint64{0, 0x1000, 0x2340, 0xABCD00, 1 << 30}
 	for _, a := range addrs {
 		la := c.LineAddr(a)
-		c.Fill(la, 0b1111, 0)
+		fill(c, la, 0b1111, 0)
 		if c.Probe(a) != Hit {
 			t.Fatalf("addr %#x not found after fill", a)
 		}
@@ -40,8 +40,8 @@ func TestHashedSetsSpreadPowerOfTwoStrides(t *testing.T) {
 	const stride = 4096
 	const lines = 100
 	for i := 0; i < lines; i++ {
-		plain.Fill(uint64(i*stride), 0b1111, 0)
-		hashed.Fill(uint64(i*stride), 0b1111, 0)
+		fill(plain, uint64(i*stride), 0b1111, 0)
+		fill(hashed, uint64(i*stride), 0b1111, 0)
 	}
 	countResident := func(c *Cache) int {
 		n := 0
@@ -68,13 +68,14 @@ func TestHashedEvictionWritebackAddressCorrect(t *testing.T) {
 	// Fill ways+1 lines; the eviction's LineAddr must be one of the
 	// inserted addresses (tags must invert correctly under hashing).
 	inserted := map[uint64]bool{}
-	var ev *Eviction
-	for i := 0; ev == nil && i < 1000; i++ {
+	var ev Eviction
+	evicted := false
+	for i := 0; !evicted && i < 1000; i++ {
 		a := uint64(i) * uint64(cfg.LineBytes)
 		inserted[a] = true
-		ev = c.Fill(a, 1, 1)
+		evicted = c.FillInto(a, 1, 1, &ev)
 	}
-	if ev == nil {
+	if !evicted {
 		t.Fatal("no eviction from a single-set cache")
 	}
 	if !inserted[ev.LineAddr] {

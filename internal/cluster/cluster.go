@@ -28,6 +28,9 @@
 package cluster
 
 import (
+	"fmt"
+	"slices"
+
 	"cachecraft/internal/config"
 	"cachecraft/internal/schemes"
 	"cachecraft/internal/store"
@@ -61,26 +64,49 @@ func NewCell(cfg config.GPU, workload, scheme string) Cell {
 // reconstruct the scheme from its name. Custom in-process variants
 // (bench.Runner.AddVariant closures) are not expressible and run locally.
 func Expressible(workload, scheme string) bool {
-	return nameIn(workload, trace.Names()) && nameIn(scheme, schemes.All())
+	return slices.Contains(trace.Names(), workload) && slices.Contains(schemes.All(), scheme)
 }
 
-func nameIn(name string, all []string) bool {
-	for _, n := range all {
-		if n == name {
-			return true
-		}
-	}
-	return false
-}
-
-// SweepRequest is the body of POST /v1/cluster/sweep. Empty lists default
-// to the full registered sets; a nil Config uses the coordinator's base
-// configuration, so the endpoint accepts exactly the grids /v1/sweep does
-// plus configuration overrides (sensitivity sweeps).
+// SweepRequest is the body of both sweep endpoints, POST /v1/sweep and
+// POST /v1/cluster/sweep. Empty lists default to the full registered
+// sets; a nil Config uses the server's base configuration. Only a
+// coordinator honours Config (sensitivity sweeps): the local endpoint
+// rejects it.
 type SweepRequest struct {
 	Workloads []string    `json:"workloads"`
 	Schemes   []string    `json:"schemes"`
 	Config    *config.GPU `json:"config,omitempty"`
+}
+
+// Cells fills in the default lists, validates every name and the Config
+// override, and expands the grid into cells against base (or Config when
+// set). An error describes what the client got wrong.
+func (q *SweepRequest) Cells(base config.GPU) ([]Cell, error) {
+	if len(q.Workloads) == 0 {
+		q.Workloads = trace.Names()
+	}
+	if len(q.Schemes) == 0 {
+		q.Schemes = schemes.All()
+	}
+	cfg := base
+	if q.Config != nil {
+		// Reject a bad geometry here: once leased, it would panic the
+		// worker that builds the machine.
+		if err := q.Config.Validate(); err != nil {
+			return nil, fmt.Errorf("bad config: %w", err)
+		}
+		cfg = *q.Config
+	}
+	cells := make([]Cell, 0, len(q.Workloads)*len(q.Schemes))
+	for _, wl := range q.Workloads {
+		for _, sc := range q.Schemes {
+			if !Expressible(wl, sc) {
+				return nil, fmt.Errorf("unknown workload or scheme %q/%q", wl, sc)
+			}
+			cells = append(cells, NewCell(cfg, wl, sc))
+		}
+	}
+	return cells, nil
 }
 
 // LeaseRequest is the body of POST /v1/cluster/lease.

@@ -317,46 +317,67 @@ func TestClusterSweepSurvivesWorkerDeath(t *testing.T) {
 	}
 }
 
-// TestClusterStreamErrorCountsOncePerCell: a grid whose every simulation
-// fails burns the full retry budget per cell, but the client receives
-// exactly one error line per cell and the shared
-// cachecraft_sweep_cell_errors_total counts cells, not attempts.
+// TestClusterStreamErrorCountsOncePerCell drives both sweep endpoints
+// through the shared NDJSON writer with a grid whose every simulation
+// fails. Each endpoint streams exactly one error line per cell and a
+// trailer counting them, and the shared cachecraft_sweep_cell_errors_total
+// counts cells — on the cluster endpoint not the retry budget's attempts.
 func TestClusterStreamErrorCountsOncePerCell(t *testing.T) {
-	base := quickBase()
-	base.MaxCycles = 1 // every simulation fails to converge
-	ts, _ := newClusterServer(t, base, cluster.Options{
-		MaxAttempts: 2,
-		BackoffBase: time.Millisecond,
-		BackoffCap:  5 * time.Millisecond,
-	}, nil)
-	startWorker(t, ts.URL, "w1")
-
-	resp := postSweep(t, ts.URL, `{"workloads":["stream","scan"],"schemes":["none"]}`)
-	defer resp.Body.Close()
-	records, errLines, trailer := readStream(t, resp.Body)
-	if len(records) != 0 {
-		t.Fatalf("records from a failing grid: %v", records)
-	}
-	if len(errLines) != 2 {
-		t.Fatalf("error lines = %v, want one per cell", errLines)
-	}
-	for key, msg := range errLines {
-		if !strings.Contains(msg, "after 2 attempts") || !strings.Contains(msg, "converge") {
-			t.Errorf("cell %s: error %q does not carry attempts and cause", key, msg)
-		}
-	}
-	if trailer == nil || trailer.Cells != 2 || trailer.Errors != 2 {
-		t.Fatalf("trailer = %+v", trailer)
-	}
-	m := metricsText(t, ts.URL)
-	for _, want := range []string{
-		"cachecraft_sweep_cell_errors_total 2", // cells, not the 4 attempts
-		"cachecraft_cluster_cells_failed_total 2",
-		"cachecraft_cluster_cells_retried_total 2",
+	for _, tc := range []struct {
+		name    string
+		path    string
+		causes  []string // substrings every error line carries
+		metrics []string
+	}{
+		{"local", "/v1/sweep", []string{"converge"}, nil},
+		{"cluster", "/v1/cluster/sweep", []string{"after 2 attempts", "converge"}, []string{
+			"cachecraft_cluster_cells_failed_total 2",
+			"cachecraft_cluster_cells_retried_total 2",
+		}},
 	} {
-		if !strings.Contains(m, want+"\n") {
-			t.Errorf("metrics missing %q:\n%s", want, m)
-		}
+		t.Run(tc.name, func(t *testing.T) {
+			base := quickBase()
+			base.MaxCycles = 1 // every simulation fails to converge
+			ts, _ := newClusterServer(t, base, cluster.Options{
+				MaxAttempts: 2,
+				BackoffBase: time.Millisecond,
+				BackoffCap:  5 * time.Millisecond,
+			}, nil)
+			startWorker(t, ts.URL, "w1")
+
+			resp, err := http.Post(ts.URL+tc.path, "application/json",
+				strings.NewReader(`{"workloads":["stream","scan"],"schemes":["none"]}`))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("status %d", resp.StatusCode)
+			}
+			records, errLines, trailer := readStream(t, resp.Body)
+			if len(records) != 0 {
+				t.Fatalf("records from a failing grid: %v", records)
+			}
+			if len(errLines) != 2 {
+				t.Fatalf("error lines = %v, want one per cell", errLines)
+			}
+			for key, msg := range errLines {
+				for _, cause := range tc.causes {
+					if !strings.Contains(msg, cause) {
+						t.Errorf("cell %s: error %q does not carry %q", key, msg, cause)
+					}
+				}
+			}
+			if trailer == nil || trailer.Cells != 2 || trailer.Errors != 2 {
+				t.Fatalf("trailer = %+v", trailer)
+			}
+			m := metricsText(t, ts.URL)
+			for _, want := range append(tc.metrics, "cachecraft_sweep_cell_errors_total 2") {
+				if !strings.Contains(m, want+"\n") {
+					t.Errorf("metrics missing %q:\n%s", want, m)
+				}
+			}
+		})
 	}
 }
 

@@ -1,14 +1,14 @@
 package cluster
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"strconv"
 	"sync"
 
-	"cachecraft/internal/schemes"
-	"cachecraft/internal/trace"
+	"cachecraft/internal/obs"
 	"cachecraft/internal/version"
 )
 
@@ -31,29 +31,104 @@ func httpError(w http.ResponseWriter, code int, format string, args ...any) {
 	json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
-// streamError is the NDJSON line for a terminally failed cell — the same
-// wire shape internal/serve emits on /v1/sweep.
-type streamError struct {
+// sweepError is the NDJSON line for a cell that terminally failed.
+type sweepError struct {
 	Workload string `json:"workload"`
 	Scheme   string `json:"scheme"`
 	Error    string `json:"error"`
 }
 
-// streamTrailer is the completion trailer, identical to /v1/sweep's: its
-// presence is the completeness signal, its absence marks a truncated
-// stream. Quarantined (a subset of Errors) counts cells the poison-cell
-// rule condemned; it is omitted when zero so local and cluster trailers
-// stay byte-compatible on healthy sweeps.
-type streamTrailer struct {
+// sweepTrailer is the final NDJSON line of a sweep stream that ran to
+// completion. Its presence is the client's completeness signal: a stream
+// that ends without a trailer was truncated (client cancellation, server
+// death), whereas a trailer with a non-zero error count says the grid
+// was fully attempted but some cells failed. Done is always true — the
+// field lets clients tell the trailer from cell lines. Quarantined (a
+// subset of Errors) counts cells the poison-cell rule condemned; it is
+// omitted when zero, so local and cluster trailers match on healthy
+// sweeps.
+type sweepTrailer struct {
 	Done        bool `json:"done"`
 	Cells       int  `json:"cells"`
 	Errors      int  `json:"errors"`
 	Quarantined int  `json:"quarantined,omitempty"`
 }
 
+// StreamSweep is the one NDJSON writer behind both sweep endpoints. It
+// commits a 200, then calls fetch for every cell on its own goroutine and
+// writes each outcome the moment it arrives — the cell's record, or a
+// {workload,scheme,error} line counted on errs — and ends with the
+// {"done":true,…} trailer once every cell has streamed. A fetch error
+// means the cell has nothing to stream (the client left, or the server
+// is closing), so such a stream ends without a trailer. Producers never
+// block on a departed consumer: every send selects against ctx.
+func StreamSweep(ctx context.Context, w http.ResponseWriter, cells []Cell,
+	fetch func(context.Context, Cell) (Outcome, error), errs *obs.Counter) {
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	flusher, _ := w.(http.Flusher)
+	writeLine := func(line []byte) {
+		w.Write(line)
+		w.Write([]byte("\n"))
+		if flusher != nil {
+			flusher.Flush()
+		}
+	}
+	// Commit the 200 and flush before any cell completes: clients block
+	// on response headers, and a grid whose first result is minutes away
+	// must not look like a dead server.
+	w.WriteHeader(http.StatusOK)
+	if flusher != nil {
+		flusher.Flush()
+	}
+
+	outcomes := make(chan Outcome)
+	var wg sync.WaitGroup
+	for _, cell := range cells {
+		wg.Add(1)
+		go func(cell Cell) {
+			defer wg.Done()
+			out, err := fetch(ctx, cell)
+			if err != nil {
+				return
+			}
+			select {
+			case outcomes <- out:
+			case <-ctx.Done():
+			}
+		}(cell)
+	}
+	go func() {
+		wg.Wait()
+		close(outcomes)
+	}()
+
+	tr := sweepTrailer{Done: true}
+	for out := range outcomes {
+		if ctx.Err() != nil {
+			break // client cancelled mid-stream; producers drain via ctx
+		}
+		tr.Cells++
+		line := out.Body
+		if out.Err != "" {
+			tr.Errors++
+			if out.Quarantined {
+				tr.Quarantined++
+			}
+			errs.Inc()
+			line, _ = json.Marshal(sweepError{Workload: out.Cell.Workload, Scheme: out.Cell.Scheme, Error: out.Err})
+		}
+		writeLine(line)
+	}
+	if ctx.Err() == nil && tr.Cells == len(cells) {
+		line, _ := json.Marshal(tr)
+		writeLine(line)
+	}
+}
+
 // handleSweep expands a grid into cells, submits them to the cluster, and
 // streams each cell's canonical record (or terminal error line) as it
-// completes, ending with a {"done":true} trailer. The NDJSON format is
+// completes. Each cell yields exactly one line, because the coordinator
+// publishes exactly one outcome per fingerprint. The stream is
 // byte-compatible with POST /v1/sweep — clients need not care whether a
 // grid ran locally or across a fleet.
 func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
@@ -62,31 +137,10 @@ func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
-	if len(req.Workloads) == 0 {
-		req.Workloads = trace.Names()
-	}
-	if len(req.Schemes) == 0 {
-		req.Schemes = schemes.All()
-	}
-	cfg := c.opt.Base
-	if req.Config != nil {
-		// Reject a bad geometry here: once leased, it would panic the
-		// worker that builds the machine.
-		if err := req.Config.Validate(); err != nil {
-			httpError(w, http.StatusBadRequest, "bad config: %v", err)
-			return
-		}
-		cfg = *req.Config
-	}
-	var cells []Cell
-	for _, wl := range req.Workloads {
-		for _, sc := range req.Schemes {
-			if !Expressible(wl, sc) {
-				httpError(w, http.StatusBadRequest, "unknown workload or scheme %q/%q", wl, sc)
-				return
-			}
-			cells = append(cells, NewCell(cfg, wl, sc))
-		}
+	cells, err := req.Cells(c.opt.Base)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, "%v", err)
+		return
 	}
 	for _, cell := range cells {
 		if err := c.Submit(cell); err != nil {
@@ -94,72 +148,9 @@ func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-
-	ctx := r.Context()
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	flusher, _ := w.(http.Flusher)
-	// Commit the 200 and flush before any cell completes: clients block on
-	// response headers, and a grid whose first result is minutes away must
-	// not look like a dead coordinator.
-	w.WriteHeader(http.StatusOK)
-	if flusher != nil {
-		flusher.Flush()
-	}
-
-	// One waiter per cell; each cell yields exactly one line because the
-	// coordinator publishes exactly one outcome per fingerprint.
-	outcomes := make(chan Outcome)
-	var wg sync.WaitGroup
-	for _, cell := range cells {
-		wg.Add(1)
-		go func(fp string) {
-			defer wg.Done()
-			out, err := c.Wait(ctx, fp)
-			if err != nil {
-				return // client gone or coordinator closed; nothing to stream
-			}
-			select {
-			case outcomes <- out:
-			case <-ctx.Done():
-			}
-		}(cell.Fingerprint)
-	}
-	go func() {
-		wg.Wait()
-		close(outcomes)
-	}()
-
-	streamed, failed, quarantined := 0, 0, 0
-	for out := range outcomes {
-		if ctx.Err() != nil {
-			break
-		}
-		streamed++
-		var line []byte
-		if out.Err != "" {
-			failed++
-			if out.Quarantined {
-				quarantined++
-			}
-			c.m.streamErrors.Inc()
-			line, _ = json.Marshal(streamError{Workload: out.Cell.Workload, Scheme: out.Cell.Scheme, Error: out.Err})
-		} else {
-			line = out.Body
-		}
-		w.Write(line)
-		w.Write([]byte("\n"))
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-	if ctx.Err() == nil && streamed == len(cells) {
-		line, _ := json.Marshal(streamTrailer{Done: true, Cells: streamed, Errors: failed, Quarantined: quarantined})
-		w.Write(line)
-		w.Write([]byte("\n"))
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
+	StreamSweep(r.Context(), w, cells, func(ctx context.Context, cell Cell) (Outcome, error) {
+		return c.Wait(ctx, cell.Fingerprint)
+	}, c.m.streamErrors)
 }
 
 // handleLease answers a worker's poll: 200 with a batch of cells, 204

@@ -29,9 +29,19 @@ type Observers struct {
 // behind every single-cell entry point: it builds the machine for (cfg,
 // workload, factory), attaches o's observers (stage spans parent to the
 // span carried by ctx), runs to completion, flushes the probe set, and
-// labels the result with workload and scheme.
-func Simulate(ctx context.Context, cfg config.GPU, workload, scheme string, factory protect.Factory, o Observers) (Result, error) {
-	m, err := New(cfg, workload, factory)
+// labels the result with workload and scheme. A nil src draws each SM's
+// accesses from the built-in generator named workload; a non-nil src
+// supplies them instead, and workload only labels the result.
+func Simulate(ctx context.Context, cfg config.GPU, workload, scheme string, factory protect.Factory, src WorkloadSource, o Observers) (Result, error) {
+	var (
+		m   *Machine
+		err error
+	)
+	if src == nil {
+		m, err = New(cfg, workload, factory)
+	} else {
+		m, err = NewFromSource(cfg, src, factory)
+	}
 	if err != nil {
 		return Result{}, err
 	}

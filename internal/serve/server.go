@@ -9,10 +9,16 @@
 // Endpoints:
 //
 //	POST /v1/simulate          one (workload, scheme) cell → record JSON
-//	POST /v1/sweep             grid → NDJSON records streamed as cells finish
+//	POST /v1/sweep             {workloads, schemes} grid → NDJSON records
+//	                           streamed as cells finish, then a trailer
 //	GET  /v1/results/{fp}      stored record by fingerprint (ETag/304)
 //	GET  /healthz              liveness
 //	GET  /metrics              Prometheus text exposition (obs.Registry)
+//
+// /v1/sweep speaks the same protocol as a coordinator's /v1/cluster/sweep
+// (cluster.SweepRequest in, cluster.StreamSweep out), except that it
+// rejects a config override with 400: only a coordinator runs
+// configurations other than the base.
 //
 // Every request gets an X-Request-Id (generated, or echoed from the
 // client's header), a per-endpoint latency observation, and — with a
@@ -21,6 +27,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -28,17 +35,15 @@ import (
 	"net/http"
 	"runtime"
 	"strings"
-	"sync"
 	"time"
 
 	"cachecraft/internal/bench"
 	"cachecraft/internal/chaos"
 	"cachecraft/internal/cluster"
 	"cachecraft/internal/config"
+	"cachecraft/internal/gpu"
 	"cachecraft/internal/obs"
-	"cachecraft/internal/schemes"
 	"cachecraft/internal/store"
-	"cachecraft/internal/trace"
 	"cachecraft/internal/version"
 )
 
@@ -201,45 +206,10 @@ type SimulateRequest struct {
 	Scheme   string `json:"scheme"`
 }
 
-// SweepRequest is the body of POST /v1/sweep. Empty lists default to the
-// full set of workloads / schemes.
-type SweepRequest struct {
-	Workloads []string `json:"workloads"`
-	Schemes   []string `json:"schemes"`
-}
-
-// sweepError is the NDJSON line emitted for a cell that failed.
-type sweepError struct {
-	Workload string `json:"workload"`
-	Scheme   string `json:"scheme"`
-	Error    string `json:"error"`
-}
-
-// sweepTrailer is the final NDJSON line of a sweep stream that ran to
-// completion. Its presence is the client's completeness signal: a stream
-// that ends without a trailer was truncated (client cancellation, server
-// death), whereas a trailer with a non-zero error count says the grid was
-// fully attempted but some cells failed. Done is always true — the field
-// exists so clients can cheaply distinguish the trailer from cell lines.
-type sweepTrailer struct {
-	Done   bool `json:"done"`
-	Cells  int  `json:"cells"`
-	Errors int  `json:"errors"`
-}
-
 func httpError(w http.ResponseWriter, code int, format string, args ...any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
-}
-
-func validName(name string, all []string) bool {
-	for _, n := range all {
-		if n == name {
-			return true
-		}
-	}
-	return false
 }
 
 func etagFor(sum string) string { return `"` + sum + `"` }
@@ -280,12 +250,8 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
-	if !validName(req.Workload, trace.Names()) {
-		httpError(w, http.StatusBadRequest, "unknown workload %q", req.Workload)
-		return
-	}
-	if !validName(req.Scheme, schemes.All()) {
-		httpError(w, http.StatusBadRequest, "unknown scheme %q", req.Scheme)
+	if !cluster.Expressible(req.Workload, req.Scheme) {
+		httpError(w, http.StatusBadRequest, "unknown workload or scheme %q/%q", req.Workload, req.Scheme)
 		return
 	}
 	fp := store.Fingerprint(s.base, req.Workload, req.Scheme)
@@ -321,13 +287,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	body, sum, err := store.EncodeRecord(store.Record{
-		Fingerprint: fp,
-		Sim:         version.String(),
-		Workload:    req.Workload,
-		Scheme:      req.Scheme,
-		Result:      res,
-	})
+	body, sum, err := encodeRecord(fp, req.Workload, req.Scheme, res)
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, "encode: %v", err)
 		return
@@ -344,114 +304,58 @@ func (s *Server) reject(w http.ResponseWriter, err error) {
 	// Context cancellation: the client is gone, write nothing.
 }
 
+// encodeRecord renders a result as the canonical store record, the body
+// every simulation-bearing endpoint returns.
+func encodeRecord(fp, workload, scheme string, res gpu.Result) ([]byte, string, error) {
+	return store.EncodeRecord(store.Record{
+		Fingerprint: fp,
+		Sim:         version.String(),
+		Workload:    workload,
+		Scheme:      scheme,
+		Result:      res,
+	})
+}
+
+// handleSweep fans a grid out through the runner, which bounds
+// simulation concurrency and dedups against concurrent requests, and
+// streams each cell's record the moment it completes.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	var req SweepRequest
+	var req cluster.SweepRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
-	if len(req.Workloads) == 0 {
-		req.Workloads = trace.Names()
+	// Each distinct configuration would become a runner config id kept
+	// for the process's life, so client input could grow it without
+	// bound; overrides run on a coordinator instead.
+	if req.Config != nil {
+		httpError(w, http.StatusBadRequest, "config overrides need a coordinator (POST /v1/cluster/sweep)")
+		return
 	}
-	if len(req.Schemes) == 0 {
-		req.Schemes = schemes.All()
-	}
-	for _, wl := range req.Workloads {
-		if !validName(wl, trace.Names()) {
-			httpError(w, http.StatusBadRequest, "unknown workload %q", wl)
-			return
-		}
-	}
-	for _, sc := range req.Schemes {
-		if !validName(sc, schemes.All()) {
-			httpError(w, http.StatusBadRequest, "unknown scheme %q", sc)
-			return
-		}
+	cells, err := req.Cells(s.base)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, "%v", err)
+		return
 	}
 	if err := s.lim.acquire(r.Context()); err != nil {
 		s.reject(w, err)
 		return
 	}
 	defer s.lim.release()
-
-	ctx := r.Context()
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	flusher, _ := w.(http.Flusher)
-
-	// Fan the grid out through the runner (which bounds simulation
-	// concurrency and dedups against concurrent requests) and stream each
-	// cell's record the moment it completes. Producers never block on a
-	// departed consumer: every send selects against ctx.
-	type sweepLine struct {
-		line   []byte
-		failed bool
-	}
-	lines := make(chan sweepLine)
-	var wg sync.WaitGroup
-	for _, wl := range req.Workloads {
-		for _, sc := range req.Schemes {
-			wg.Add(1)
-			go func(wl, sc string) {
-				defer wg.Done()
-				out := sweepLine{}
-				res, err := s.runner.ResultCtx(ctx, bench.Spec{CfgID: "base", Workload: wl, Variant: sc})
-				if err != nil {
-					if ctx.Err() != nil {
-						return
-					}
-					out.line, _ = json.Marshal(sweepError{Workload: wl, Scheme: sc, Error: err.Error()})
-					out.failed = true
-				} else {
-					out.line, _, err = store.EncodeRecord(store.Record{
-						Fingerprint: store.Fingerprint(s.base, wl, sc),
-						Sim:         version.String(),
-						Workload:    wl,
-						Scheme:      sc,
-						Result:      res,
-					})
-					if err != nil {
-						out.line, _ = json.Marshal(sweepError{Workload: wl, Scheme: sc, Error: err.Error()})
-						out.failed = true
-					}
-				}
-				select {
-				case lines <- out:
-				case <-ctx.Done():
-				}
-			}(wl, sc)
+	cluster.StreamSweep(r.Context(), w, cells, func(ctx context.Context, cell cluster.Cell) (cluster.Outcome, error) {
+		out := cluster.Outcome{Cell: cell}
+		res, err := s.runner.ResultCtx(ctx, bench.Spec{CfgID: "base", Workload: cell.Workload, Variant: cell.Scheme})
+		if err != nil && ctx.Err() != nil {
+			return out, err // client gone; nothing to stream
 		}
-	}
-	go func() {
-		wg.Wait()
-		close(lines)
-	}()
-	cells, failed := 0, 0
-	for out := range lines {
-		if ctx.Err() != nil {
-			break // client cancelled mid-stream; producers drain via ctx
+		if err == nil {
+			out.Body, _, err = encodeRecord(cell.Fingerprint, cell.Workload, cell.Scheme, res)
 		}
-		cells++
-		if out.failed {
-			failed++
-			s.m.sweepErrors.Inc()
+		if err != nil {
+			out.Err = err.Error()
 		}
-		w.Write(out.line)
-		w.Write([]byte("\n"))
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-	// Terminal trailer: only a stream the client consumed to the end gets
-	// one, so its absence marks truncation and its error count reports
-	// mid-stream failures that HTTP status (long since sent) cannot.
-	if ctx.Err() == nil {
-		line, _ := json.Marshal(sweepTrailer{Done: true, Cells: cells, Errors: failed})
-		w.Write(line)
-		w.Write([]byte("\n"))
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
+		return out, nil
+	}, s.m.sweepErrors)
 }
 
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {

@@ -17,6 +17,17 @@ import (
 	"cachecraft/internal/store"
 )
 
+// sweepLine decodes any line of a sweep stream: a record, an error line
+// ({workload,scheme,error}), or the {"done":true,...} trailer.
+type sweepLine struct {
+	Done     bool   `json:"done"`
+	Cells    int    `json:"cells"`
+	Errors   int    `json:"errors"`
+	Workload string `json:"workload"`
+	Scheme   string `json:"scheme"`
+	Error    string `json:"error"`
+}
+
 func quickBase() config.GPU {
 	cfg := config.Quick()
 	cfg.AccessesPerSM = 300
@@ -249,14 +260,14 @@ func TestSweepStreamsNDJSON(t *testing.T) {
 		t.Fatalf("content type %q", ct)
 	}
 	seen := map[string]bool{}
-	var trailer *sweepTrailer
+	var trailer *sweepLine
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
 		if trailer != nil {
 			t.Fatalf("line after trailer: %s", sc.Text())
 		}
-		var tr sweepTrailer
+		var tr sweepLine
 		if err := json.Unmarshal(sc.Bytes(), &tr); err == nil && tr.Done {
 			trailer = &tr
 			continue
@@ -302,19 +313,19 @@ func TestSweepErrorLinesAndTrailer(t *testing.T) {
 		t.Fatalf("sweep: status %d", resp.StatusCode)
 	}
 	errLines := 0
-	var trailer *sweepTrailer
+	var trailer *sweepLine
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
 		if trailer != nil {
 			t.Fatalf("line after trailer: %s", sc.Text())
 		}
-		var tr sweepTrailer
+		var tr sweepLine
 		if err := json.Unmarshal(sc.Bytes(), &tr); err == nil && tr.Done {
 			trailer = &tr
 			continue
 		}
-		var se sweepError
+		var se sweepLine
 		if err := json.Unmarshal(sc.Bytes(), &se); err != nil || se.Error == "" {
 			t.Fatalf("expected error line, got: %s", sc.Text())
 		}
@@ -344,6 +355,33 @@ func TestSweepErrorLinesAndTrailer(t *testing.T) {
 	mr.Body.Close()
 	if !strings.Contains(string(metrics), "cachecraft_sweep_cell_errors_total 2\n") {
 		t.Fatalf("sweep cell errors not counted:\n%s", metrics)
+	}
+}
+
+// TestSweepRejectsConfigOverride: the local sweep endpoint answers a
+// config override with 400 instead of silently simulating the base
+// configuration; overrides belong to /v1/cluster/sweep.
+func TestSweepRejectsConfigOverride(t *testing.T) {
+	srv, ts := newTestServer(t, nil, 2, 2)
+	cfg := quickBase()
+	cfg.Seed += 99
+	body, err := json.Marshal(map[string]any{
+		"workloads": []string{"stream"}, "schemes": []string{"none"}, "config": cfg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp := postJSON(t, ts.URL+"/v1/sweep", string(body), nil)
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("sweep with a config override: status %d, want 400", resp.StatusCode)
+	}
+	var e map[string]string
+	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil || !strings.Contains(e["error"], "coordinator") {
+		t.Fatalf("400 body does not point at the coordinator: %v %v", e, err)
+	}
+	if st := srv.runner.Stats(); st.Started != 0 {
+		t.Fatalf("rejected sweep requested %d cells", st.Started)
 	}
 }
 

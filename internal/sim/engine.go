@@ -59,7 +59,7 @@ type record struct {
 }
 
 // Engine owns simulated time. Components schedule callbacks with At/After
-// (closures) or Post/PostAfter (pooled handler records) and the engine runs
+// (closures) or Post (pooled handler records) and the engine runs
 // them in deterministic (cycle, seq) order.
 type Engine struct {
 	now     Cycle
@@ -148,11 +148,6 @@ func (e *Engine) Post(at Cycle, h Handler, a0, a1 uint64) {
 	r := &e.slab[idx]
 	r.at, r.seq, r.a0, r.a1, r.fn, r.h = at, e.seq, a0, a1, nil, h
 	e.enqueue(idx, at)
-}
-
-// PostAfter schedules h.OnEvent delay cycles from now.
-func (e *Engine) PostAfter(delay Cycle, h Handler, a0, a1 uint64) {
-	e.Post(e.now+delay, h, a0, a1)
 }
 
 // enqueue routes a filled record to its bucket or to the overflow heap.

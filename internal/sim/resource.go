@@ -34,9 +34,6 @@ func (r *Resource) Claim(at Cycle, dur Cycle) Cycle {
 	return start
 }
 
-// NextFree reports the first cycle at which the resource is idle.
-func (r *Resource) NextFree() Cycle { return r.nextFree }
-
 // BusyCycles reports the cumulative cycles the resource has been occupied.
 func (r *Resource) BusyCycles() Cycle { return r.busy }
 

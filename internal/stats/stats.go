@@ -198,46 +198,3 @@ func (h *Histogram) Mean() float64 {
 
 // Max reports the largest observed sample.
 func (h *Histogram) Max() uint64 { return h.max }
-
-// Buckets returns (upperBound, count) pairs; the final pair has bound
-// math.MaxUint64 for the overflow bucket.
-func (h *Histogram) Buckets() []BucketCount {
-	out := make([]BucketCount, 0, len(h.counts))
-	for i, c := range h.counts {
-		bound := uint64(math.MaxUint64)
-		if i < len(h.bounds) {
-			bound = h.bounds[i]
-		}
-		out = append(out, BucketCount{Bound: bound, Count: c})
-	}
-	return out
-}
-
-// BucketCount is one histogram bucket.
-type BucketCount struct {
-	Bound uint64
-	Count uint64
-}
-
-// Percentile returns an upper bound for the p-th percentile (0..100) using
-// bucket boundaries. It returns 0 for an empty histogram.
-func (h *Histogram) Percentile(p float64) uint64 {
-	if h.total == 0 {
-		return 0
-	}
-	target := uint64(math.Ceil(p / 100 * float64(h.total)))
-	if target == 0 {
-		target = 1
-	}
-	var seen uint64
-	for i, c := range h.counts {
-		seen += c
-		if seen >= target {
-			if i < len(h.bounds) {
-				return h.bounds[i]
-			}
-			return h.max
-		}
-	}
-	return h.max
-}

@@ -157,14 +157,13 @@ func TestHistogram(t *testing.T) {
 	if h.Count() != 5 {
 		t.Fatalf("count = %d", h.Count())
 	}
-	b := h.Buckets()
-	if len(b) != 4 {
-		t.Fatalf("bucket count = %d, want 4", len(b))
+	if len(h.counts) != 4 {
+		t.Fatalf("bucket count = %d, want 4", len(h.counts))
 	}
 	wantCounts := []uint64{2, 1, 1, 1}
-	for i, bc := range b {
-		if bc.Count != wantCounts[i] {
-			t.Fatalf("bucket %d count = %d, want %d", i, bc.Count, wantCounts[i])
+	for i, c := range h.counts {
+		if c != wantCounts[i] {
+			t.Fatalf("bucket %d count = %d, want %d", i, c, wantCounts[i])
 		}
 	}
 	if h.Max() != 5000 {
@@ -175,29 +174,11 @@ func TestHistogram(t *testing.T) {
 	}
 }
 
-func TestHistogramPercentile(t *testing.T) {
-	h := NewHistogram(10, 20, 30)
-	for i := 0; i < 100; i++ {
-		h.Observe(uint64(i % 40))
-	}
-	if p := h.Percentile(1); p != 10 {
-		t.Fatalf("p1 = %d, want 10", p)
-	}
-	if p := h.Percentile(100); p != 39 {
-		t.Fatalf("p100 = %d, want max 39", p)
-	}
-	empty := NewHistogram(10)
-	if empty.Percentile(50) != 0 {
-		t.Fatal("empty histogram percentile must be 0")
-	}
-}
-
 func TestHistogramUnsortedBoundsAreSorted(t *testing.T) {
 	h := NewHistogram(100, 10)
 	h.Observe(5)
-	b := h.Buckets()
-	if b[0].Bound != 10 || b[0].Count != 1 {
-		t.Fatalf("bounds not sorted: %+v", b)
+	if h.bounds[0] != 10 || h.counts[0] != 1 {
+		t.Fatalf("bounds not sorted: %v counts %v", h.bounds, h.counts)
 	}
 }
 

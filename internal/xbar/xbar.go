@@ -115,17 +115,6 @@ func (x *Crossbar) Transfer(at sim.Cycle, src, dst, bytes int) sim.Cycle {
 	return deliver
 }
 
-// InjectUtilization reports a source port's utilization over elapsed
-// cycles.
-func (x *Crossbar) InjectUtilization(src int, elapsed sim.Cycle) float64 {
-	return x.inject[src].Utilization(elapsed)
-}
-
-// EjectUtilization reports a destination port's utilization.
-func (x *Crossbar) EjectUtilization(dst int, elapsed sim.Cycle) float64 {
-	return x.eject[dst].Utilization(elapsed)
-}
-
 // TotalBytes reports all bytes moved through the fabric.
 func (x *Crossbar) TotalBytes() uint64 {
 	var total uint64

@@ -116,13 +116,13 @@ func TestUtilizationAndTotals(t *testing.T) {
 	if x.TotalBytes() != 64 {
 		t.Fatalf("total = %d", x.TotalBytes())
 	}
-	if u := x.InjectUtilization(1, 4); u != 0.5 {
+	if u := x.inject[1].Utilization(4); u != 0.5 {
 		t.Fatalf("inject util = %v", u)
 	}
-	if u := x.EjectUtilization(2, 4); u != 0.5 {
+	if u := x.eject[2].Utilization(4); u != 0.5 {
 		t.Fatalf("eject util = %v", u)
 	}
-	if u := x.InjectUtilization(0, 4); u != 0 {
+	if u := x.inject[0].Utilization(4); u != 0 {
 		t.Fatalf("idle port util = %v", u)
 	}
 }

@@ -1,4 +1,4 @@
-// Micro-benchmarks for the substrate hot paths: codec throughput, cache
+// Micro-benchmarks for the substrate hot paths: event scheduling, cache
 // lookup cost, DRAM scheduling, and end-to-end simulation rate. These are
 // conventional testing.B benchmarks (per-op timing), unlike the
 // experiment harness in bench_test.go.
@@ -11,7 +11,6 @@ import (
 	"cachecraft/internal/cache"
 	"cachecraft/internal/config"
 	"cachecraft/internal/dram"
-	"cachecraft/internal/ecc"
 	"cachecraft/internal/gpu"
 	"cachecraft/internal/mem"
 	"cachecraft/internal/protect"
@@ -51,142 +50,14 @@ func BenchmarkEngineScheduleClosure(b *testing.B) {
 	}
 }
 
-func BenchmarkSECDEDEncode32B(b *testing.B) {
-	codec, err := ecc.NewSECDEDSector(32, 64)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sector := make([]byte, 32)
-	rand.New(rand.NewSource(1)).Read(sector)
-	b.SetBytes(32)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		codec.Encode(sector)
-	}
-}
-
-func BenchmarkSECDEDDecodeClean(b *testing.B) {
-	codec, err := ecc.NewSECDEDSector(32, 64)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sector := make([]byte, 32)
-	rand.New(rand.NewSource(1)).Read(sector)
-	red := codec.Encode(sector)
-	b.SetBytes(32)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		codec.Decode(sector, red)
-	}
-}
-
-func BenchmarkSECDEDEncodeInto32B(b *testing.B) {
-	codec, err := ecc.NewSECDEDSector(32, 64)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sector := make([]byte, 32)
-	rand.New(rand.NewSource(1)).Read(sector)
-	dst := make([]byte, 0, codec.RedundancyBytes())
-	b.SetBytes(32)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dst = codec.EncodeInto(dst[:0], sector)
-	}
-}
-
-func BenchmarkRSEncode32B(b *testing.B) {
-	codec, err := ecc.NewRSSector(32, 4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sector := make([]byte, 32)
-	rand.New(rand.NewSource(1)).Read(sector)
-	b.SetBytes(32)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		codec.Encode(sector)
-	}
-}
-
-func BenchmarkRSEncodeInto32B(b *testing.B) {
-	codec, err := ecc.NewRSSector(32, 4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sector := make([]byte, 32)
-	rand.New(rand.NewSource(1)).Read(sector)
-	dst := make([]byte, 0, codec.RedundancyBytes())
-	b.SetBytes(32)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dst = codec.EncodeInto(dst[:0], sector)
-	}
-}
-
-func BenchmarkRSDecodeClean(b *testing.B) {
-	codec, err := ecc.NewRSSector(32, 4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sector := make([]byte, 32)
-	rand.New(rand.NewSource(1)).Read(sector)
-	red := codec.Encode(sector)
-	b.SetBytes(32)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		codec.Decode(sector, red)
-	}
-}
-
-func BenchmarkRSDecodeTwoErrors(b *testing.B) {
-	codec, err := ecc.NewRSSector(32, 4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	golden := make([]byte, 32)
-	rand.New(rand.NewSource(1)).Read(golden)
-	red := codec.Encode(golden)
-	b.SetBytes(32)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		sector := append([]byte(nil), golden...)
-		parity := append([]byte(nil), red...)
-		sector[3] ^= 0x41
-		sector[17] ^= 0x9c
-		b.StartTimer()
-		if res := codec.Decode(sector, parity); res != ecc.Corrected {
-			b.Fatalf("decode = %v", res)
-		}
-	}
-}
-
-func BenchmarkTaggedCheck(b *testing.B) {
-	codec, err := ecc.NewTagged(32, 4, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	data := make([]byte, 32)
-	rand.New(rand.NewSource(1)).Read(data)
-	tag := []byte{0xa}
-	parity := codec.Encode(data, tag)
-	b.SetBytes(32)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		codec.Check(data, parity, tag)
-	}
-}
-
 func BenchmarkCacheAccessHit(b *testing.B) {
 	c := cache.New(cache.Config{
 		Name: "bench", SizeBytes: 1 << 20, Ways: 16,
 		LineBytes: 128, SectorBytes: 32, HashSets: true,
 	})
+	var ev cache.Eviction
 	for a := uint64(0); a < 1<<20; a += 128 {
-		c.Fill(a, 0b1111, 0)
+		c.FillInto(a, 0b1111, 0, &ev)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -199,9 +70,10 @@ func BenchmarkCacheFillEvict(b *testing.B) {
 		Name: "bench", SizeBytes: 256 << 10, Ways: 16,
 		LineBytes: 128, SectorBytes: 32, HashSets: true,
 	})
+	var ev cache.Eviction
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.Fill(uint64(i)*128, 0b1111, 0b0001)
+		c.FillInto(uint64(i)*128, 0b1111, 0b0001, &ev)
 	}
 }
 

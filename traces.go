@@ -1,6 +1,7 @@
 package cachecraft
 
 import (
+	"context"
 	"io"
 
 	"cachecraft/internal/gpu"
@@ -46,21 +47,11 @@ func NewTraceReplayer(name string, r io.Reader, footprint uint64) (Workload, err
 }
 
 // RunCustom simulates caller-supplied workloads (one per SM) under the
-// named protection scheme.
+// named protection scheme. The result is labelled workload "custom".
 func RunCustom(cfg Config, scheme string, src WorkloadSource) (Result, error) {
 	factory, err := schemes.ByName(scheme)
 	if err != nil {
 		return Result{}, err
 	}
-	m, err := gpu.NewFromSource(cfg, src, factory)
-	if err != nil {
-		return Result{}, err
-	}
-	res, err := m.Run()
-	if err != nil {
-		return Result{}, err
-	}
-	res.Workload = "custom"
-	res.Scheme = scheme
-	return res, nil
+	return gpu.Simulate(context.Background(), cfg, "custom", scheme, factory, src, gpu.Observers{})
 }
