@@ -1,7 +1,7 @@
 // Package cache implements the sectored set-associative cache used for the
-// GPU L1s, the shared L2, and CacheCraft's dedicated redundancy cache, plus
-// the MSHR (miss status holding register) file that merges outstanding
-// misses.
+// GPU L1s, the shared L2, and CacheCraft's dedicated redundancy cache.
+// Outstanding misses are merged by the cache's owner (the L2 banks' and
+// SMs' miss tables in internal/gpu), not here.
 //
 // The cache is a tag store only: the repository's simulator is
 // trace-driven, so no data bytes flow through it. Lines are divided into
@@ -72,24 +72,26 @@ func (c Config) Validate() error {
 
 const maxRRPV = 3 // 2-bit SRRIP
 
-type line struct {
-	tag    uint64
-	valid  bool
-	vmask  uint64 // per-sector valid bits
-	dmask  uint64 // per-sector dirty bits
-	stamp  uint64 // LRU timestamp
-	rrpv   uint8  // SRRIP re-reference prediction value
-	pinned bool
-}
-
 // Cache is a sectored set-associative tag store. It is not safe for
 // concurrent use; the simulator is single-threaded by design.
+//
+// The store is kept as parallel arrays with one element per way, laid out
+// set by set (way w of set s is element s*ways+w), so a tag check reads
+// ways×8 contiguous bytes and touches no sector or replacement state.
 type Cache struct {
-	cfg            Config
-	sets           [][]line
+	cfg  Config
+	ways int
+	// tags holds each way's line number + 1; 0 marks an invalid way.
+	tags  []uint64
+	vmask []uint64 // per-sector valid bits
+	dmask []uint64 // per-sector dirty bits
+	stamp []uint64 // LRU timestamp
+	rrpv  []uint8  // SRRIP re-reference prediction value
+
 	setsMask       uint64
 	setBits        uint
 	sectorsPerLine int
+	lineMask       uint64 // the sector bits a line has
 	clock          uint64
 	Stats          *stats.Counters
 
@@ -145,13 +147,10 @@ func New(cfg Config) *Cache {
 		panic(err)
 	}
 	numSets := cfg.SizeBytes / (cfg.LineBytes * cfg.Ways)
-	sets := make([][]line, numSets)
-	backing := make([]line, numSets*cfg.Ways)
-	for i := range sets {
-		sets[i] = backing[i*cfg.Ways : (i+1)*cfg.Ways : (i+1)*cfg.Ways]
-		for w := range sets[i] {
-			sets[i][w].rrpv = maxRRPV
-		}
+	n := numSets * cfg.Ways
+	rrpv := make([]uint8, n)
+	for i := range rrpv {
+		rrpv[i] = maxRRPV
 	}
 	setBits := uint(0)
 	for 1<<setBits < numSets {
@@ -160,12 +159,19 @@ func New(cfg Config) *Cache {
 	if setBits == 0 {
 		setBits = 1 // avoid zero shifts in the hash fold
 	}
+	spl := cfg.LineBytes / cfg.SectorBytes
 	c := &Cache{
 		cfg:            cfg,
-		sets:           sets,
+		ways:           cfg.Ways,
+		tags:           make([]uint64, n),
+		vmask:          make([]uint64, n),
+		dmask:          make([]uint64, n),
+		stamp:          make([]uint64, n),
+		rrpv:           rrpv,
 		setsMask:       uint64(numSets - 1),
 		setBits:        setBits,
-		sectorsPerLine: cfg.LineBytes / cfg.SectorBytes,
+		sectorsPerLine: spl,
+		lineMask:       uint64(1)<<spl - 1,
 		Stats:          stats.NewCounters(),
 	}
 	c.stAccesses = c.Stats.Handle("accesses")
@@ -198,10 +204,11 @@ func (c *Cache) SectorIndex(addr uint64) int {
 // SectorMask returns the single-sector mask for addr.
 func (c *Cache) SectorMask(addr uint64) uint64 { return 1 << c.SectorIndex(addr) }
 
-// setAndTag maps an address to its set index and tag. The tag is the full
-// line number (simulation spends no storage on tags, and it keeps the
+// locate maps an address to the first way of its set and to the tag word
+// a valid way holding its line carries: the full line number + 1 (the
+// simulation spends no storage on tags, and the full number keeps the
 // mapping trivially invertible under set hashing).
-func (c *Cache) setAndTag(addr uint64) (set uint64, tag uint64) {
+func (c *Cache) locate(addr uint64) (base int, key uint64) {
 	lineNum := addr / uint64(c.cfg.LineBytes)
 	idx := lineNum
 	if c.cfg.HashSets {
@@ -209,27 +216,34 @@ func (c *Cache) setAndTag(addr uint64) (set uint64, tag uint64) {
 		idx ^= idx >> (2 * c.setBits)
 		idx ^= idx >> (4 * c.setBits)
 	}
-	return idx & c.setsMask, lineNum
+	return int(idx&c.setsMask) * c.ways, lineNum + 1
 }
 
-func (c *Cache) findWay(set uint64, tag uint64) int {
-	for w := range c.sets[set] {
-		if c.sets[set][w].valid && c.sets[set][w].tag == tag {
-			return w
+// findWay returns the element index of the way in the set at base whose
+// tag word is key, or -1.
+func (c *Cache) findWay(base int, key uint64) int {
+	for w, t := range c.tags[base : base+c.ways] {
+		if t == key {
+			return base + w
 		}
 	}
 	return -1
 }
 
+// lookup returns the element index of addr's line, or -1.
+func (c *Cache) lookup(addr uint64) int {
+	base, key := c.locate(addr)
+	return c.findWay(base, key)
+}
+
 // Probe reports the lookup outcome without touching replacement state or
 // statistics.
 func (c *Cache) Probe(addr uint64) Outcome {
-	set, tag := c.setAndTag(addr)
-	w := c.findWay(set, tag)
-	if w < 0 {
+	i := c.lookup(addr)
+	if i < 0 {
 		return Miss
 	}
-	if c.sets[set][w].vmask&c.SectorMask(addr) == 0 {
+	if c.vmask[i]&c.SectorMask(addr) == 0 {
 		return SectorMiss
 	}
 	return Hit
@@ -240,26 +254,54 @@ func (c *Cache) Probe(addr uint64) Outcome {
 // sectors are misses (the cache is write-allocate: the controller fills and
 // then calls MarkDirty).
 func (c *Cache) Access(addr uint64, write bool) Outcome {
-	set, tag := c.setAndTag(addr)
+	base, key := c.locate(addr)
 	c.clock++
 	c.stAccesses.Inc()
-	w := c.findWay(set, tag)
-	if w < 0 {
+	i := c.findWay(base, key)
+	if i < 0 {
 		c.stMisses.Inc()
 		return Miss
 	}
-	ln := &c.sets[set][w]
-	if ln.vmask&c.SectorMask(addr) == 0 {
+	bit := c.SectorMask(addr)
+	if c.vmask[i]&bit == 0 {
 		c.stSectorMisses.Inc()
 		return SectorMiss
 	}
-	ln.stamp = c.clock
-	ln.rrpv = 0
+	c.stamp[i] = c.clock
+	c.rrpv[i] = 0
 	if write {
-		ln.dmask |= c.SectorMask(addr)
+		c.dmask[i] |= bit
 	}
 	c.stHits.Inc()
 	return Hit
+}
+
+// AccessLine reads the sectors of lineAddr's line given in mask and
+// returns the mask of those that hit. It has exactly the effect of calling
+// Access(sector, false) on each of them in ascending sector order — the
+// same counter updates, one clock tick per sector, the line's stamp set by
+// its last hit sector — but looks the tag up once: a read changes no tag,
+// so every sector's lookup would find the same way.
+func (c *Cache) AccessLine(lineAddr uint64, mask uint64) (hitMask uint64) {
+	i := c.lookup(lineAddr)
+	for m := mask & c.lineMask; m != 0; m &= m - 1 {
+		c.clock++
+		c.stAccesses.Inc()
+		if i < 0 {
+			c.stMisses.Inc()
+			continue
+		}
+		bit := m & -m
+		if c.vmask[i]&bit == 0 {
+			c.stSectorMisses.Inc()
+			continue
+		}
+		c.stamp[i] = c.clock
+		c.rrpv[i] = 0
+		c.stHits.Inc()
+		hitMask |= bit
+	}
+	return hitMask
 }
 
 // FillInto inserts the given sectors of a line, allocating (and possibly
@@ -272,145 +314,123 @@ func (c *Cache) FillInto(lineAddr uint64, sectorMask, dirtyMask uint64, ev *Evic
 	if lineAddr%uint64(c.cfg.LineBytes) != 0 {
 		panic(fmt.Sprintf("cache %q: misaligned fill %#x", c.cfg.Name, lineAddr))
 	}
-	set, tag := c.setAndTag(lineAddr)
+	base, key := c.locate(lineAddr)
 	c.clock++
-	w := c.findWay(set, tag)
-	if w >= 0 {
-		ln := &c.sets[set][w]
-		newSectors := sectorMask &^ ln.vmask
-		ln.vmask |= sectorMask
-		ln.dmask |= dirtyMask & sectorMask
-		ln.stamp = c.clock
+	if i := c.findWay(base, key); i >= 0 {
+		newSectors := sectorMask &^ c.vmask[i]
+		c.vmask[i] |= sectorMask
+		c.dmask[i] |= dirtyMask & sectorMask
+		c.stamp[i] = c.clock
 		if newSectors != 0 {
 			c.stSectorFills.Inc()
 		}
 		return false
 	}
-	victim := c.chooseVictim(set)
-	ln := &c.sets[set][victim]
+	i := c.chooseVictim(base)
 	evicted := false
-	if ln.valid {
+	if c.tags[i] != 0 {
 		c.stEvictions.Inc()
 		evicted = true
 		*ev = Eviction{
-			LineAddr:  c.lineAddrOf(set, ln.tag),
-			ValidMask: ln.vmask,
-			DirtyMask: ln.dmask,
+			LineAddr:  c.lineAddrOf(c.tags[i]),
+			ValidMask: c.vmask[i],
+			DirtyMask: c.dmask[i],
 		}
-		if ln.dmask != 0 {
+		if c.dmask[i] != 0 {
 			c.stDirtyEvictions.Inc()
 		}
 	}
-	*ln = line{
-		tag:   tag,
-		valid: true,
-		vmask: sectorMask,
-		dmask: dirtyMask & sectorMask,
-		stamp: c.clock,
-		rrpv:  maxRRPV - 1, // SRRIP long re-reference insertion
-	}
+	c.tags[i] = key
+	c.vmask[i] = sectorMask
+	c.dmask[i] = dirtyMask & sectorMask
+	c.stamp[i] = c.clock
+	c.rrpv[i] = maxRRPV - 1 // SRRIP long re-reference insertion
 	c.stLineFills.Inc()
 	return evicted
 }
 
-func (c *Cache) lineAddrOf(_ uint64, tag uint64) uint64 {
-	return tag * uint64(c.cfg.LineBytes)
+// lineAddrOf inverts a tag word to its line address.
+func (c *Cache) lineAddrOf(key uint64) uint64 {
+	return (key - 1) * uint64(c.cfg.LineBytes)
 }
 
-func (c *Cache) chooseVictim(set uint64) int {
-	ways := c.sets[set]
-	// Prefer an invalid way.
-	for w := range ways {
-		if !ways[w].valid {
-			return w
+// chooseVictim returns the element index of the way in the set at base
+// that a new line replaces: an invalid way if there is one, else the
+// policy's victim.
+func (c *Cache) chooseVictim(base int) int {
+	for w, t := range c.tags[base : base+c.ways] {
+		if t == 0 {
+			return base + w
 		}
 	}
 	switch c.cfg.Repl {
 	case SRRIP:
+		rrpv := c.rrpv[base : base+c.ways]
 		for {
-			for w := range ways {
-				if !ways[w].pinned && ways[w].rrpv >= maxRRPV {
-					return w
+			for w, r := range rrpv {
+				if r >= maxRRPV {
+					return base + w
 				}
 			}
-			aged := false
-			for w := range ways {
-				if !ways[w].pinned && ways[w].rrpv < maxRRPV {
-					ways[w].rrpv++
-					aged = true
-				}
-			}
-			if !aged {
-				// Everything pinned: fall back to way 0 to guarantee progress.
-				return 0
+			// No distant way: age them all (each is below maxRRPV).
+			for w := range rrpv {
+				rrpv[w]++
 			}
 		}
 	default: // LRU
-		victim := -1
-		var oldest uint64
-		for w := range ways {
-			if ways[w].pinned {
-				continue
-			}
-			if victim < 0 || ways[w].stamp < oldest {
+		stamps := c.stamp[base : base+c.ways]
+		victim := 0
+		for w, st := range stamps {
+			if st < stamps[victim] {
 				victim = w
-				oldest = ways[w].stamp
 			}
 		}
-		if victim < 0 {
-			victim = 0
-		}
-		return victim
+		return base + victim
 	}
 }
 
 // MarkDirty sets the dirty bit for addr's sector; the sector must be
 // present.
 func (c *Cache) MarkDirty(addr uint64) {
-	set, tag := c.setAndTag(addr)
-	w := c.findWay(set, tag)
-	if w < 0 || c.sets[set][w].vmask&c.SectorMask(addr) == 0 {
+	i := c.lookup(addr)
+	if i < 0 || c.vmask[i]&c.SectorMask(addr) == 0 {
 		panic(fmt.Sprintf("cache %q: MarkDirty on absent sector %#x", c.cfg.Name, addr))
 	}
-	c.sets[set][w].dmask |= c.SectorMask(addr)
+	c.dmask[i] |= c.SectorMask(addr)
 }
 
 // CleanSector clears the dirty bit for addr's sector if present (used when
 // a writeback completes or a coalescing buffer absorbs the sector).
 func (c *Cache) CleanSector(addr uint64) {
-	set, tag := c.setAndTag(addr)
-	if w := c.findWay(set, tag); w >= 0 {
-		c.sets[set][w].dmask &^= c.SectorMask(addr)
+	if i := c.lookup(addr); i >= 0 {
+		c.dmask[i] &^= c.SectorMask(addr)
 	}
 }
 
 // InvalidateLine drops a line, returning its dirty mask (0 if absent or
 // clean).
 func (c *Cache) InvalidateLine(lineAddr uint64) uint64 {
-	set, tag := c.setAndTag(lineAddr)
-	w := c.findWay(set, tag)
-	if w < 0 {
+	i := c.lookup(lineAddr)
+	if i < 0 {
 		return 0
 	}
-	d := c.sets[set][w].dmask
-	c.sets[set][w] = line{rrpv: maxRRPV}
+	d := c.dmask[i]
+	c.tags[i], c.vmask[i], c.dmask[i], c.stamp[i], c.rrpv[i] = 0, 0, 0, 0, maxRRPV
 	return d
 }
 
 // ValidMask reports the valid-sector mask of a line (0 if absent).
 func (c *Cache) ValidMask(lineAddr uint64) uint64 {
-	set, tag := c.setAndTag(lineAddr)
-	if w := c.findWay(set, tag); w >= 0 {
-		return c.sets[set][w].vmask
+	if i := c.lookup(lineAddr); i >= 0 {
+		return c.vmask[i]
 	}
 	return 0
 }
 
 // DirtyMask reports the dirty-sector mask of a line (0 if absent).
 func (c *Cache) DirtyMask(lineAddr uint64) uint64 {
-	set, tag := c.setAndTag(lineAddr)
-	if w := c.findWay(set, tag); w >= 0 {
-		return c.sets[set][w].dmask
+	if i := c.lookup(lineAddr); i >= 0 {
+		return c.dmask[i]
 	}
 	return 0
 }
@@ -421,41 +441,36 @@ func (c *Cache) DirtyMask(lineAddr uint64) uint64 {
 // the line's sector count. It returns the first violation found, or nil.
 // The invariant-audit layer calls it at end of simulation.
 func (c *Cache) CheckConsistency() error {
-	limit := uint64(1)<<c.sectorsPerLine - 1
-	for s := range c.sets {
-		for w := range c.sets[s] {
-			ln := &c.sets[s][w]
-			if !ln.valid {
-				if ln.vmask != 0 || ln.dmask != 0 {
-					return fmt.Errorf("cache %q: invalid way set %d way %d carries masks v=%#x d=%#x",
-						c.cfg.Name, s, w, ln.vmask, ln.dmask)
-				}
-				continue
+	for i, key := range c.tags {
+		vm, dm := c.vmask[i], c.dmask[i]
+		if key == 0 {
+			if vm != 0 || dm != 0 {
+				return fmt.Errorf("cache %q: invalid way set %d way %d carries masks v=%#x d=%#x",
+					c.cfg.Name, i/c.ways, i%c.ways, vm, dm)
 			}
-			addr := c.lineAddrOf(uint64(s), ln.tag)
-			switch {
-			case ln.vmask == 0:
-				return fmt.Errorf("cache %q: valid line %#x has no valid sectors", c.cfg.Name, addr)
-			case ln.vmask&^limit != 0 || ln.dmask&^limit != 0:
-				return fmt.Errorf("cache %q: line %#x mask exceeds %d sectors (v=%#x d=%#x)",
-					c.cfg.Name, addr, c.sectorsPerLine, ln.vmask, ln.dmask)
-			case ln.dmask&^ln.vmask != 0:
-				return fmt.Errorf("cache %q: line %#x dirty sectors not valid (v=%#x d=%#x)",
-					c.cfg.Name, addr, ln.vmask, ln.dmask)
-			}
+			continue
+		}
+		addr := c.lineAddrOf(key)
+		switch {
+		case vm == 0:
+			return fmt.Errorf("cache %q: valid line %#x has no valid sectors", c.cfg.Name, addr)
+		case vm&^c.lineMask != 0 || dm&^c.lineMask != 0:
+			return fmt.Errorf("cache %q: line %#x mask exceeds %d sectors (v=%#x d=%#x)",
+				c.cfg.Name, addr, c.sectorsPerLine, vm, dm)
+		case dm&^vm != 0:
+			return fmt.Errorf("cache %q: line %#x dirty sectors not valid (v=%#x d=%#x)",
+				c.cfg.Name, addr, vm, dm)
 		}
 	}
 	return nil
 }
 
-// Walk visits every valid line (for drain/flush at end of simulation).
+// Walk visits every valid line (for drain/flush at end of simulation), set
+// by set and way by way.
 func (c *Cache) Walk(visit func(lineAddr uint64, vmask, dmask uint64)) {
-	for s := range c.sets {
-		for w := range c.sets[s] {
-			ln := &c.sets[s][w]
-			if ln.valid {
-				visit(c.lineAddrOf(uint64(s), ln.tag), ln.vmask, ln.dmask)
-			}
+	for i, key := range c.tags {
+		if key != 0 {
+			visit(c.lineAddrOf(key), c.vmask[i], c.dmask[i])
 		}
 	}
 }

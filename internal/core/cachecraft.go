@@ -25,7 +25,7 @@ package core
 
 import (
 	"math/bits"
-	"sort"
+	"slices"
 
 	"cachecraft/internal/cache"
 	"cachecraft/internal/mem"
@@ -106,8 +106,16 @@ type CacheCraft struct {
 	pred       []uint8
 	sampleTick uint64
 
-	wbuf    map[uint64]wbufEntry
-	wbufGen uint64
+	// wbuf indexes the write buffer's entries, pooled in wbufSlots, by
+	// tagged block address. wbufFIFO lists every entry in creation order,
+	// which is generation order; an entry that has left the buffer stays
+	// listed until it reaches the head (from wfHead), where it is dropped
+	// as stale, so the first live entry listed is always the oldest.
+	wbuf      sim.AddrTable
+	wbufSlots sim.Pool[wbufEntry]
+	wbufFIFO  []wbufRef
+	wfHead    int
+	wbufGen   uint64
 }
 
 type wbufEntry struct {
@@ -115,13 +123,16 @@ type wbufEntry struct {
 	gen  uint64 // generation for timeout validation
 }
 
+// wbufRef names one write-buffer entry: it is live while the buffer holds
+// tagged with generation gen.
+type wbufRef struct {
+	tagged uint64
+	gen    uint64
+}
+
 // New builds a CacheCraft controller.
 func New(env *protect.Env, opt Options) *CacheCraft {
-	c := &CacheCraft{
-		env:  env,
-		opt:  opt,
-		wbuf: make(map[uint64]wbufEntry),
-	}
+	c := &CacheCraft{env: env, opt: opt}
 	c.pendingRed = protect.NewFetches(env, c.redArrived)
 	c.reconInFlight = protect.NewFetches(env, c.reconArrived)
 	if opt.UseRC {
@@ -179,7 +190,7 @@ func (c *CacheCraft) redReady(now sim.Cycle, lineAddr uint64, neededMask uint64,
 	// Forward from the write buffer when it already holds the needed
 	// checks (they are newer than DRAM's).
 	if c.opt.WBuf {
-		if e, ok := c.wbuf[tagged]; ok && e.mask&neededMask == neededMask {
+		if slot, ok := c.wbuf.Get(tagged); ok && c.wbufSlots.At(slot).mask&neededMask == neededMask {
 			env.Stats.Inc("red_wbuf_fwd")
 			env.ArriveAt(now, ready)
 			return
@@ -447,22 +458,26 @@ func (c *CacheCraft) redUpdate(now sim.Cycle, lineAddr uint64, writtenMask uint6
 		return
 	}
 	if c.opt.WBuf {
-		e, ok := c.wbuf[tagged]
+		slot, ok := c.wbuf.Get(tagged)
 		if !ok {
-			if len(c.wbuf) >= c.wbufEntriesMax() {
+			if c.wbuf.Len() >= c.wbufEntriesMax() {
 				c.flushOldest(now)
 			}
 			c.wbufGen++
-			e = wbufEntry{gen: c.wbufGen}
-			env.Eng.Post(now+c.wbufTimeout(), (*wbufExpiry)(c), tagged, e.gen)
+			slot = c.wbufSlots.Get()
+			*c.wbufSlots.At(slot) = wbufEntry{gen: c.wbufGen}
+			c.wbuf.Put(tagged, slot)
+			c.trimFIFO()
+			c.wbufFIFO = append(c.wbufFIFO, wbufRef{tagged: tagged, gen: c.wbufGen})
+			env.Eng.Post(now+c.wbufTimeout(), (*wbufExpiry)(c), tagged, c.wbufGen)
 		}
+		e := c.wbufSlots.At(slot)
 		e.mask |= writtenMask
 		if e.mask != fullMask {
-			c.wbuf[tagged] = e
 			return
 		}
 		// Every check byte of the block is known: write it blind.
-		delete(c.wbuf, tagged)
+		c.wbufRemove(tagged)
 		env.Stats.Inc("red_blind_writes")
 		env.DRAM.Submit(now, mem.Request{
 			Addr:  tagged &^ protect.RedTag,
@@ -501,7 +516,7 @@ type wbufExpiry CacheCraft
 
 func (h *wbufExpiry) OnEvent(at sim.Cycle, tagged, gen uint64) {
 	c := (*CacheCraft)(h)
-	if cur, ok := c.wbuf[tagged]; ok && cur.gen == gen {
+	if c.wbufLive(wbufRef{tagged: tagged, gen: gen}) {
 		c.env.Stats.Inc("red_wbuf_timeout")
 		c.flushEntry(at, tagged)
 	}
@@ -521,26 +536,50 @@ func (c *CacheCraft) wbufTimeout() sim.Cycle {
 	return c.opt.WBufTimeout
 }
 
-// flushOldest evicts the lowest-generation write-buffer entry.
-func (c *CacheCraft) flushOldest(now sim.Cycle) {
-	var oldestAddr uint64
-	var oldestGen uint64
-	found := false
-	for a, e := range c.wbuf {
-		if !found || e.gen < oldestGen {
-			oldestAddr, oldestGen, found = a, e.gen, true
-		}
+// wbufLive reports whether the write buffer still holds the entry ref
+// names.
+func (c *CacheCraft) wbufLive(ref wbufRef) bool {
+	slot, ok := c.wbuf.Get(ref.tagged)
+	return ok && c.wbufSlots.At(slot).gen == ref.gen
+}
+
+// wbufRemove drops tagged's entry from the write buffer.
+func (c *CacheCraft) wbufRemove(tagged uint64) {
+	if slot, ok := c.wbuf.Delete(tagged); ok {
+		c.wbufSlots.Put(slot)
 	}
-	if found {
+}
+
+// trimFIFO drops stale refs from the head of the creation-order FIFO,
+// compacting it once the consumed prefix dominates. Every entry times out
+// within wbufTimeout cycles, so the FIFO spans at most the entries created
+// in one timeout window.
+func (c *CacheCraft) trimFIFO() {
+	for c.wfHead < len(c.wbufFIFO) && !c.wbufLive(c.wbufFIFO[c.wfHead]) {
+		c.wfHead++
+	}
+	if c.wfHead == len(c.wbufFIFO) {
+		c.wbufFIFO, c.wfHead = c.wbufFIFO[:0], 0
+	} else if c.wfHead >= 1024 && 2*c.wfHead >= len(c.wbufFIFO) {
+		n := copy(c.wbufFIFO, c.wbufFIFO[c.wfHead:])
+		c.wbufFIFO, c.wfHead = c.wbufFIFO[:n], 0
+	}
+}
+
+// flushOldest evicts the lowest-generation write-buffer entry: the first
+// live one in creation order.
+func (c *CacheCraft) flushOldest(now sim.Cycle) {
+	c.trimFIFO()
+	if c.wfHead < len(c.wbufFIFO) {
 		c.env.Stats.Inc("red_wbuf_overflow")
-		c.flushEntry(now, oldestAddr)
+		c.flushEntry(now, c.wbufFIFO[c.wfHead].tagged)
 	}
 }
 
 // flushEntry retires a partially-coalesced entry: the unknown check bytes
 // must be read back (read-modify-write) before the block can be written.
 func (c *CacheCraft) flushEntry(now sim.Cycle, tagged uint64) {
-	delete(c.wbuf, tagged)
+	c.wbufRemove(tagged)
 	c.env.RedundancyRMW(now, tagged&^protect.RedTag)
 }
 
@@ -549,14 +588,16 @@ func (c *CacheCraft) NeedsRMWFetch() bool { return true }
 
 // Drain flushes the write buffer and writes back dirty RC lines.
 func (c *CacheCraft) Drain(now sim.Cycle) {
-	// Flush in address order, not map order: iteration order would vary
-	// run to run, reordering the drain's DRAM requests and making row-hit
-	// counts and latency histograms nondeterministic.
-	addrs := make([]uint64, 0, len(c.wbuf))
-	for tagged := range c.wbuf {
-		addrs = append(addrs, tagged)
+	// Flush in address order: the drain's DRAM request order sets its row
+	// hits and latencies, so it must not depend on how the buffer indexes
+	// or ages its entries.
+	addrs := make([]uint64, 0, c.wbuf.Len())
+	for _, ref := range c.wbufFIFO[c.wfHead:] {
+		if c.wbufLive(ref) {
+			addrs = append(addrs, ref.tagged)
+		}
 	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
+	slices.Sort(addrs)
 	for _, tagged := range addrs {
 		c.flushEntry(now, tagged)
 	}

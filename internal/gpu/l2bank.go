@@ -1,6 +1,8 @@
 package gpu
 
 import (
+	"math/bits"
+
 	"cachecraft/internal/cache"
 	"cachecraft/internal/protect"
 	"cachecraft/internal/sim"
@@ -44,7 +46,7 @@ type L2Bank struct {
 	id    int
 	cache *cache.Cache
 
-	mshr    map[uint64]int32 // line address → entry slot
+	mshr    sim.AddrTable // line address → entry slot
 	entries sim.Pool[l2Entry]
 	targets sim.Pool[l2Target]
 	ops     sim.Pool[l2Op]
@@ -61,8 +63,9 @@ type L2Bank struct {
 	// predictor feedback; the scoreboard ages entries by the bank's total
 	// fill count — a reconstructed sector unused after reconHorizon
 	// subsequent fills counts as waste even if it still sits in the cache,
-	// because it has had ample opportunity to be referenced.
-	reconPending map[uint64]bool
+	// because it has had ample opportunity to be referenced. It holds
+	// sector addresses (values unused).
+	reconPending sim.AddrTable
 	reconFIFO    []reconEntry
 	rfHead       int
 	fillTick     uint64
@@ -91,13 +94,9 @@ func newL2Bank(m *Machine, id int) *L2Bank {
 	cfg := m.cfg.L2
 	cfg.Name = "l2"
 	cfg.SizeBytes /= m.cfg.L2Banks
-	return &L2Bank{
-		m:            m,
-		id:           id,
-		cache:        cache.New(cfg),
-		mshr:         make(map[uint64]int32),
-		reconPending: make(map[uint64]bool),
-	}
+	b := &L2Bank{m: m, id: id, cache: cache.New(cfg)}
+	b.mshr.Reserve(m.cfg.L2MSHRs)
+	return b
 }
 
 // waitingCount reports how many requests sit parked behind the MSHR file.
@@ -106,8 +105,7 @@ func (b *L2Bank) waitingCount() int { return len(b.waiting) - b.whead }
 // noteUse clears reconstruction-pending state on a referenced sector and
 // reports the use to the scheme.
 func (b *L2Bank) noteUse(addr uint64) {
-	if b.reconPending[addr] {
-		delete(b.reconPending, addr)
+	if _, ok := b.reconPending.Delete(addr); ok {
 		b.m.reconFeedback(addr, true)
 	}
 }
@@ -120,8 +118,7 @@ func (b *L2Bank) noteEviction(lineAddr uint64, validMask uint64) {
 			continue
 		}
 		sa := lineAddr + uint64(i*b.m.cfg.L2.SectorBytes)
-		if b.reconPending[sa] {
-			delete(b.reconPending, sa)
+		if _, ok := b.reconPending.Delete(sa); ok {
 			b.m.reconFeedback(sa, false)
 		}
 	}
@@ -152,8 +149,7 @@ func (b *L2Bank) ageScoreboard() {
 	for b.rfHead < len(b.reconFIFO) && b.reconFIFO[b.rfHead].tick+reconHorizon < b.fillTick {
 		old := b.reconFIFO[b.rfHead]
 		b.rfHead++
-		if b.reconPending[old.addr] {
-			delete(b.reconPending, old.addr)
+		if _, ok := b.reconPending.Delete(old.addr); ok {
 			b.m.reconFeedback(old.addr, false)
 		}
 	}
@@ -213,10 +209,10 @@ func (b *L2Bank) HandleStore(now sim.Cycle, lineAddr uint64, mask, fullMask uint
 
 // mshrFull reports whether a new line entry cannot be allocated.
 func (b *L2Bank) mshrFull(lineAddr uint64) bool {
-	if _, ok := b.mshr[lineAddr]; ok {
-		return false // merging into an existing entry is always allowed
+	if b.mshr.Len() < b.m.cfg.L2MSHRs {
+		return false
 	}
-	return len(b.mshr) >= b.m.cfg.L2MSHRs
+	return !b.mshr.Has(lineAddr) // merging into an existing entry is always allowed
 }
 
 // exec runs one bank op, parking it (credit-style backpressure toward the
@@ -238,7 +234,7 @@ func (b *L2Bank) exec(now sim.Cycle, oi int32) {
 
 // pump replays parked requests while entry space is available.
 func (b *L2Bank) pump(now sim.Cycle) {
-	for b.whead < len(b.waiting) && len(b.mshr) < b.m.cfg.L2MSHRs {
+	for b.whead < len(b.waiting) && b.mshr.Len() < b.m.cfg.L2MSHRs {
 		oi := b.waiting[b.whead]
 		b.whead++
 		if b.whead == len(b.waiting) {
@@ -254,22 +250,20 @@ func (b *L2Bank) pump(now sim.Cycle) {
 }
 
 func (b *L2Bank) read(now sim.Cycle, op l2Op) {
-	spl := b.cache.SectorsPerLine()
-	var missMask, hitMask uint64
-	for i := 0; i < spl; i++ {
-		if op.mask&(1<<i) == 0 {
-			continue
-		}
-		sa := op.lineAddr + uint64(i*b.m.cfg.L2.SectorBytes)
-		hit := b.cache.Access(sa, false) == cache.Hit
-		if b.m.obs != nil {
-			b.m.obs.l2Access(b.id, hit)
-		}
-		if hit {
-			b.noteUse(sa)
-			hitMask |= 1 << i
-		} else {
-			missMask |= 1 << i
+	hitMask := b.cache.AccessLine(op.lineAddr, op.mask)
+	missMask := op.mask &^ hitMask
+	if b.m.obs != nil || (hitMask != 0 && b.reconPending.Len() != 0) {
+		// Per sector, in ascending order: what the per-sector lookups
+		// would have reported, and reconstruction use on each hit.
+		for m := op.mask; m != 0; m &= m - 1 {
+			bit := m & -m
+			hit := hitMask&bit != 0
+			if b.m.obs != nil {
+				b.m.obs.l2Access(b.id, hit)
+			}
+			if hit {
+				b.noteUse(op.lineAddr + uint64(bits.TrailingZeros64(m)*b.m.cfg.L2.SectorBytes))
+			}
 		}
 	}
 	if hitMask != 0 {
@@ -333,13 +327,13 @@ func (b *L2Bank) store(now sim.Cycle, op l2Op) {
 // enqueueMiss merges the target into the line's MSHR entry, asking the
 // controller for any sectors not already in flight.
 func (b *L2Bank) enqueueMiss(now sim.Cycle, lineAddr uint64, mask uint64, t l2Target) {
-	ei, ok := b.mshr[lineAddr]
+	ei, ok := b.mshr.Get(lineAddr)
 	if !ok {
 		ei = b.entries.Get()
 		*b.entries.At(ei) = l2Entry{head: -1, tail: -1}
-		b.mshr[lineAddr] = ei
+		b.mshr.Put(lineAddr, ei)
 		if b.m.obs != nil {
-			b.m.obs.mshrAlloc(now, b.id, lineAddr, len(b.mshr))
+			b.m.obs.mshrAlloc(now, b.id, lineAddr, b.mshr.Len())
 		}
 	}
 	ti := b.targets.Get()
@@ -385,7 +379,7 @@ func (b *L2Bank) missFilled(at sim.Cycle, slot int32) {
 // onFill receives sectors from the controller, fills the cache, and
 // retires the entry when everything pending has arrived.
 func (b *L2Bank) onFill(now sim.Cycle, lineAddr uint64, mask uint64) {
-	ei, ok := b.mshr[lineAddr]
+	ei, ok := b.mshr.Get(lineAddr)
 	if !ok {
 		panic("gpu: L2 fill with no MSHR entry")
 	}
@@ -398,13 +392,13 @@ func (b *L2Bank) onFill(now sim.Cycle, lineAddr uint64, mask uint64) {
 	if e.filled != e.pending {
 		return
 	}
-	delete(b.mshr, lineAddr)
+	b.mshr.Delete(lineAddr)
 	if b.m.obs != nil {
-		b.m.obs.mshrRelease(now, b.id, lineAddr, len(b.mshr))
+		b.m.obs.mshrRelease(now, b.id, lineAddr, b.mshr.Len())
 	}
 	b.pump(now)
 	// pump can replay parked ops whose misses grow the pools, so read the
-	// entry only now; its targets stay ours (the map entry is gone, so
+	// entry only now; its targets stay ours (the table entry is gone, so
 	// nothing merges into it) and each is copied out before it is freed.
 	head := b.entries.At(ei).head
 	b.entries.Put(ei)
@@ -439,7 +433,7 @@ func (b *L2Bank) Present(addr uint64) bool { return b.cache.Probe(addr) == cache
 // Pending reports whether the sector is already being fetched (CacheSide).
 func (b *L2Bank) Pending(addr uint64) bool {
 	lineAddr := b.cache.LineAddr(addr)
-	ei, ok := b.mshr[lineAddr]
+	ei, ok := b.mshr.Get(lineAddr)
 	return ok && b.entries.At(ei).pending&b.cache.SectorMask(addr) != 0
 }
 
@@ -466,7 +460,7 @@ func (b *L2Bank) InsertReconstructed(now sim.Cycle, addr uint64) {
 	if b.m.obs != nil {
 		b.m.obs.reconFill(now)
 	}
-	b.reconPending[addr] = true
+	b.reconPending.Put(addr, 0)
 	b.reconFIFO = append(b.reconFIFO, reconEntry{addr: addr, tick: b.fillTick})
 }
 

@@ -162,7 +162,7 @@ func TestReconScoreboardAgesOutAsWaste(t *testing.T) {
 	if m.envStats.Get("reconstruct_wasted") != 1 {
 		t.Fatalf("wasted = %d, want 1 (aged out)", m.envStats.Get("reconstruct_wasted"))
 	}
-	if b.reconPending[64] {
+	if b.reconPending.Has(64) {
 		t.Fatal("aged entry still pending")
 	}
 }

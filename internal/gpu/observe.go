@@ -233,7 +233,7 @@ func (o *observer) finish(m *Machine) error {
 	}
 	end := m.eng.Now()
 	for _, b := range m.banks {
-		c.BankDrained(end, b.id, len(b.mshr), b.waitingCount())
+		c.BankDrained(end, b.id, b.mshr.Len(), b.waitingCount())
 		c.CacheViolation(end, b.cache.CheckConsistency())
 	}
 	c.FinishSim(end, m.outstanding, m.eng.Pending())

@@ -1,6 +1,8 @@
 package gpu
 
 import (
+	"math/bits"
+
 	"cachecraft/internal/cache"
 	"cachecraft/internal/sim"
 	"cachecraft/internal/trace"
@@ -31,8 +33,8 @@ type SM struct {
 	wl trace.Workload
 
 	l1      *cache.Cache
-	l1mshr  map[uint64]int32 // sector address → waiter-chain head
-	pending int              // in-flight accesses
+	l1mshr  sim.AddrTable // sector address → waiter-chain head
+	pending int           // in-flight accesses
 
 	blocked        bool // a dependent access is outstanding
 	finished       bool
@@ -57,7 +59,6 @@ func newSM(id int, m *Machine, wl trace.Workload) *SM {
 		m:       m,
 		wl:      wl,
 		l1:      cache.New(cfg),
-		l1mshr:  make(map[uint64]int32),
 		waiters: make([]l1Waiter, 1), // slot 0 is the chain sentinel
 	}
 }
@@ -164,20 +165,18 @@ func (s *SM) issue(now sim.Cycle, a trace.Access) {
 // issueLoadGroup filters one line's sectors through the L1 and sends the
 // misses to the L2.
 func (s *SM) issueLoadGroup(now sim.Cycle, ri int32, g lineGroup) {
-	spl := s.l1.SectorsPerLine()
+	hitMask := s.l1.AccessLine(g.lineAddr, g.sectorMask)
 	var sendMask uint64
-	for i := 0; i < spl; i++ {
-		if g.sectorMask&(1<<i) == 0 {
-			continue
-		}
-		sa := g.lineAddr + uint64(i*s.m.cfg.L1.SectorBytes)
-		if s.l1.Access(sa, false) == cache.Hit {
+	for m := g.sectorMask; m != 0; m &= m - 1 {
+		bit := m & -m
+		if hitMask&bit != 0 {
 			s.m.stL1Hits.Inc()
 			s.m.eng.Post(now+s.m.cfg.L1Latency, (*l1HitHandler)(s), uint64(ri), 1)
 			continue
 		}
 		s.m.stL1Misses.Inc()
-		if head, ok := s.l1mshr[sa]; ok {
+		sa := g.lineAddr + uint64(bits.TrailingZeros64(m)*s.m.cfg.L1.SectorBytes)
+		if head, ok := s.l1mshr.Get(sa); ok {
 			// Merge with the in-flight fetch, appending at the chain tail
 			// so wake order stays arrival order.
 			tail := head
@@ -187,8 +186,8 @@ func (s *SM) issueLoadGroup(now sim.Cycle, ri int32, g lineGroup) {
 			s.waiters[tail].next = s.allocWaiter(ri)
 			continue
 		}
-		s.l1mshr[sa] = s.allocWaiter(ri)
-		sendMask |= 1 << i
+		s.l1mshr.Put(sa, s.allocWaiter(ri))
+		sendMask |= bit
 	}
 	if sendMask == 0 {
 		return
@@ -209,11 +208,10 @@ func (s *SM) onLoadResponse(now sim.Cycle, lineAddr uint64, mask uint64) {
 			continue
 		}
 		sa := lineAddr + uint64(i*s.m.cfg.L1.SectorBytes)
-		n, ok := s.l1mshr[sa]
+		n, ok := s.l1mshr.Delete(sa)
 		if !ok {
 			continue
 		}
-		delete(s.l1mshr, sa)
 		for n != 0 {
 			w := s.waiters[n]
 			s.freeWaiter(n)

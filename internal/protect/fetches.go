@@ -12,7 +12,7 @@ import (
 // so tracking a fetch allocates nothing in steady state.
 type Fetches struct {
 	env    *Env
-	byAddr map[uint64]int32
+	byAddr sim.AddrTable // address → fetch slot
 	slots  sim.Pool[fetch]
 	// arrived runs when a fetch completes, after its address has left the
 	// table (so a request arriving from inside it starts a new fetch) and
@@ -30,13 +30,12 @@ type fetch struct {
 // with the fetch's address and flag (see Start and Wait), then release
 // its waiters in the order they joined.
 func NewFetches(env *Env, arrived func(at sim.Cycle, addr uint64, flag, merged bool)) *Fetches {
-	return &Fetches{env: env, byAddr: make(map[uint64]int32), arrived: arrived}
+	return &Fetches{env: env, arrived: arrived}
 }
 
 // InFlight reports whether a fetch of addr is outstanding.
 func (f *Fetches) InFlight(addr uint64) bool {
-	_, ok := f.byAddr[addr]
-	return ok
+	return f.byAddr.Has(addr)
 }
 
 // Start submits req as the fetch of addr, with the given flag and first
@@ -48,7 +47,7 @@ func (f *Fetches) Start(now sim.Cycle, addr uint64, flag bool, first Join, req m
 	if first != NoJoin {
 		s.waiters = append(s.waiters, first)
 	}
-	f.byAddr[addr] = slot
+	f.byAddr.Put(addr, slot)
 	f.env.DRAM.SubmitPost(now, req, (*fetchDone)(f), uint64(uint32(slot)))
 }
 
@@ -56,7 +55,7 @@ func (f *Fetches) Start(now sim.Cycle, addr uint64, flag bool, first Join, req m
 // fetch and ORs flag into the fetch's flag; it reports false, doing
 // nothing, when no fetch of addr is outstanding.
 func (f *Fetches) Wait(addr uint64, flag bool, w Join) bool {
-	slot, ok := f.byAddr[addr]
+	slot, ok := f.byAddr.Get(addr)
 	if !ok {
 		return false
 	}
@@ -76,7 +75,7 @@ func (h *fetchDone) OnEvent(at sim.Cycle, a0, _ uint64) {
 	slot := int32(uint32(a0))
 	s := f.slots.At(slot)
 	addr, flag, waiters := s.addr, s.flag, s.waiters
-	delete(f.byAddr, addr)
+	f.byAddr.Delete(addr)
 	f.arrived(at, addr, flag, len(waiters) > 0)
 	for _, w := range waiters {
 		f.env.arrive(at, w)

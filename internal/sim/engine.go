@@ -7,13 +7,19 @@
 // sequences. Determinism is guaranteed by breaking ties in event time with a
 // monotonically increasing sequence number.
 //
-// The queue is a timing wheel over pooled, intrusively-linked event records:
-// events within wheelSpan cycles of the present live in per-cycle FIFO
-// buckets (so same-cycle ordering is insertion order, which equals sequence
-// order), and farther events wait in a small index min-heap keyed by
-// (cycle, seq). Records are recycled through a free list, so steady-state
-// scheduling allocates nothing. See docs/MODEL.md "Performance notes" for
-// the ordering argument.
+// The queue is a single-level timing wheel over pooled, intrusively-linked
+// event records: events within wheelSpan (16384) cycles of the present
+// live in per-cycle FIFO buckets (so same-cycle ordering is insertion
+// order, which equals sequence order), and farther events wait in a small
+// index min-heap keyed by (cycle, seq). Records are recycled through a
+// free list, so steady-state scheduling allocates nothing. See
+// docs/MODEL.md "Performance notes" for the ordering argument and for the
+// count of far-ahead events that sets the span.
+//
+// Components keep event-carried state in a Pool and find it by address
+// through an AddrTable, an open-addressed uint64 → int32 table, so the
+// simulation's per-access bookkeeping makes no map operations and, once
+// warm, no allocations.
 package sim
 
 import "math/bits"
@@ -36,7 +42,11 @@ type Handler interface {
 }
 
 const (
-	wheelBits = 12
+	// wheelBits sets the window to 16384 cycles, wide enough for the
+	// farthest common event: an L2 bank operation posted behind the
+	// crossbar's request-port reservation, up to about 16k cycles ahead
+	// under streaming load (docs/MODEL.md "Performance notes").
+	wheelBits = 14
 	// wheelSize is the number of per-cycle buckets; events scheduled within
 	// wheelSpan cycles of the present go straight to their bucket.
 	wheelSize = 1 << wheelBits
