@@ -25,7 +25,7 @@
 // plane (POST /v1/cluster/sweep streaming the same NDJSON format as
 // /v1/sweep, plus /v1/cluster/lease, /complete, /heartbeat) and shards
 // submitted grids across cachecraft-worker processes with leases,
-// retries, and straggler re-dispatch; see docs/CLUSTER.md. With
+// lease expiry, and retries with backoff; see docs/CLUSTER.md. With
 // -store-max-bytes the result store is pruned (oldest records first)
 // once a minute so long-running deployments don't grow disks unboundedly.
 //

@@ -35,8 +35,8 @@ import (
 )
 
 // Site names one hook point. The constants below are the sites wired
-// through the repository; an Injector ignores rules for sites it never
-// sees, so the set can grow without coordination.
+// through the repository, and ParseSpec accepts no other name, so a typo
+// in a -chaos flag cannot arm a rule that never fires.
 type Site string
 
 const (
@@ -63,9 +63,14 @@ const (
 	// SiteServeRequest guards the HTTP serving layer's request path (a
 	// fault is a 503 before the handler runs, or added latency).
 	SiteServeRequest Site = "serve.request"
-	// SiteJournalAppend guards coordinator sweep-journal appends.
-	SiteJournalAppend Site = "journal.append"
 )
+
+// sites is every wired Site, the names ParseSpec accepts.
+var sites = []Site{
+	SiteStoreGet, SiteStorePut, SiteStoreSync,
+	SiteWorkerLease, SiteWorkerHeartbeat, SiteWorkerComplete, SiteWorkerExec,
+	SiteServeRequest,
+}
 
 // Kind is the species of an injected fault.
 type Kind int

@@ -199,6 +199,8 @@ func TestParseSpec(t *testing.T) {
 		"seed=x;store.put:error:0.5",   // bad seed
 		"seed=5",                       // no rules
 		"store.put:error:0.5,after=-1", // negative after
+		"journal.append:error:0.5",     // site nothing calls
+		"worker.exce:crash:0.1",        // typo'd site
 	} {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Errorf("ParseSpec(%q) accepted", bad)

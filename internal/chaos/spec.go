@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -17,10 +18,12 @@ import (
 //
 //	SITE:KIND:P[,key=value...]
 //
-// with KIND one of error, latency, crash, partition, P a probability in
-// [0,1], and optional comma-separated modifiers delay=DURATION (latency
-// rules), match=SUBSTRING, after=N, and limit=N. An empty spec returns a
-// nil injector — chaos off.
+// with SITE the name of a wired Site (store.get, store.put, store.sync,
+// worker.lease, worker.heartbeat, worker.complete, worker.exec,
+// serve.request), KIND one of error, latency, crash, partition, P a
+// probability in [0,1], and optional comma-separated modifiers
+// delay=DURATION (latency rules), match=SUBSTRING, after=N, and limit=N.
+// An empty spec returns a nil injector — chaos off.
 func ParseSpec(spec string) (*Injector, error) {
 	spec = strings.TrimSpace(spec)
 	if spec == "" {
@@ -62,6 +65,9 @@ func parseRule(item string) (Rule, error) {
 		return Rule{}, fmt.Errorf("chaos: rule %q is not SITE:KIND:P", item)
 	}
 	r := Rule{Site: Site(parts[0])}
+	if !slices.Contains(sites, r.Site) {
+		return Rule{}, fmt.Errorf("chaos: rule %q: unknown site %q", item, parts[0])
+	}
 	switch parts[1] {
 	case "error":
 		r.Kind = KindError

@@ -8,14 +8,16 @@
 // back as it completes, and heartbeat to keep their leases alive. A lease
 // that expires (worker death) or a cell a worker reports as failed is
 // re-queued with capped exponential backoff until a retry budget is
-// exhausted; when the pending queue drains, still-leased stragglers are
-// speculatively re-dispatched to idle workers and the first result wins.
+// exhausted. That is the only way a cell is dispatched again, so a cell is
+// held by at most one lease at a time.
 //
-// First-result-wins is safe because cells are content-addressed: a cell's
-// fingerprint covers the simulator revision, the full configuration, the
-// workload, and the scheme, and the simulator is deterministic, so two
-// workers computing the same fingerprint produce byte-identical records.
-// Duplicated work is wasted time, never wrong answers. docs/CLUSTER.md
+// A worker whose lease expired may still push its result after the cell
+// was re-leased; the first result wins. That is safe because cells are
+// content-addressed: a cell's fingerprint covers the simulator revision,
+// the full configuration, the workload, and the scheme, and the simulator
+// is deterministic, so two workers computing the same fingerprint produce
+// byte-identical records. Duplicated work is wasted time, never wrong
+// answers. docs/CLUSTER.md
 // documents the protocol, the failure matrix, and this determinism
 // argument in full.
 //
@@ -111,8 +113,8 @@ func (q *SweepRequest) Cells(base config.GPU) ([]Cell, error) {
 
 // LeaseRequest is the body of POST /v1/cluster/lease.
 type LeaseRequest struct {
-	// Worker names the polling worker (metrics label, straggler
-	// re-dispatch identity). Required.
+	// Worker names the polling worker (metrics label, lease holder).
+	// Required.
 	Worker string `json:"worker"`
 	// Max bounds how many cells the worker wants (clamped to [1, 256]).
 	Max int `json:"max"`
@@ -161,8 +163,8 @@ type CellResult struct {
 }
 
 // CompleteRequest is the body of POST /v1/cluster/complete. Results for
-// cells that are already done (a straggler losing the first-result-wins
-// race) or for leases that no longer hold the cell are counted in Ignored
+// cells that are already done (a worker whose lease expired losing the
+// first-result-wins race) or for leases that no longer hold the cell are counted in Ignored
 // rather than erroring, so workers never need to care whether they won.
 type CompleteRequest struct {
 	LeaseID string       `json:"lease_id"`

@@ -44,11 +44,6 @@ type Options struct {
 	// re-queued cell waits before redispatch (defaults 250ms and 5s).
 	BackoffBase time.Duration
 	BackoffCap  time.Duration
-	// DisableSpeculation turns off straggler re-dispatch (on by
-	// default): when the pending queue is empty, an idle worker may be
-	// handed a copy of a cell another worker is still running — first
-	// result wins, which fingerprints make safe.
-	DisableSpeculation bool
 	// Journal is the crash-recovery log (optional). Terminal cell
 	// outcomes are appended and fsynced — successes before they are
 	// published to waiting clients — and New merges whatever a previous
@@ -66,16 +61,16 @@ type Options struct {
 }
 
 // cellState is one cell's lifecycle record: pending (queued, possibly
-// backoff-gated by notBefore), leased (held by one or more leases — more
-// than one only under straggler speculation), or done (result or terminal
-// error published via doneCh). All fields are guarded by Coordinator.mu
-// until doneCh closes, after which the outcome fields are immutable.
+// backoff-gated by notBefore), leased (held by exactly one lease), or done
+// (result or terminal error published via doneCh). All fields are guarded
+// by Coordinator.mu until doneCh closes, after which the outcome fields
+// are immutable.
 type cellState struct {
 	cell        Cell
-	attempts    int               // dispatch attempts consumed by failure/expiry
-	notBefore   time.Time         // pending cells wait out their backoff here
-	leases      map[string]string // lease id → worker currently holding the cell
-	history     []failEvent       // every failed attempt, oldest first
+	attempts    int         // dispatch attempts consumed by failure/expiry
+	notBefore   time.Time   // pending cells wait out their backoff here
+	lease       string      // id of the lease holding the cell ("" = none)
+	history     []failEvent // every failed attempt, oldest first
 	done        bool
 	quarantined bool   // terminal via the poison-cell rule
 	body        []byte // canonical record bytes (success)
@@ -336,7 +331,6 @@ func (c *Coordinator) Submit(cell Cell) error {
 	}
 	cs := &cellState{
 		cell:   cell,
-		leases: make(map[string]string),
 		doneCh: make(chan struct{}),
 	}
 	c.cells[cell.Fingerprint] = cs
@@ -371,10 +365,8 @@ func (c *Coordinator) Wait(ctx context.Context, fp string) (Outcome, error) {
 	return Outcome{Cell: cs.cell, Body: cs.body, Sum: cs.sum, Err: cs.errMsg, Quarantined: cs.quarantined}, nil
 }
 
-// Lease hands out up to max pending cells to the named worker, or — with
-// the queue empty — speculatively re-dispatches cells other workers are
-// still holding (straggler defense; first result wins). It returns nil
-// when there is nothing to hand out.
+// Lease hands out up to max pending cells whose backoff has elapsed to
+// the named worker. It returns nil when there is nothing to hand out.
 func (c *Coordinator) Lease(worker string, max int) *LeaseGrant {
 	grant := c.grantLease(worker, max)
 	// Lazy reaping above may have terminally failed or quarantined
@@ -400,36 +392,16 @@ func (c *Coordinator) grantLease(worker string, max int) *LeaseGrant {
 	rest := c.queue[:0]
 	for _, fp := range c.queue {
 		cs := c.cells[fp]
-		if cs == nil || cs.done || len(cs.leases) > 0 {
+		if cs == nil || cs.done || cs.lease != "" {
 			continue // completed or re-claimed elsewhere; drop from queue
 		}
-		if len(take) < max && !cs.notBefore.After(now) {
+		if len(take) < max && !cs.notBefore.After(now) && !c.retryElsewhereLocked(cs, worker, now) {
 			take = append(take, cs)
 		} else {
 			rest = append(rest, fp)
 		}
 	}
 	c.queue = rest
-
-	speculated := 0
-	if len(take) == 0 && !c.opt.DisableSpeculation {
-		for _, cs := range c.cells {
-			if len(take) >= max {
-				break
-			}
-			// Exactly one holder, and not this worker: hand out one
-			// duplicate so a straggling or silently-dead worker cannot
-			// stall the tail of the grid for a full lease TTL.
-			if cs.done || len(cs.leases) != 1 {
-				continue
-			}
-			if holderOf(cs) == worker {
-				continue
-			}
-			take = append(take, cs)
-			speculated++
-		}
-	}
 	if len(take) == 0 {
 		return nil
 	}
@@ -443,23 +415,36 @@ func (c *Coordinator) grantLease(worker string, max int) *LeaseGrant {
 	grant := &LeaseGrant{LeaseID: l.id, TTLMs: c.opt.LeaseTTL.Milliseconds()}
 	for _, cs := range take {
 		l.cells = append(l.cells, cs.cell.Fingerprint)
-		cs.leases[l.id] = worker
+		cs.lease = l.id
 		grant.Cells = append(grant.Cells, cs.cell)
 	}
 	c.leases[l.id] = l
 	c.m.leased.Add(uint64(len(take)))
-	if speculated > 0 {
-		c.m.redispatched.Add(uint64(speculated))
-	}
 	c.m.workerLeases.With(worker).Add(1)
 	return grant
 }
 
-func holderOf(cs *cellState) string {
-	for _, w := range cs.leases {
-		return w
+// retryElsewhereLocked reports whether a pending cell should wait for a
+// worker other than this one: its last attempt's lease expired on this
+// worker, and another worker has been heard from recently enough to take
+// it. A cell that kills whichever worker runs it thus reaches a second
+// worker, which the poison-cell rule needs, instead of cycling on one
+// worker until its retry budget is gone. Another worker counts while it
+// was heard from within three lease TTLs or three idle-poll intervals,
+// whichever is longer, so neither a dead fleet nor a lone worker waits
+// for long.
+func (c *Coordinator) retryElsewhereLocked(cs *cellState, worker string, now time.Time) bool {
+	n := len(cs.history)
+	if n == 0 || !cs.history[n-1].crashLike || cs.history[n-1].worker != worker {
+		return false
 	}
-	return ""
+	horizon := 3 * max(c.opt.LeaseTTL, idleRetry)
+	for name, wi := range c.workers {
+		if name != worker && now.Sub(wi.lastSeen) <= horizon {
+			return true
+		}
+	}
+	return false
 }
 
 // Heartbeat renews a lease's deadline. It reports false for a lease that
@@ -536,11 +521,11 @@ func (c *Coordinator) Complete(req CompleteRequest) CompleteResponse {
 				resp.Ignored++
 				continue
 			}
-			if _, held := cs.leases[req.LeaseID]; !held {
+			if cs.lease != req.LeaseID {
 				resp.Ignored++ // lease expired; the reaper already charged this attempt
 				continue
 			}
-			c.failAttemptLocked(cs, req.LeaseID, req.Worker, res.Error, false, now)
+			c.failAttemptLocked(cs, req.Worker, res.Error, false, now)
 			resp.Accepted++
 		default:
 			resp.Ignored++
@@ -611,7 +596,7 @@ func (c *Coordinator) Complete(req CompleteRequest) CompleteResponse {
 func (c *Coordinator) finishLocked(cs *cellState, body []byte, sum, errMsg, worker string) {
 	cs.done = true
 	cs.body, cs.sum, cs.errMsg = body, sum, errMsg
-	cs.leases = nil
+	cs.lease = ""
 	switch {
 	case errMsg == "":
 		label := worker
@@ -750,7 +735,7 @@ func (c *Coordinator) status() StatusResponse {
 			})
 		case cs.done:
 			resp.FailedCells++
-		case len(cs.leases) > 0:
+		case cs.lease != "":
 			resp.LeasedCells++
 		default:
 			resp.PendingCells++
@@ -806,14 +791,13 @@ func (c *Coordinator) status() StatusResponse {
 }
 
 // failAttemptLocked charges one failed dispatch (worker-reported error or
-// lease expiry) against a cell and decides its future: keep waiting on a
-// surviving speculative holder, quarantine a suspected poison cell,
-// re-queue with backoff, or fail terminally once the budget is gone.
-// crashLike marks lease expiries — the worker vanished instead of
-// reporting an error — which is the only failure shape the quarantine
-// rule counts.
-func (c *Coordinator) failAttemptLocked(cs *cellState, leaseID, worker, cause string, crashLike bool, now time.Time) {
-	delete(cs.leases, leaseID)
+// lease expiry) against a cell and decides its future: quarantine a
+// suspected poison cell, re-queue with backoff, or fail terminally once
+// the budget is gone. crashLike marks lease expiries — the worker vanished
+// instead of reporting an error — which is the only failure shape the
+// quarantine rule counts.
+func (c *Coordinator) failAttemptLocked(cs *cellState, worker, cause string, crashLike bool, now time.Time) {
+	cs.lease = ""
 	cs.attempts++
 	if cause == "" {
 		cause = "unspecified worker failure"
@@ -826,9 +810,6 @@ func (c *Coordinator) failAttemptLocked(cs *cellState, leaseID, worker, cause st
 		crashLike: crashLike,
 		line:      worker + ": " + cause,
 	})
-	if len(cs.leases) > 0 {
-		return // a speculative duplicate is still running; let it race
-	}
 	if streak, workers := c.poisonStreakLocked(cs); streak >= c.opt.QuarantineAfter && workers >= 2 {
 		cs.quarantined = true
 		c.logf("cell %s quarantined after %d crash-like failures across %d workers",
@@ -887,7 +868,7 @@ func (c *Coordinator) maybeReleaseLocked(l *lease) {
 		if cs == nil || cs.done {
 			continue
 		}
-		if _, held := cs.leases[l.id]; held {
+		if cs.lease == l.id {
 			return // still holding live work
 		}
 	}
@@ -909,8 +890,8 @@ func (c *Coordinator) reapLocked(now time.Time) {
 			if cs == nil || cs.done {
 				continue
 			}
-			if _, held := cs.leases[id]; held {
-				c.failAttemptLocked(cs, id, l.worker, "lease expired (worker lost or stalled)", true, now)
+			if cs.lease == id {
+				c.failAttemptLocked(cs, l.worker, "lease expired (worker lost or stalled)", true, now)
 			}
 		}
 		delete(c.leases, id)
@@ -925,14 +906,14 @@ func (c *Coordinator) logf(format string, args ...any) {
 }
 
 // countCells is the gauge sampler: pending (unleased, not done) and
-// leased (held by at least one live lease) cell counts.
+// leased (held by a live lease) cell counts.
 func (c *Coordinator) countCells() (pending, leased int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, cs := range c.cells {
 		switch {
 		case cs.done:
-		case len(cs.leases) > 0:
+		case cs.lease != "":
 			leased++
 		default:
 			pending++

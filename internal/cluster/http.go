@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
+	"time"
 
 	"cachecraft/internal/obs"
 	"cachecraft/internal/version"
@@ -153,6 +154,10 @@ func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}, c.m.streamErrors)
 }
 
+// idleRetry is the Retry-After hint on a 204 lease answer: an idle worker
+// polls again after this long, so it is heard from at least this often.
+const idleRetry = time.Second
+
 // handleLease answers a worker's poll: 200 with a batch of cells, 204
 // (plus a Retry-After hint) when there is nothing to do, or 409 when the
 // worker runs a different simulator revision — a mixed-revision fleet
@@ -178,7 +183,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	c.ReportWorker(req.Worker, req.Metrics)
 	grant := c.Lease(req.Worker, req.Max)
 	if grant == nil {
-		w.Header().Set("Retry-After", "1")
+		w.Header().Set("Retry-After", strconv.Itoa(int(idleRetry/time.Second)))
 		w.WriteHeader(http.StatusNoContent)
 		return
 	}

@@ -122,7 +122,7 @@ func TestJournalTornTailIsDropped(t *testing.T) {
 func TestCoordinatorResumesFromJournal(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sweep.journal")
 	j := openTestJournal(t, path)
-	c1 := newTestCoordinator(t, Options{Journal: j, MaxAttempts: 1, DisableSpeculation: true})
+	c1 := newTestCoordinator(t, Options{Journal: j, MaxAttempts: 1})
 	good, bad := testCell("none"), testCell("cachecraft")
 	for _, cell := range []Cell{good, bad} {
 		if err := c1.Submit(cell); err != nil {
@@ -147,7 +147,7 @@ func TestCoordinatorResumesFromJournal(t *testing.T) {
 
 	reg := obs.NewRegistry()
 	j2 := openTestJournal(t, path)
-	c2 := newTestCoordinator(t, Options{Journal: j2, Registry: reg, DisableSpeculation: true})
+	c2 := newTestCoordinator(t, Options{Journal: j2, Registry: reg})
 	// The resumed sweep re-submits the same grid...
 	for _, cell := range []Cell{good, bad} {
 		if err := c2.Submit(cell); err != nil {
@@ -241,7 +241,6 @@ func TestQuarantineAfterCrashLikeFailuresAcrossWorkers(t *testing.T) {
 	c := newTestCoordinator(t, Options{
 		Journal: j, Registry: reg,
 		LeaseTTL: 40 * time.Millisecond, MaxAttempts: 10, QuarantineAfter: 2,
-		DisableSpeculation: true,
 	})
 	cell := testCell("none")
 	if err := c.Submit(cell); err != nil {
@@ -315,7 +314,6 @@ func mustCtx(t *testing.T) context.Context {
 func TestQuarantineNeedsDistinctWorkers(t *testing.T) {
 	c := newTestCoordinator(t, Options{
 		LeaseTTL: 30 * time.Millisecond, MaxAttempts: 3, QuarantineAfter: 2,
-		DisableSpeculation: true,
 	})
 	cell := testCell("none")
 	if err := c.Submit(cell); err != nil {
@@ -347,9 +345,7 @@ func TestQuarantineNeedsDistinctWorkers(t *testing.T) {
 // the cell's error is evidence the cell is merely wrong, not poison —
 // only crash-like disappearances count toward quarantine.
 func TestReportedErrorsDoNotQuarantine(t *testing.T) {
-	c := newTestCoordinator(t, Options{
-		MaxAttempts: 3, QuarantineAfter: 2, DisableSpeculation: true,
-	})
+	c := newTestCoordinator(t, Options{MaxAttempts: 3, QuarantineAfter: 2})
 	cell := testCell("none")
 	if err := c.Submit(cell); err != nil {
 		t.Fatal(err)

@@ -15,8 +15,7 @@ import "cachecraft/internal/obs"
 // succeeds on a retry contributes nothing.
 type metrics struct {
 	queued          *obs.Counter    // cells entered into the pending queue
-	leased          *obs.Counter    // cells handed out in leases (incl. redispatch)
-	redispatched    *obs.Counter    // speculative straggler duplicates handed out
+	leased          *obs.Counter    // cells handed out in leases (incl. retries)
 	retried         *obs.Counter    // cells re-queued after failure or expiry
 	expired         *obs.Counter    // leases reaped past their deadline
 	failed          *obs.Counter    // cells terminally failed (budget exhausted)
@@ -34,9 +33,7 @@ func newMetrics(reg *obs.Registry, c *Coordinator) *metrics {
 	m.queued = reg.Counter("cachecraft_cluster_cells_queued_total",
 		"Cells entered into the coordinator's pending queue (store hits are skipped, not queued).")
 	m.leased = reg.Counter("cachecraft_cluster_cells_leased_total",
-		"Cells handed out to workers in leases, including speculative re-dispatches.")
-	m.redispatched = reg.Counter("cachecraft_cluster_cells_redispatched_total",
-		"Straggler cells speculatively handed to a second worker while the first still holds a lease.")
+		"Cells handed out to workers in leases, including retries after failure or expiry.")
 	m.retried = reg.Counter("cachecraft_cluster_cells_retried_total",
 		"Cells re-queued with backoff after a worker failure or lease expiry.")
 	m.expired = reg.Counter("cachecraft_cluster_leases_expired_total",
@@ -63,7 +60,7 @@ func newMetrics(reg *obs.Registry, c *Coordinator) *metrics {
 		"Cells waiting (or backing off) for a lease.",
 		func() float64 { p, _ := c.countCells(); return float64(p) })
 	reg.GaugeFunc("cachecraft_cluster_leased_cells",
-		"Cells currently held by at least one live lease.",
+		"Cells currently held by a live lease.",
 		func() float64 { _, l := c.countCells(); return float64(l) })
 	reg.GaugeFunc("cachecraft_cluster_active_workers",
 		"Distinct workers currently holding live leases.",

@@ -151,10 +151,9 @@ func TestClusterStatusEndToEnd(t *testing.T) {
 func TestClusterStatusSurvivesWorkerChurn(t *testing.T) {
 	const ttl = 100 * time.Millisecond
 	ts, _ := newClusterServer(t, quickBase(), cluster.Options{
-		LeaseTTL:           ttl,
-		BackoffBase:        time.Millisecond,
-		BackoffCap:         5 * time.Millisecond,
-		DisableSpeculation: true,
+		LeaseTTL:    ttl,
+		BackoffBase: time.Millisecond,
+		BackoffCap:  5 * time.Millisecond,
 	}, nil)
 
 	resp := postSweep(t, ts.URL, `{"workloads":["stream","scan"],"schemes":["none","ecc-cache"]}`)

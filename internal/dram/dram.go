@@ -177,9 +177,13 @@ func (b *bank) setOpenRow(row int64, window int) {
 type channel struct {
 	id          int
 	banks       []bank
-	bus         *sim.Resource
 	rr          int // round-robin pointer over banks
 	nextRefresh sim.Cycle
+
+	// The data bus is reserved in arrival order: a burst starts no
+	// earlier than busFree, the end of the last burst claimed, and
+	// busBusy totals the claimed cycles for BusUtilization.
+	busFree, busBusy sim.Cycle
 
 	// pending has bit i set while bank i has queued requests (one word per
 	// 64 banks); queued counts the channel's requests. ready and hit are
@@ -265,7 +269,7 @@ func New(eng *sim.Engine, cfg Config) *DRAM {
 		d.stClassBytes[cl] = d.Stats.Handle("bytes_" + cl.String())
 	}
 	for i := 0; i < cfg.Channels; i++ {
-		ch := &channel{id: i, bus: sim.NewResource(fmt.Sprintf("dram-ch%d", i)), nextRefresh: cfg.TREFI}
+		ch := &channel{id: i, nextRefresh: cfg.TREFI}
 		ch.banks = make([]bank, cfg.BanksPerChannel)
 		words := (cfg.BanksPerChannel + 63) / 64
 		ch.pending, ch.ready, ch.hit = make([]uint64, words), make([]uint64, words), make([]uint64, words)
@@ -477,8 +481,9 @@ func (d *DRAM) service(c *channel, now sim.Cycle) {
 	}
 	busDur := d.cfg.TBurst * sim.Cycle(bursts)
 	b.readyAt = colIssued + busDur // next CAS may follow at tCCD (≈ burst)
-	busStart := c.bus.Claim(colIssued+d.cfg.TCAS, busDur)
-	finish := busStart + busDur
+	finish := max(colIssued+d.cfg.TCAS, c.busFree) + busDur
+	c.busFree = finish
+	c.busBusy += busDur
 
 	d.LatHist.Observe(uint64(finish - pr.arrival))
 	if pr.done != nil {
@@ -566,8 +571,11 @@ func (d *DRAM) Drain() bool {
 // cycles, sorted by channel id.
 func (d *DRAM) BusUtilization(elapsed sim.Cycle) []float64 {
 	out := make([]float64, len(d.chans))
+	if elapsed == 0 {
+		return out
+	}
 	for i, c := range d.chans {
-		out[i] = c.bus.Utilization(elapsed)
+		out[i] = float64(c.busBusy) / float64(elapsed)
 	}
 	sort.Float64s(out)
 	return out

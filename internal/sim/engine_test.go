@@ -104,49 +104,6 @@ func TestEngineNestedScheduling(t *testing.T) {
 	}
 }
 
-func TestResourceSerializes(t *testing.T) {
-	r := NewResource("bus")
-	if got := r.Claim(10, 5); got != 10 {
-		t.Fatalf("first claim starts at %d, want 10", got)
-	}
-	if got := r.Claim(10, 5); got != 15 {
-		t.Fatalf("overlapping claim starts at %d, want 15", got)
-	}
-	if got := r.Claim(100, 5); got != 100 {
-		t.Fatalf("late claim starts at %d, want 100", got)
-	}
-	if r.BusyCycles() != 15 {
-		t.Fatalf("busy = %d, want 15", r.BusyCycles())
-	}
-}
-
-func TestResourceClaimNeverStartsBeforeArrival(t *testing.T) {
-	f := func(arrivals []uint16, durs []uint8) bool {
-		r := NewResource("x")
-		n := len(arrivals)
-		if len(durs) < n {
-			n = len(durs)
-		}
-		prevEnd := Cycle(0)
-		for i := 0; i < n; i++ {
-			at := Cycle(arrivals[i])
-			d := Cycle(durs[i]%16) + 1
-			start := r.Claim(at, d)
-			if start < at {
-				return false // started before arrival
-			}
-			if start < prevEnd {
-				return false // overlapped the previous grant
-			}
-			prevEnd = start + d
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestThrottledPortBandwidth(t *testing.T) {
 	p := NewThrottledPort("link", 32, 10)
 	// 64 bytes at 32 B/cycle = 2 cycles of link time + 10 latency.
@@ -184,14 +141,6 @@ func TestThrottledPortZeroByteTransferStillOccupies(t *testing.T) {
 }
 
 func TestUtilization(t *testing.T) {
-	r := NewResource("x")
-	r.Claim(0, 50)
-	if u := r.Utilization(100); u != 0.5 {
-		t.Fatalf("utilization = %v, want 0.5", u)
-	}
-	if u := r.Utilization(0); u != 0 {
-		t.Fatalf("utilization at 0 elapsed = %v, want 0", u)
-	}
 	p := NewThrottledPort("link", 32, 0)
 	p.Transfer(0, 64)
 	if u := p.Utilization(4); u != 0.5 {

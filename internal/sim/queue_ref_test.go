@@ -2,7 +2,6 @@ package sim
 
 import (
 	"container/heap"
-	"math/rand"
 	"testing"
 )
 
@@ -63,27 +62,36 @@ type execRecord struct {
 // offsets of the events it schedules when it runs — so both engines make
 // identical scheduling decisions.
 func spawnPlan(seed, id uint64) []int64 {
-	rng := rand.New(rand.NewSource(int64(mixRef(seed ^ id))))
-	if rng.Intn(3) == 0 {
+	rng := splitmix{mixRef(seed ^ id)}
+	if rng.intn(3) == 0 {
 		return nil
 	}
-	n := 1 + rng.Intn(3)
+	n := 1 + rng.intn(3)
 	out := make([]int64, n)
 	for i := range out {
-		switch rng.Intn(5) {
+		switch rng.intn(5) {
 		case 0:
 			out[i] = 0 // same-cycle tie
 		case 1:
-			out[i] = -int64(1 + rng.Intn(20)) // past: clamps to now
+			out[i] = -int64(1 + rng.intn(20)) // past: clamps to now
 		case 2:
-			out[i] = int64(1 + rng.Intn(64)) // near future
+			out[i] = int64(1 + rng.intn(64)) // near future
 		case 3:
-			out[i] = int64(1 + rng.Intn(wheelSize-1)) // anywhere in the wheel
+			out[i] = int64(1 + rng.intn(wheelSize-1)) // anywhere in the wheel
 		default:
-			out[i] = int64(wheelSize + rng.Intn(10*wheelSize)) // overflow heap
+			out[i] = int64(wheelSize + rng.intn(10*wheelSize)) // overflow heap
 		}
 	}
 	return out
+}
+
+// splitmix is a splitmix64 stream over mixRef. Seeding it is free, which
+// matters here: spawnPlan seeds a fresh stream for every event it plans.
+type splitmix struct{ state uint64 }
+
+func (r *splitmix) intn(n int) int {
+	r.state += 0x9e3779b97f4a7c15
+	return int(mixRef(r.state) % uint64(n))
 }
 
 func mixRef(x uint64) uint64 {
@@ -161,9 +169,9 @@ func TestQueueOrderMatchesReferenceHeap(t *testing.T) {
 		rd := &refDriver{eng: &refEngine{}, seed: seed}
 
 		// Seed both with the same initial batch, including duplicate cycles.
-		rng := rand.New(rand.NewSource(int64(seed)))
+		rng := splitmix{seed}
 		for i := 0; i < 30; i++ {
-			at := Cycle(rng.Intn(3 * wheelSize))
+			at := Cycle(rng.intn(3 * wheelSize))
 			wd.nextID++
 			wd.schedule(at, wd.nextID)
 			rd.nextID++

@@ -1,50 +1,5 @@
 package sim
 
-// Resource models a bandwidth-limited, in-order service point such as a bus,
-// a cache port, or a DRAM data pin group. Each grant occupies the resource
-// for a fixed number of cycles; requests arriving while the resource is busy
-// are serialized behind it.
-//
-// Resource implements the classic "next free time" bandwidth model: it holds
-// no queue of its own, it simply answers "given that you arrive at cycle t
-// and need the resource for d cycles, when does your occupancy start?".
-type Resource struct {
-	name     string
-	nextFree Cycle
-	busy     Cycle // total busy cycles, for utilization reporting
-}
-
-// NewResource returns an idle resource. The name is used only for reporting.
-func NewResource(name string) *Resource {
-	return &Resource{name: name}
-}
-
-// Name reports the resource's name.
-func (r *Resource) Name() string { return r.name }
-
-// Claim reserves the resource for dur cycles starting no earlier than at.
-// It returns the cycle at which the reservation actually begins.
-func (r *Resource) Claim(at Cycle, dur Cycle) Cycle {
-	start := at
-	if r.nextFree > start {
-		start = r.nextFree
-	}
-	r.nextFree = start + dur
-	r.busy += dur
-	return start
-}
-
-// BusyCycles reports the cumulative cycles the resource has been occupied.
-func (r *Resource) BusyCycles() Cycle { return r.busy }
-
-// Utilization reports busy cycles as a fraction of the elapsed cycles.
-func (r *Resource) Utilization(elapsed Cycle) float64 {
-	if elapsed == 0 {
-		return 0
-	}
-	return float64(r.busy) / float64(elapsed)
-}
-
 // ThrottledPort models an interconnect port with byte-granular bandwidth
 // accounting and a fixed pipeline latency: a message occupies the port for
 // exactly bytes/bytesPerCycle cycles of capacity (fractional cycles

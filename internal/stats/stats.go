@@ -107,16 +107,6 @@ func (c *Counters) Merge(other *Counters) {
 	}
 }
 
-// Ratio returns numerator/denominator over two counters, or 0 when the
-// denominator is zero.
-func (c *Counters) Ratio(num, den string) float64 {
-	d := c.Get(den)
-	if d == 0 {
-		return 0
-	}
-	return float64(c.Get(num)) / float64(d)
-}
-
 // String renders the counters as "name=value" lines in creation order.
 func (c *Counters) String() string {
 	var b strings.Builder

@@ -79,18 +79,6 @@ func TestCountersMergeEmptyAndSelf(t *testing.T) {
 	}
 }
 
-func TestCountersRatio(t *testing.T) {
-	c := NewCounters()
-	c.Add("hit", 3)
-	c.Add("access", 4)
-	if r := c.Ratio("hit", "access"); r != 0.75 {
-		t.Fatalf("ratio = %v, want 0.75", r)
-	}
-	if r := c.Ratio("hit", "nothing"); r != 0 {
-		t.Fatalf("ratio with zero denominator = %v, want 0", r)
-	}
-}
-
 func TestCountersSet(t *testing.T) {
 	c := NewCounters()
 	c.Set("v", 42)
@@ -213,14 +201,6 @@ func TestTableAddRowPadsShortAndRejectsLong(t *testing.T) {
 		}
 	}()
 	tab.AddRow("x", "y", "overflow")
-}
-
-func TestTableAddRowfFormatsFloats(t *testing.T) {
-	tab := NewTable("", "w", "x")
-	tab.AddRowf("a", 0.123456)
-	if !strings.Contains(tab.String(), "0.123") {
-		t.Fatalf("float not formatted:\n%s", tab.String())
-	}
 }
 
 func TestTableCSVQuoting(t *testing.T) {

@@ -33,23 +33,6 @@ func (t *Table) AddRow(cells ...string) {
 	t.rows = append(t.rows, row)
 }
 
-// AddRowf appends a row of plain values, one per column: float32/float64
-// render as %.3f, everything else with %v.
-func (t *Table) AddRowf(cells ...any) {
-	row := make([]string, 0, len(cells))
-	for _, c := range cells {
-		switch v := c.(type) {
-		case float64:
-			row = append(row, fmt.Sprintf("%.3f", v))
-		case float32:
-			row = append(row, fmt.Sprintf("%.3f", v))
-		default:
-			row = append(row, fmt.Sprintf("%v", c))
-		}
-	}
-	t.AddRow(row...)
-}
-
 // NumRows reports the number of data rows.
 func (t *Table) NumRows() int { return len(t.rows) }
 
