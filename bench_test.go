@@ -65,7 +65,7 @@ func runExperiment(b *testing.B, id string) {
 		fmt.Printf("\n%s\n", out.String())
 	}
 	experimentState.mu.Unlock()
-	b.ReportMetric(float64(r.Runs()), "total_sims")
+	b.ReportMetric(float64(r.Stats().Runs), "total_sims")
 }
 
 func BenchmarkTable1_Config(b *testing.B)           { runExperiment(b, "table1") }

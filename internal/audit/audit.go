@@ -2,9 +2,10 @@
 // one of the two subscribers of the gpu machine's observer (the other is
 // the time-resolved probe tracks): the observer owns the one
 // observation slot each substrate layer exposes (sim.Engine.SetStepHook,
-// dram.DRAM.SetHook, xbar.Crossbar.SetHook, protect.WrapObserved) plus the
-// machine's own token, MSHR and drain events, and forwards each event to
-// the Checker, which verifies, while the simulation runs:
+// dram.DRAM.SetHook, xbar.Crossbar.SetHook), and the L2 banks call it
+// directly for the machine's own token, MSHR, controller-read, writeback
+// and drain events; it forwards each event to the Checker, which
+// verifies, while the simulation runs:
 //
 //   - tick monotonicity: the event engine never steps backwards in time;
 //   - transaction conservation: every sector an SM requests is delivered
@@ -104,15 +105,15 @@ type Checker struct {
 
 	// SM↔L2 tokens.
 	nextToken uint64
-	tokens    map[uint64]*token
+	tokens    map[uint64]token
 
 	// Controller reads.
 	nextCall    uint64
-	calls       map[uint64]*schemeCall
+	calls       map[uint64]schemeCall
 	readSectors map[mem.Class]uint64
 
 	// L2 MSHR shadow.
-	mshr    map[mshrKey]*mshrShadow
+	mshr    map[mshrKey]mshrShadow
 	mshrCap int
 
 	// DRAM shadow.
@@ -130,10 +131,10 @@ type Checker struct {
 // NewChecker returns an empty checker for one simulation.
 func NewChecker() *Checker {
 	return &Checker{
-		tokens:      make(map[uint64]*token),
-		calls:       make(map[uint64]*schemeCall),
+		tokens:      make(map[uint64]token),
+		calls:       make(map[uint64]schemeCall),
 		readSectors: make(map[mem.Class]uint64),
-		mshr:        make(map[mshrKey]*mshrShadow),
+		mshr:        make(map[mshrKey]mshrShadow),
 		banks:       make(map[bankKey]*bankShadow),
 		classBytes:  make(map[mem.Class]uint64),
 		xbarBytes:   make(map[string]uint64),
@@ -221,7 +222,7 @@ func (c *Checker) open(now sim.Cycle, kind string, sm int, lineAddr, mask uint64
 		c.violatef(now, "token-mask", "%s issued with empty mask for line %#x", kind, lineAddr)
 	}
 	c.nextToken++
-	c.tokens[c.nextToken] = &token{kind: kind, sm: sm, line: lineAddr, remaining: mask, issued: now}
+	c.tokens[c.nextToken] = token{kind: kind, sm: sm, line: lineAddr, remaining: mask, issued: now}
 	return c.nextToken
 }
 
@@ -247,6 +248,8 @@ func (c *Checker) Delivered(now sim.Cycle, tok uint64, mask uint64) {
 	t.remaining &^= mask
 	if t.remaining == 0 {
 		delete(c.tokens, tok)
+	} else {
+		c.tokens[tok] = t
 	}
 }
 
@@ -260,7 +263,7 @@ func (c *Checker) ReadMissIssued(now sim.Cycle, lineAddr uint64, mask uint64, cl
 	}
 	c.readSectors[class] += uint64(popcount(mask))
 	c.nextCall++
-	c.calls[c.nextCall] = &schemeCall{line: lineAddr, mask: mask, class: class, issued: now}
+	c.calls[c.nextCall] = schemeCall{line: lineAddr, mask: mask, class: class, issued: now}
 	return c.nextCall
 }
 
@@ -305,7 +308,7 @@ func (c *Checker) MSHRAlloc(now sim.Cycle, bank int, lineAddr uint64, live int) 
 	if c.mshrCap > 0 && live > c.mshrCap {
 		c.violatef(now, "mshr-capacity", "bank %d holds %d entries, capacity %d", bank, live, c.mshrCap)
 	}
-	c.mshr[key] = &mshrShadow{}
+	c.mshr[key] = mshrShadow{}
 }
 
 // MSHRFetch records sectors requested from the controller for an entry.
@@ -313,7 +316,8 @@ func (c *Checker) MSHRFetch(now sim.Cycle, bank int, lineAddr, mask uint64) {
 	if c == nil {
 		return
 	}
-	e, ok := c.mshr[mshrKey{bank: bank, line: lineAddr}]
+	key := mshrKey{bank: bank, line: lineAddr}
+	e, ok := c.mshr[key]
 	if !ok {
 		c.violatef(now, "mshr-fetch-unknown", "bank %d fetch %#x for unallocated line %#x", bank, mask, lineAddr)
 		return
@@ -323,6 +327,7 @@ func (c *Checker) MSHRFetch(now sim.Cycle, bank int, lineAddr, mask uint64) {
 			"bank %d line %#x fetch mask %#x overlaps already-fetched %#x", bank, lineAddr, mask, e.fetched)
 	}
 	e.fetched |= mask
+	c.mshr[key] = e
 }
 
 // MSHRFill records sectors delivered by the controller for an entry.
@@ -330,7 +335,8 @@ func (c *Checker) MSHRFill(now sim.Cycle, bank int, lineAddr, mask uint64) {
 	if c == nil {
 		return
 	}
-	e, ok := c.mshr[mshrKey{bank: bank, line: lineAddr}]
+	key := mshrKey{bank: bank, line: lineAddr}
+	e, ok := c.mshr[key]
 	if !ok {
 		c.violatef(now, "mshr-fill-unknown", "bank %d fill %#x for unallocated line %#x", bank, mask, lineAddr)
 		return
@@ -341,6 +347,7 @@ func (c *Checker) MSHRFill(now sim.Cycle, bank int, lineAddr, mask uint64) {
 			bank, lineAddr, mask, e.fetched, e.filled)
 	}
 	e.filled |= mask
+	c.mshr[key] = e
 }
 
 // MSHRRelease records an entry retiring; all fetched sectors must have

@@ -29,8 +29,8 @@ func TestRunnerMemoizes(t *testing.T) {
 	if a.Cycles != b.Cycles {
 		t.Fatal("memoized result differs")
 	}
-	if r.Runs() != 1 {
-		t.Fatalf("runs = %d, want 1", r.Runs())
+	if r.Stats().Runs != 1 {
+		t.Fatalf("runs = %d, want 1", r.Stats().Runs)
 	}
 }
 
@@ -104,7 +104,7 @@ func TestEveryExperimentRunsOnQuickConfig(t *testing.T) {
 			t.Fatalf("%s: missing table header:\n%s", e.ID, out)
 		}
 	}
-	t.Logf("total distinct simulations: %d", r.Runs())
+	t.Logf("total distinct simulations: %d", r.Stats().Runs)
 }
 
 func TestFig4ContainsGeomeanAndAllWorkloads(t *testing.T) {
@@ -130,7 +130,7 @@ func TestTable3IsSimulationFree(t *testing.T) {
 	if err := table3(r, quickBase(), &buf); err != nil {
 		t.Fatal(err)
 	}
-	if r.Runs() != 0 {
+	if r.Stats().Runs != 0 {
 		t.Fatal("table3 must not run timing simulations")
 	}
 	out := buf.String()

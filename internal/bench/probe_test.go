@@ -117,8 +117,8 @@ func TestProbeSinkSkipsUnexecutedResults(t *testing.T) {
 	if len(specs) != 1 || specs[0] != "stream/none" {
 		t.Fatalf("sink calls = %v, want exactly one for the executed run", specs)
 	}
-	if r.Runs() != 1 {
-		t.Fatalf("runs = %d, want 1", r.Runs())
+	if r.Stats().Runs != 1 {
+		t.Fatalf("runs = %d, want 1", r.Stats().Runs)
 	}
 }
 

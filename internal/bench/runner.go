@@ -103,7 +103,7 @@ type Runner struct {
 	store   ResultStore // optional durable tier (nil = disabled)
 	remote  Remote      // optional distributed tier (nil = disabled)
 	ch      chain       // what each leader snapshots; tiers rebuilt by SetStore/SetRemote
-	stat    Stats       // counters; stat.Runs mirrors Runs()
+	stat    Stats       // counters, read through Stats
 }
 
 // tier is one source in the runner's result chain: the durable store,
@@ -555,14 +555,6 @@ func (r *Runner) Prefetch(ctx context.Context, specs []Spec) error {
 		firstErr = ctx.Err()
 	}
 	return firstErr
-}
-
-// Runs reports how many distinct simulations have completed successfully.
-// Store hits do not count: they answer requests without simulating.
-func (r *Runner) Runs() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.stat.Runs
 }
 
 // StandardSchemes lists the four evaluation schemes in order.

@@ -34,8 +34,8 @@ func TestConcurrentSameSpecSingleflight(t *testing.T) {
 	}
 	wg.Wait()
 
-	if r.Runs() != 1 {
-		t.Fatalf("runs = %d, want exactly 1 simulation for %d concurrent requests", r.Runs(), n)
+	if r.Stats().Runs != 1 {
+		t.Fatalf("runs = %d, want exactly 1 simulation for %d concurrent requests", r.Stats().Runs, n)
 	}
 	for i := 0; i < n; i++ {
 		if errs[i] != nil {
@@ -60,14 +60,14 @@ func TestPrefetchFansOutAndMemoizes(t *testing.T) {
 	if err := r.Prefetch(context.Background(), specs); err != nil {
 		t.Fatal(err)
 	}
-	if r.Runs() != 4 {
-		t.Fatalf("runs = %d, want 4 distinct simulations", r.Runs())
+	if r.Stats().Runs != 4 {
+		t.Fatalf("runs = %d, want 4 distinct simulations", r.Stats().Runs)
 	}
 	if _, err := r.Result(specs[0]); err != nil {
 		t.Fatal(err)
 	}
-	if r.Runs() != 4 {
-		t.Fatalf("Result after Prefetch re-ran a simulation: runs = %d", r.Runs())
+	if r.Stats().Runs != 4 {
+		t.Fatalf("Result after Prefetch re-ran a simulation: runs = %d", r.Stats().Runs)
 	}
 }
 
@@ -97,14 +97,14 @@ func TestResultCtxCancellation(t *testing.T) {
 	if _, err := r.ResultCtx(ctx, s); err == nil {
 		t.Fatal("cancelled context produced a result")
 	}
-	if r.Runs() != 0 {
-		t.Fatalf("cancelled request still simulated: runs = %d", r.Runs())
+	if r.Stats().Runs != 0 {
+		t.Fatalf("cancelled request still simulated: runs = %d", r.Stats().Runs)
 	}
 	if _, err := r.Result(s); err != nil {
 		t.Fatalf("spec unrunnable after cancellation: %v", err)
 	}
-	if r.Runs() != 1 {
-		t.Fatalf("runs = %d, want 1", r.Runs())
+	if r.Stats().Runs != 1 {
+		t.Fatalf("runs = %d, want 1", r.Stats().Runs)
 	}
 }
 
@@ -128,8 +128,8 @@ func TestAddConfigInvalidatesStaleMemo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Runs() != 2 {
-		t.Fatalf("runs = %d, want 2 (memo must be invalidated)", r.Runs())
+	if r.Stats().Runs != 2 {
+		t.Fatalf("runs = %d, want 2 (memo must be invalidated)", r.Stats().Runs)
 	}
 	if b.Instructions <= a.Instructions {
 		t.Fatalf("stale result served: %d instructions before, %d after doubling the workload",
@@ -141,8 +141,8 @@ func TestAddConfigInvalidatesStaleMemo(t *testing.T) {
 	if _, err := r.Result(s); err != nil {
 		t.Fatal(err)
 	}
-	if r.Runs() != 2 {
-		t.Fatalf("identical re-register invalidated the memo: runs = %d", r.Runs())
+	if r.Stats().Runs != 2 {
+		t.Fatalf("identical re-register invalidated the memo: runs = %d", r.Stats().Runs)
 	}
 }
 

@@ -419,15 +419,6 @@ func bit(b bool) uint64 {
 	return 0
 }
 
-// QueueLen reports the total queued requests (for backpressure tests).
-func (d *DRAM) QueueLen() int {
-	total := 0
-	for _, c := range d.chans {
-		total += c.queued
-	}
-	return total
-}
-
 // service runs one scheduling step on a channel: pick a ready bank
 // (round-robin), apply FR-FCFS within that bank (oldest row hit in the
 // window, else head-of-queue), model timing, and re-arm. Busy banks are

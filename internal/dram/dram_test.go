@@ -203,8 +203,8 @@ func TestDrainAndQueueLen(t *testing.T) {
 	if d.Drain() {
 		t.Fatal("queued request should block drain")
 	}
-	if d.QueueLen() != 1 {
-		t.Fatalf("queue len = %d", d.QueueLen())
+	if q := d.chans[0].queued; q != 1 {
+		t.Fatalf("queue len = %d", q)
 	}
 	run(eng, d)
 	if !d.Drain() {

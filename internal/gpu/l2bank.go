@@ -4,7 +4,6 @@ import (
 	"math/bits"
 
 	"cachecraft/internal/cache"
-	"cachecraft/internal/protect"
 	"cachecraft/internal/sim"
 )
 
@@ -72,12 +71,15 @@ type L2Bank struct {
 }
 
 // l2Miss is one outstanding controller read: the sectors of a line it
-// fills, and its completion callback — built once per slot, since
+// fills, its issue cycle and audit token (for the observer), and its
+// completion callback — built once per slot, since
 // protect.Scheme.ReadMiss takes a plain func, and reused by every read
 // the slot carries.
 type l2Miss struct {
 	lineAddr uint64
 	mask     uint64
+	issued   sim.Cycle
+	audTok   uint64
 	done     func(sim.Cycle)
 }
 
@@ -136,7 +138,7 @@ func (b *L2Bank) fill(now sim.Cycle, lineAddr uint64, mask, dirtyMask uint64) {
 	if b.cache.FillInto(lineAddr, mask, dirtyMask, &ev) {
 		b.noteEviction(ev.LineAddr, ev.ValidMask)
 		if ev.DirtyMask != 0 {
-			b.m.scheme.Writeback(now, ev.LineAddr, ev.DirtyMask)
+			b.writeback(now, ev.LineAddr, ev.DirtyMask)
 		}
 	}
 	b.fillTick++
@@ -360,18 +362,24 @@ func (b *L2Bank) enqueueMiss(now sim.Cycle, lineAddr uint64, mask uint64, t l2Ta
 	}
 	slot := b.misses.Get()
 	ms := b.misses.At(slot)
-	ms.lineAddr, ms.mask = lineAddr, fetch
+	ms.lineAddr, ms.mask, ms.issued = lineAddr, fetch, now
+	if b.m.obs != nil {
+		ms.audTok = b.m.obs.audit.ReadMissIssued(now, lineAddr, fetch, class)
+	}
 	if ms.done == nil {
 		ms.done = func(at sim.Cycle) { b.missFilled(at, slot) }
 	}
 	b.m.scheme.ReadMiss(now, lineAddr, fetch, class, ms.done)
 }
 
-// missFilled completes a controller read: it frees the read's slot and
-// fills its sectors.
+// missFilled completes a controller read: it reports the completion,
+// frees the read's slot and fills its sectors.
 func (b *L2Bank) missFilled(at sim.Cycle, slot int32) {
 	ms := b.misses.At(slot)
 	lineAddr, mask := ms.lineAddr, ms.mask
+	if b.m.obs != nil {
+		b.m.obs.readMissDone(ms.issued, at, ms.audTok)
+	}
 	b.misses.Put(slot)
 	b.onFill(at, lineAddr, mask)
 }
@@ -467,14 +475,22 @@ func (b *L2Bank) InsertReconstructed(now sim.Cycle, addr uint64) {
 // MarkDirty marks a present sector dirty (CacheSide).
 func (b *L2Bank) MarkDirty(addr uint64) { b.cache.MarkDirty(addr) }
 
+// writeback hands a dirty line's sectors to the controller.
+func (b *L2Bank) writeback(now sim.Cycle, lineAddr, dirtyMask uint64) {
+	if b.m.obs != nil {
+		b.m.obs.audit.WritebackIssued(now, lineAddr, dirtyMask)
+	}
+	b.m.scheme.Writeback(now, lineAddr, dirtyMask)
+}
+
 // flushDirty writes back every dirty line at end of simulation, cleaning
 // the flushed sectors.
-func (b *L2Bank) flushDirty(now sim.Cycle, scheme protect.Scheme) {
+func (b *L2Bank) flushDirty(now sim.Cycle) {
 	b.cache.Walk(func(lineAddr uint64, vmask, dmask uint64) {
 		if dmask == 0 {
 			return
 		}
-		scheme.Writeback(now, lineAddr, dmask)
+		b.writeback(now, lineAddr, dmask)
 		spl := b.cache.SectorsPerLine()
 		for i := 0; i < spl; i++ {
 			if dmask&(1<<i) != 0 {

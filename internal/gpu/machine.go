@@ -1,14 +1,12 @@
 package gpu
 
 import (
-	"context"
 	"fmt"
 
 	"cachecraft/internal/config"
 	"cachecraft/internal/dram"
 	"cachecraft/internal/layout"
 	"cachecraft/internal/mem"
-	"cachecraft/internal/obs"
 	"cachecraft/internal/protect"
 	"cachecraft/internal/sim"
 	"cachecraft/internal/stats"
@@ -32,6 +30,7 @@ type Machine struct {
 	banks    []*L2Bank
 	sms      []*SM
 	scheme   protect.Scheme
+	recon    protect.ReconstructionObserver // the scheme, when it takes reconstruction feedback
 	stats    *stats.Counters
 	envStats *stats.Counters
 
@@ -57,9 +56,6 @@ type Machine struct {
 	smsDone     int
 	outstanding int
 	perfCycles  sim.Cycle
-
-	tr    *obs.Tracer     // optional stage tracing (nil = off)
-	trCtx context.Context // parent span context for Run's stage spans
 
 	// obs fans machine events out to the audit and probe subscribers
 	// (nil = off, one branch per event; see observe.go).
@@ -168,6 +164,7 @@ func NewFromSource(cfg config.GPU, src WorkloadSource, factory protect.Factory) 
 		ErrorPenalty: cfg.ErrorPenalty,
 	}
 	m.scheme = factory(env)
+	m.recon, _ = m.scheme.(protect.ReconstructionObserver)
 
 	for i := 0; i < cfg.NumSMs; i++ {
 		wl, err := src(i, cfg.NumSMs)
@@ -227,8 +224,8 @@ func (m *Machine) reconFeedback(addr uint64, used bool) {
 	if m.obs != nil {
 		m.obs.reconUse(used)
 	}
-	if ro, ok := m.scheme.(protect.ReconstructionObserver); ok {
-		ro.ReconstructedUse(addr, used)
+	if m.recon != nil {
+		m.recon.ReconstructedUse(addr, used)
 	}
 }
 
@@ -286,58 +283,53 @@ func (m *Machine) accessRetired(now sim.Cycle) {
 	m.perfCycles = now
 }
 
-// SetTracer attaches span tracing for Run's top-level stages (execute,
-// drain), parented to the span carried by ctx. A nil tracer disables
-// tracing; the simulator's inner loop is never instrumented either way,
-// so the event-by-event hot path is unaffected.
-func (m *Machine) SetTracer(ctx context.Context, tr *obs.Tracer) {
-	m.tr = tr
-	m.trCtx = ctx
-}
-
 // Run executes the simulation to completion and returns the results.
 func (m *Machine) Run() (Result, error) {
-	ctx := m.trCtx
-	if ctx == nil {
-		ctx = context.Background()
+	perfEnd, err := m.execute()
+	if err != nil {
+		return Result{}, err
 	}
+	return m.drain(perfEnd)
+}
+
+// execute runs the SMs' workloads until every SM has finished and no
+// transaction is outstanding, and returns the performance endpoint: the
+// cycle the last access retired.
+func (m *Machine) execute() (sim.Cycle, error) {
 	for _, s := range m.sms {
 		s.start()
 	}
 	limit := m.cfg.MaxCycles
-	_, exec := m.tr.Start(ctx, "sim.execute", obs.Int("sms", len(m.sms)))
 	finished := m.eng.RunUntil(limit, func() bool {
 		return m.smsDone == len(m.sms) && m.outstanding == 0
 	})
 	if !finished {
-		exec.SetAttr(obs.Bool("converged", false))
-		exec.End()
-		return Result{}, fmt.Errorf("gpu: simulation did not converge within %d cycles (done %d/%d SMs, %d outstanding)",
+		return 0, fmt.Errorf("gpu: simulation did not converge within %d cycles (done %d/%d SMs, %d outstanding)",
 			limit, m.smsDone, len(m.sms), m.outstanding)
 	}
-	perfEnd := m.perfCycles
-	if perfEnd == 0 {
-		perfEnd = m.eng.Now()
+	if m.perfCycles == 0 {
+		return m.eng.Now(), nil
 	}
-	exec.SetAttr(obs.Uint64("cycles", uint64(perfEnd)))
-	exec.End()
+	return m.perfCycles, nil
+}
+
+// drain flushes the machine after execute, runs the observer's
+// end-of-simulation checks, and assembles the result.
+func (m *Machine) drain(perfEnd sim.Cycle) (Result, error) {
 	// Snapshot bandwidth utilization before the drain adds its traffic.
 	busUtil := stats.Mean(m.dram.BusUtilization(perfEnd))
 
 	// Drain: flush dirty cache state through the controller first (so its
 	// write path can still coalesce), then the controller's own buffers,
 	// then let DRAM empty.
-	_, drain := m.tr.Start(ctx, "sim.drain")
 	for _, b := range m.banks {
-		b.flushDirty(m.eng.Now(), m.scheme)
+		b.flushDirty(m.eng.Now())
 	}
 	m.scheme.Drain(m.eng.Now())
-	m.eng.Run(limit + 10_000_000)
+	m.eng.Run(m.cfg.MaxCycles + 10_000_000)
 	if !m.dram.Drain() {
-		drain.End()
 		return Result{}, fmt.Errorf("gpu: DRAM failed to drain")
 	}
-	drain.End()
 
 	if m.obs != nil {
 		if err := m.obs.finish(m); err != nil {

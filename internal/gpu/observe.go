@@ -21,7 +21,10 @@ type Observers struct {
 	// Probes, when non-nil, records the time-resolved probe tracks (see
 	// docs/OBSERVABILITY.md for the catalog) into this set.
 	Probes *obs.Probes
-	// Tracer, when non-nil, receives Run's stage spans (see SetTracer).
+	// Tracer, when non-nil, receives the run's two stage spans:
+	// sim.execute (attrs sms, cycles; converged=false when the run hits
+	// MaxCycles) and sim.drain. The event-by-event hot path is never
+	// traced.
 	Tracer *obs.Tracer
 }
 
@@ -45,9 +48,19 @@ func Simulate(ctx context.Context, cfg config.GPU, workload, scheme string, fact
 	if err != nil {
 		return Result{}, err
 	}
-	m.SetTracer(ctx, o.Tracer)
 	m.Observe(o)
-	res, err := m.Run()
+	_, exec := o.Tracer.Start(ctx, "sim.execute", obs.Int("sms", len(m.sms)))
+	perfEnd, err := m.execute()
+	if err != nil {
+		exec.SetAttr(obs.Bool("converged", false))
+		exec.End()
+		return Result{}, err
+	}
+	exec.SetAttr(obs.Uint64("cycles", uint64(perfEnd)))
+	exec.End()
+	_, drain := o.Tracer.Start(ctx, "sim.drain")
+	res, err := m.drain(perfEnd)
+	drain.End()
 	if err != nil {
 		return Result{}, err
 	}
@@ -59,8 +72,10 @@ func Simulate(ctx context.Context, cfg config.GPU, workload, scheme string, fact
 
 // Observe attaches o's subscribers through the machine's one observer,
 // which takes the single observation slot of every layer: the engine's
-// step hook, the DRAM scheduling hook, both crossbar hooks, and a
-// protect.WrapObserved scheme wrapper. Subscribers only read simulator
+// step hook, the DRAM scheduling hook and both crossbar hooks. The L2
+// banks and the token path call it directly, including around every
+// controller read and writeback, since they are the protection
+// controller's only callers. Subscribers only read simulator
 // state and never schedule engine events (see protect.Env.FinishDecode
 // for why that would perturb same-cycle ordering), so observing cannot
 // change simulated timing or results. Must be called before Run; with
@@ -89,14 +104,12 @@ func (m *Machine) Observe(o Observers) {
 		ob.audit.XbarTransfer("resp", at, deliver, bytes, respLat)
 		ob.probes.xbarResp.Add(uint64(at), float64(bytes))
 	})
-	// The wrapper preserves ReconstructionObserver, so reconFeedback's
-	// type assertion on m.scheme keeps working for CacheCraft.
-	m.scheme = protect.WrapObserved(m.scheme, ob)
 }
 
 // observer is the machine's one observation point. Its methods fan each
 // event out to the two subscribers; events only the checker consumes
-// (SM↔L2 tokens, MSHR fetch and fill) go to o.audit directly. Both are
+// (SM↔L2 tokens, MSHR fetch and fill, controller read issue and
+// writeback) go to o.audit directly. Both are
 // nil-safe when absent: *audit.Checker methods accept a nil receiver, and
 // a zero probeTracks holds nil series whose Add is a no-op.
 type observer struct {
@@ -174,21 +187,11 @@ func (o *observer) Serviced(now sim.Cycle, req mem.Request, ch, bk int, row, ope
 // Refreshed implements dram.Hook.
 func (o *observer) Refreshed(now sim.Cycle, ch int) { o.audit.Refreshed(now, ch) }
 
-// ReadMissIssued implements protect.SchemeSink; the token is the
-// checker's (the probe subscriber times reads by their issue cycle).
-func (o *observer) ReadMissIssued(now sim.Cycle, lineAddr, mask uint64, class mem.Class) uint64 {
-	return o.audit.ReadMissIssued(now, lineAddr, mask, class)
-}
-
-// ReadMissDone implements protect.SchemeSink.
-func (o *observer) ReadMissDone(issued, at sim.Cycle, token uint64) {
+// readMissDone records the completion of a controller read issued at
+// cycle issued; token is the checker's, from ReadMissIssued.
+func (o *observer) readMissDone(issued, at sim.Cycle, token uint64) {
 	o.audit.ReadMissDone(at, token)
 	o.probes.join.Add(uint64(at), float64(at-issued))
-}
-
-// WritebackIssued implements protect.SchemeSink.
-func (o *observer) WritebackIssued(now sim.Cycle, lineAddr, dirtyMask uint64) {
-	o.audit.WritebackIssued(now, lineAddr, dirtyMask)
 }
 
 // issued records an SM issuing n sector requests.

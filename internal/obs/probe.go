@@ -91,9 +91,6 @@ type Series struct {
 // Name reports the series' registered name.
 func (s *Series) Name() string { return s.name }
 
-// Mode reports the series' aggregation mode.
-func (s *Series) Mode() ProbeMode { return s.mode }
-
 // Add records one observation at the given cycle. Nil-safe and
 // allocation-free: the sample buffer is preallocated and decimation
 // merges in place.
@@ -221,14 +218,6 @@ func NewProbesDepth(window uint64, depth int) *Probes {
 		depth = 2
 	}
 	return &Probes{window: window, depth: depth, series: make(map[string]*Series)}
-}
-
-// Window reports the configured sampling window in cycles.
-func (p *Probes) Window() uint64 {
-	if p == nil {
-		return 0
-	}
-	return p.window
 }
 
 // Series returns the track registered under name, creating it on first

@@ -55,9 +55,6 @@ func TestZeroSampleFlush(t *testing.T) {
 	if snap := nilProbes.Snapshot(); snap != nil {
 		t.Fatalf("nil Probes snapshot = %v", snap)
 	}
-	if w := nilProbes.Window(); w != 0 {
-		t.Fatalf("nil Probes window = %d", w)
-	}
 }
 
 // feed drives one deterministic synthetic trace into a fresh series and

@@ -181,8 +181,8 @@ func TestTableRender(t *testing.T) {
 	if !strings.Contains(out, "alpha  1") {
 		t.Fatalf("missing aligned row:\n%s", out)
 	}
-	if tab.NumRows() != 2 {
-		t.Fatalf("rows = %d", tab.NumRows())
+	if len(tab.rows) != 2 {
+		t.Fatalf("rows = %d", len(tab.rows))
 	}
 }
 

@@ -33,9 +33,6 @@ func (t *Table) AddRow(cells ...string) {
 	t.rows = append(t.rows, row)
 }
 
-// NumRows reports the number of data rows.
-func (t *Table) NumRows() int { return len(t.rows) }
-
 // CSVWriter wraps a writer to request CSV output from Render: rendering
 // code (the experiment harness) stays format-agnostic while callers (the
 // sweep CLI's -csv flag) choose the representation.
