@@ -85,6 +85,7 @@ type Cache struct {
 	tags  []uint64
 	vmask []uint64 // per-sector valid bits
 	dmask []uint64 // per-sector dirty bits
+	marks []uint64 // per-sector marks (see Mark); nil until the first mark
 	stamp []uint64 // LRU timestamp
 	rrpv  []uint8  // SRRIP re-reference prediction value
 
@@ -138,6 +139,7 @@ type Eviction struct {
 	LineAddr  uint64
 	ValidMask uint64 // sectors that were present
 	DirtyMask uint64 // sectors that must be written back
+	MarkMask  uint64 // sectors marked since the line was allocated
 }
 
 // New builds an empty cache. It panics on an invalid configuration, which
@@ -335,6 +337,7 @@ func (c *Cache) FillInto(lineAddr uint64, sectorMask, dirtyMask uint64, ev *Evic
 			LineAddr:  c.lineAddrOf(c.tags[i]),
 			ValidMask: c.vmask[i],
 			DirtyMask: c.dmask[i],
+			MarkMask:  c.marksAt(i),
 		}
 		if c.dmask[i] != 0 {
 			c.stDirtyEvictions.Inc()
@@ -343,6 +346,9 @@ func (c *Cache) FillInto(lineAddr uint64, sectorMask, dirtyMask uint64, ev *Evic
 	c.tags[i] = key
 	c.vmask[i] = sectorMask
 	c.dmask[i] = dirtyMask & sectorMask
+	if c.marks != nil {
+		c.marks[i] = 0
+	}
 	c.stamp[i] = c.clock
 	c.rrpv[i] = maxRRPV - 1 // SRRIP long re-reference insertion
 	c.stLineFills.Inc()
@@ -399,6 +405,33 @@ func (c *Cache) MarkDirty(addr uint64) {
 	c.dmask[i] |= c.SectorMask(addr)
 }
 
+// Mark sets the mark of addr's sector if the sector is present and
+// reports whether it was. A line's marks are kept until its way is
+// reallocated, and reported in the Eviction that displaces it, so an
+// owner can keep per-sector side state for only the sectors it marked.
+// Marks touch no replacement state or statistics. Their storage is
+// allocated on the first mark, so caches that never mark (the L1s, the
+// RC) do not pay for it.
+func (c *Cache) Mark(addr uint64) bool {
+	i := c.lookup(addr)
+	if i < 0 || c.vmask[i]&c.SectorMask(addr) == 0 {
+		return false
+	}
+	if c.marks == nil {
+		c.marks = make([]uint64, len(c.tags))
+	}
+	c.marks[i] |= c.SectorMask(addr)
+	return true
+}
+
+// marksAt reports the marks of way i.
+func (c *Cache) marksAt(i int) uint64 {
+	if c.marks == nil {
+		return 0
+	}
+	return c.marks[i]
+}
+
 // CleanSector clears the dirty bit for addr's sector if present (used when
 // a writeback completes or a coalescing buffer absorbs the sector).
 func (c *Cache) CleanSector(addr uint64) {
@@ -416,6 +449,9 @@ func (c *Cache) InvalidateLine(lineAddr uint64) uint64 {
 	}
 	d := c.dmask[i]
 	c.tags[i], c.vmask[i], c.dmask[i], c.stamp[i], c.rrpv[i] = 0, 0, 0, 0, maxRRPV
+	if c.marks != nil {
+		c.marks[i] = 0
+	}
 	return d
 }
 
@@ -436,17 +472,17 @@ func (c *Cache) DirtyMask(lineAddr uint64) uint64 {
 }
 
 // CheckConsistency verifies the tag store's structural invariants: every
-// dirty bit covers a valid sector, valid lines hold at least one valid
-// sector, invalid ways carry no sector state, and no mask uses bits beyond
-// the line's sector count. It returns the first violation found, or nil.
+// dirty bit and every mark covers a valid sector, valid lines hold at
+// least one valid sector, invalid ways carry no sector state, and no mask
+// uses bits beyond the line's sector count. It returns the first violation found, or nil.
 // The invariant-audit layer calls it at end of simulation.
 func (c *Cache) CheckConsistency() error {
 	for i, key := range c.tags {
-		vm, dm := c.vmask[i], c.dmask[i]
+		vm, dm, mm := c.vmask[i], c.dmask[i], c.marksAt(i)
 		if key == 0 {
-			if vm != 0 || dm != 0 {
-				return fmt.Errorf("cache %q: invalid way set %d way %d carries masks v=%#x d=%#x",
-					c.cfg.Name, i/c.ways, i%c.ways, vm, dm)
+			if vm != 0 || dm != 0 || mm != 0 {
+				return fmt.Errorf("cache %q: invalid way set %d way %d carries masks v=%#x d=%#x m=%#x",
+					c.cfg.Name, i/c.ways, i%c.ways, vm, dm, mm)
 			}
 			continue
 		}
@@ -460,6 +496,9 @@ func (c *Cache) CheckConsistency() error {
 		case dm&^vm != 0:
 			return fmt.Errorf("cache %q: line %#x dirty sectors not valid (v=%#x d=%#x)",
 				c.cfg.Name, addr, vm, dm)
+		case mm&^vm != 0:
+			return fmt.Errorf("cache %q: line %#x marked sectors not valid (v=%#x m=%#x)",
+				c.cfg.Name, addr, vm, mm)
 		}
 	}
 	return nil

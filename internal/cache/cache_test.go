@@ -296,3 +296,53 @@ func TestStringersAndAccessors(t *testing.T) {
 		t.Fatal("Config accessor")
 	}
 }
+
+// TestMarksFollowTheLine: Mark only takes present sectors, a line's marks
+// survive fills into it and come back in the Eviction that displaces it,
+// and a reallocated or invalidated way starts unmarked.
+func TestMarksFollowTheLine(t *testing.T) {
+	cfg := testConfig()
+	c := New(cfg)
+	numSets := cfg.SizeBytes / (cfg.LineBytes * cfg.Ways)
+	stride := uint64(numSets * cfg.LineBytes)
+
+	fill(c, 0, 0b0001, 0)
+	if c.Mark(32) || c.Mark(stride) {
+		t.Fatal("Mark accepted an absent sector")
+	}
+	if !c.Mark(0) {
+		t.Fatal("Mark refused a present sector")
+	}
+	fill(c, 0, 0b0010, 0) // a fill into the line keeps its marks
+	if err := c.CheckConsistency(); err != nil {
+		t.Fatal(err)
+	}
+	var ev Eviction
+	for i := 1; i <= 2*cfg.Ways; i++ {
+		if !c.FillInto(uint64(i)*stride, 0b1111, 0, &ev) {
+			continue
+		}
+		want := uint64(0)
+		if ev.LineAddr == 0 {
+			want = 0b0001
+		}
+		if ev.MarkMask != want {
+			t.Fatalf("eviction of %#x carries marks %#b, want %#b", ev.LineAddr, ev.MarkMask, want)
+		}
+	}
+
+	fill(c, 0, 0b0001, 0)
+	c.Mark(0)
+	c.InvalidateLine(0)
+	fill(c, 0, 0b0001, 0)
+	evicted := false
+	for i := 1; i <= cfg.Ways && !evicted; i++ {
+		evicted = c.FillInto(uint64(i)*stride, 0b1111, 0, &ev) && ev.LineAddr == 0
+	}
+	if !evicted || ev.MarkMask != 0 {
+		t.Fatalf("refilled line after InvalidateLine: evicted=%v, eviction %+v", evicted, ev)
+	}
+	if err := c.CheckConsistency(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -31,6 +31,7 @@ import (
 	"cachecraft/internal/mem"
 	"cachecraft/internal/protect"
 	"cachecraft/internal/sim"
+	"cachecraft/internal/stats"
 )
 
 // Options configures CacheCraft. The zero value is not useful; start from
@@ -116,6 +117,12 @@ type CacheCraft struct {
 	wbufFIFO  []wbufRef
 	wfHead    int
 	wbufGen   uint64
+
+	// Pre-resolved counter handles for the miss and writeback paths. They
+	// resolve lazily, so env.Stats keeps its first-touch creation order.
+	stWbufFwd, stRCHits, stMerged, stReadsDRAM, stRCDirtyEvictions  stats.Handle
+	stReconUsed, stReconWasted, stReconSectors, stReconMerged       stats.Handle
+	stWbRCHits, stBlindWrites, stRMW, stWbufTimeout, stWbufOverflow stats.Handle
 }
 
 type wbufEntry struct {
@@ -132,7 +139,25 @@ type wbufRef struct {
 
 // New builds a CacheCraft controller.
 func New(env *protect.Env, opt Options) *CacheCraft {
-	c := &CacheCraft{env: env, opt: opt}
+	st := env.Stats
+	c := &CacheCraft{
+		env:                env,
+		opt:                opt,
+		stWbufFwd:          st.Handle("red_wbuf_fwd"),
+		stRCHits:           st.Handle("red_rc_hits"),
+		stMerged:           st.Handle("red_merged"),
+		stReadsDRAM:        st.Handle("red_reads_dram"),
+		stRCDirtyEvictions: st.Handle("red_rc_dirty_evictions"),
+		stReconUsed:        st.Handle("reconstruct_used"),
+		stReconWasted:      st.Handle("reconstruct_wasted"),
+		stReconSectors:     st.Handle("reconstruct_sectors"),
+		stReconMerged:      st.Handle("reconstruct_merged"),
+		stWbRCHits:         st.Handle("red_wb_rc_hits"),
+		stBlindWrites:      st.Handle("red_blind_writes"),
+		stRMW:              st.Handle("red_rmw"),
+		stWbufTimeout:      st.Handle("red_wbuf_timeout"),
+		stWbufOverflow:     st.Handle("red_wbuf_overflow"),
+	}
 	c.pendingRed = protect.NewFetches(env, c.redArrived)
 	c.reconInFlight = protect.NewFetches(env, c.reconArrived)
 	if opt.UseRC {
@@ -191,23 +216,23 @@ func (c *CacheCraft) redReady(now sim.Cycle, lineAddr uint64, neededMask uint64,
 	// checks (they are newer than DRAM's).
 	if c.opt.WBuf {
 		if slot, ok := c.wbuf.Get(tagged); ok && c.wbufSlots.At(slot).mask&neededMask == neededMask {
-			env.Stats.Inc("red_wbuf_fwd")
+			c.stWbufFwd.Inc()
 			env.ArriveAt(now, ready)
 			return
 		}
 	}
 	if c.opt.UseRC {
 		if c.rc.Access(tagged, false) == cache.Hit {
-			env.Stats.Inc("red_rc_hits")
+			c.stRCHits.Inc()
 			env.ArriveAt(now+c.opt.RCLatency, ready)
 			return
 		}
 	}
 	if c.pendingRed.Wait(tagged, false, ready) {
-		env.Stats.Inc("red_merged")
+		c.stMerged.Inc()
 		return
 	}
-	env.Stats.Inc("red_reads_dram")
+	c.stReadsDRAM.Inc()
 	c.pendingRed.Start(now, tagged, false, ready, mem.Request{
 		Addr:  tagged &^ protect.RedTag,
 		Bytes: env.Map.Geometry().RedBlockBytes,
@@ -232,7 +257,7 @@ func (c *CacheCraft) insertRC(now sim.Cycle, tagged uint64, dirty bool) {
 	}
 	var ev cache.Eviction
 	if c.rc.FillInto(tagged, 1, dmask, &ev) && ev.DirtyMask != 0 {
-		c.env.Stats.Inc("red_rc_dirty_evictions")
+		c.stRCDirtyEvictions.Inc()
 		c.env.DRAM.Submit(now, mem.Request{
 			Addr:  ev.LineAddr &^ protect.RedTag,
 			Write: true,
@@ -284,9 +309,9 @@ func (c *CacheCraft) shouldProbe() bool {
 // a reconstructed sector was referenced before eviction.
 func (c *CacheCraft) ReconstructedUse(addr uint64, used bool) {
 	if used {
-		c.env.Stats.Inc("reconstruct_used")
+		c.stReconUsed.Inc()
 	} else {
-		c.env.Stats.Inc("reconstruct_wasted")
+		c.stReconWasted.Inc()
 	}
 	if !c.opt.Predictor {
 		return
@@ -335,7 +360,7 @@ func (c *CacheCraft) reconstruct(now sim.Cycle, lineAddr uint64, demandMask uint
 		if c.reconInFlight.InFlight(sa) {
 			continue
 		}
-		env.Stats.Inc("reconstruct_sectors")
+		c.stReconSectors.Inc()
 		c.reconInFlight.Start(now, sa, false, protect.NoJoin, mem.Request{
 			Addr:  env.Map.DataPhys(sa),
 			Bytes: geo.SectorBytes,
@@ -358,7 +383,7 @@ func (c *CacheCraft) reconArrived(at sim.Cycle, sa uint64, _, merged bool) {
 	// (the demand would have fetched the sector anyway), so it does NOT
 	// train the predictor — only genuine later-use is evidence that
 	// prefetching the granule was worth extra bandwidth.
-	env.Stats.Inc("reconstruct_merged")
+	c.stReconMerged.Inc()
 	env.L2.Insert(at, sa, false)
 }
 
@@ -454,7 +479,7 @@ func (c *CacheCraft) redUpdate(now sim.Cycle, lineAddr uint64, writtenMask uint6
 
 	// A cached copy absorbs the update in place.
 	if c.opt.UseRC && c.rc.Access(tagged, true) == cache.Hit {
-		env.Stats.Inc("red_wb_rc_hits")
+		c.stWbRCHits.Inc()
 		return
 	}
 	if c.opt.WBuf {
@@ -478,7 +503,7 @@ func (c *CacheCraft) redUpdate(now sim.Cycle, lineAddr uint64, writtenMask uint6
 		}
 		// Every check byte of the block is known: write it blind.
 		c.wbufRemove(tagged)
-		env.Stats.Inc("red_blind_writes")
+		c.stBlindWrites.Inc()
 		env.DRAM.Submit(now, mem.Request{
 			Addr:  tagged &^ protect.RedTag,
 			Write: true,
@@ -489,7 +514,7 @@ func (c *CacheCraft) redUpdate(now sim.Cycle, lineAddr uint64, writtenMask uint6
 	}
 	if c.opt.UseRC {
 		// Allocate into the RC via a fetch, then merge there.
-		env.Stats.Inc("red_rmw")
+		c.stRMW.Inc()
 		env.DRAM.SubmitPost(now, mem.Request{
 			Addr:  tagged &^ protect.RedTag,
 			Bytes: geo.RedBlockBytes,
@@ -517,7 +542,7 @@ type wbufExpiry CacheCraft
 func (h *wbufExpiry) OnEvent(at sim.Cycle, tagged, gen uint64) {
 	c := (*CacheCraft)(h)
 	if c.wbufLive(wbufRef{tagged: tagged, gen: gen}) {
-		c.env.Stats.Inc("red_wbuf_timeout")
+		c.stWbufTimeout.Inc()
 		c.flushEntry(at, tagged)
 	}
 }
@@ -571,7 +596,7 @@ func (c *CacheCraft) trimFIFO() {
 func (c *CacheCraft) flushOldest(now sim.Cycle) {
 	c.trimFIFO()
 	if c.wfHead < len(c.wbufFIFO) {
-		c.env.Stats.Inc("red_wbuf_overflow")
+		c.stWbufOverflow.Inc()
 		c.flushEntry(now, c.wbufFIFO[c.wfHead].tagged)
 	}
 }

@@ -113,13 +113,11 @@ func (b *L2Bank) noteUse(addr uint64) {
 }
 
 // noteEviction reports unused reconstructed sectors of an evicted line.
-func (b *L2Bank) noteEviction(lineAddr uint64, validMask uint64) {
-	spl := b.cache.SectorsPerLine()
-	for i := 0; i < spl; i++ {
-		if validMask&(1<<i) == 0 {
-			continue
-		}
-		sa := lineAddr + uint64(i*b.m.cfg.L2.SectorBytes)
+// marked holds the line's sectors InsertReconstructed marked, which cover
+// every sector of the line still pending, so no other sector is probed.
+func (b *L2Bank) noteEviction(lineAddr uint64, marked uint64) {
+	for m := marked; m != 0; m &= m - 1 {
+		sa := lineAddr + uint64(bits.TrailingZeros64(m)*b.m.cfg.L2.SectorBytes)
 		if _, ok := b.reconPending.Delete(sa); ok {
 			b.m.reconFeedback(sa, false)
 		}
@@ -136,7 +134,7 @@ func (b *L2Bank) fill(now sim.Cycle, lineAddr uint64, mask, dirtyMask uint64) {
 	}
 	var ev cache.Eviction
 	if b.cache.FillInto(lineAddr, mask, dirtyMask, &ev) {
-		b.noteEviction(ev.LineAddr, ev.ValidMask)
+		b.noteEviction(ev.LineAddr, ev.MarkMask)
 		if ev.DirtyMask != 0 {
 			b.writeback(now, ev.LineAddr, ev.DirtyMask)
 		}
@@ -461,8 +459,9 @@ func (b *L2Bank) Insert(now sim.Cycle, addr uint64, dirty bool) {
 func (b *L2Bank) InsertReconstructed(now sim.Cycle, addr uint64) {
 	b.Insert(now, addr, false)
 	// Only track it if the insert survived (it may have been evicted by
-	// its own fill in a pathological set-conflict case).
-	if b.cache.Probe(addr) != cache.Hit {
+	// its own fill in a pathological set-conflict case). The mark makes
+	// the line's eviction probe this sector.
+	if !b.cache.Mark(addr) {
 		return
 	}
 	if b.m.obs != nil {

@@ -178,6 +178,34 @@ func TestReconUseBeforeAgingCountsUsed(t *testing.T) {
 	}
 }
 
+// TestReconEvictionReportsUnusedSectors: evicting a line reports each of
+// its reconstructed sectors still unreferenced as waste, once, well
+// before the scoreboard would age it out; a referenced one counts as used.
+func TestReconEvictionReportsUnusedSectors(t *testing.T) {
+	m := buildMachine(t, core.NewFactory(core.DefaultOptions()))
+	b := m.banks[0]
+	b.InsertReconstructed(0, 32)
+	b.InsertReconstructed(0, 64)
+	b.Insert(0, 96, false)                                 // a plain fill into the same line
+	b.HandleRead(0, 0, 0b0010, func(sim.Cycle, uint64) {}) // uses sector 32
+	m.eng.Run(1 << 20)
+	stride := uint64(m.cfg.L2.LineBytes * m.cfg.L2Banks)
+	fills := uint64(0)
+	for b.cache.ValidMask(0) != 0 {
+		fills++
+		if fills > reconHorizon/2 {
+			t.Fatal("line 0 never evicted")
+		}
+		b.fill(0, fills*stride, 0b0001, 0)
+	}
+	if used, wasted := m.envStats.Get("reconstruct_used"), m.envStats.Get("reconstruct_wasted"); used != 1 || wasted != 1 {
+		t.Fatalf("after eviction used=%d wasted=%d, want 1 and 1", used, wasted)
+	}
+	if b.reconPending.Len() != 0 {
+		t.Fatalf("%d sectors still pending after their line was evicted", b.reconPending.Len())
+	}
+}
+
 func TestRedTagLinesFlowThroughRealBanks(t *testing.T) {
 	// End-to-end ecc-cache on real banks: dirty redundancy lines inserted
 	// via the CacheSide must eventually write back with RedTag handling.

@@ -3,6 +3,7 @@ package protect
 import (
 	"cachecraft/internal/mem"
 	"cachecraft/internal/sim"
+	"cachecraft/internal/stats"
 )
 
 // eccCache is the production-style baseline: redundancy blocks are cached
@@ -15,11 +16,21 @@ type eccCache struct {
 	// pending holds outstanding redundancy fetches by tagged address; a
 	// fetch's flag marks it dirty (a writeback folded into it).
 	pending *Fetches
+
+	// Pre-resolved counter handles; they resolve lazily, so env.Stats
+	// keeps its first-touch creation order.
+	stL2Hits, stMerged, stReadsDRAM, stWritebacks stats.Handle
 }
 
 // NewECCCache builds the L2-redundancy-caching baseline.
 func NewECCCache(env *Env) Scheme {
-	s := &eccCache{env: env}
+	s := &eccCache{
+		env:          env,
+		stL2Hits:     env.Stats.Handle("red_l2_hits"),
+		stMerged:     env.Stats.Handle("red_merged"),
+		stReadsDRAM:  env.Stats.Handle("red_reads_dram"),
+		stWritebacks: env.Stats.Handle("red_writebacks"),
+	}
 	s.pending = NewFetches(env, s.redArrived)
 	return s
 }
@@ -34,7 +45,7 @@ func (s *eccCache) redReady(now sim.Cycle, lineAddr uint64, markDirty bool, read
 	env := s.env
 	tagged := RedTag | env.Map.RedundancyAddr(lineAddr)
 	if env.L2.Present(tagged) {
-		env.Stats.Inc("red_l2_hits")
+		s.stL2Hits.Inc()
 		if markDirty {
 			env.L2.MarkDirty(tagged)
 		}
@@ -42,10 +53,10 @@ func (s *eccCache) redReady(now sim.Cycle, lineAddr uint64, markDirty bool, read
 		return
 	}
 	if s.pending.Wait(tagged, markDirty, ready) {
-		env.Stats.Inc("red_merged")
+		s.stMerged.Inc()
 		return
 	}
-	env.Stats.Inc("red_reads_dram")
+	s.stReadsDRAM.Inc()
 	class := mem.Redundancy
 	if markDirty {
 		class = mem.RMW // a write-allocate fetch exists only to merge new checks
@@ -94,7 +105,7 @@ func (s *eccCache) Writeback(now sim.Cycle, lineAddr uint64, dirtyMask uint64) {
 			if dirtyMask&(1<<sec) == 0 {
 				continue
 			}
-			env.Stats.Inc("red_writebacks")
+			s.stWritebacks.Inc()
 			env.DRAM.Submit(now, mem.Request{
 				Addr:  base + uint64(sec*geo.SectorBytes),
 				Write: true,

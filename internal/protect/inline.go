@@ -3,6 +3,7 @@ package protect
 import (
 	"cachecraft/internal/mem"
 	"cachecraft/internal/sim"
+	"cachecraft/internal/stats"
 )
 
 // inlineNaive is inline ECC with no redundancy caching: the worst case the
@@ -12,11 +13,14 @@ import (
 // masking, and the block packs check bytes for eight sectors, so a partial
 // update must read the old block first).
 type inlineNaive struct {
-	env *Env
+	env         *Env
+	stReadsDRAM stats.Handle
 }
 
 // NewInlineNaive builds the uncached inline-ECC baseline.
-func NewInlineNaive(env *Env) Scheme { return &inlineNaive{env: env} }
+func NewInlineNaive(env *Env) Scheme {
+	return &inlineNaive{env: env, stReadsDRAM: env.Stats.Handle("red_reads_dram")}
+}
 
 // Name identifies the scheme.
 func (s *inlineNaive) Name() string { return "inline-naive" }
@@ -38,7 +42,7 @@ func (s *inlineNaive) ReadMiss(now sim.Cycle, lineAddr uint64, mask uint64, clas
 			Class: class,
 		}, join)
 	}
-	env.Stats.Inc("red_reads_dram")
+	s.stReadsDRAM.Inc()
 	env.SubmitTo(now, mem.Request{
 		Addr:  env.Map.RedundancyAddr(lineAddr),
 		Bytes: geo.RedBlockBytes,

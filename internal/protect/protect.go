@@ -75,6 +75,20 @@ type Env struct {
 
 	// joins holds the pending joins (see NewJoin).
 	joins sim.Pool[joinSlot]
+
+	// Counter handles for the Env's own helpers, taken on first use (see
+	// counter) because callers build an Env as a struct literal.
+	stRMW, stCorrected, stScrubs stats.Handle
+}
+
+// counter returns *h, first making it a handle on the named counter if it
+// is still the zero Handle. Handles resolve on their first update, so the
+// counters keep their first-touch creation order.
+func (e *Env) counter(h *stats.Handle, name string) *stats.Handle {
+	if *h == (stats.Handle{}) {
+		*h = e.Stats.Handle(name)
+	}
+	return h
 }
 
 // Join identifies a pending join: a completion that runs once all of its
@@ -147,7 +161,7 @@ func (h *joinArrival) OnEvent(at sim.Cycle, a0, _ uint64) {
 // a decode latency after the read completes, writes the merged block
 // (class Redundancy).
 func (e *Env) RedundancyRMW(now sim.Cycle, addr uint64) {
-	e.Stats.Inc("red_rmw")
+	e.counter(&e.stRMW, "red_rmw").Inc()
 	e.DRAM.SubmitPost(now, mem.Request{
 		Addr:  addr,
 		Bytes: e.Map.Geometry().RedBlockBytes,
@@ -196,8 +210,8 @@ func (e *Env) FinishDecode(now sim.Cycle, lineAddr uint64, done func(sim.Cycle))
 			penalty = 32
 		}
 		lat += penalty
-		e.Stats.Inc("corrected_errors")
-		e.Stats.Inc("scrub_writes")
+		e.counter(&e.stCorrected, "corrected_errors").Inc()
+		e.counter(&e.stScrubs, "scrub_writes").Inc()
 		geo := e.Map.Geometry()
 		e.DRAM.Submit(now, mem.Request{
 			Addr:  e.Map.DataPhys(e.Map.GranuleBase(lineAddr)),

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"slices"
 )
 
 // MarshalJSON renders the counters as a JSON object whose keys appear in
@@ -33,35 +34,143 @@ func (c *Counters) MarshalJSON() ([]byte, error) {
 // the order in which keys appear in the document (which MarshalJSON made
 // the creation order). A duplicate key keeps its first position and takes
 // the last value, matching encoding/json's map behaviour.
+//
+// It scans the object directly instead of going through a json.Decoder,
+// accepting exactly what a token-by-token decode into uint64 values
+// accepts: string keys; values that are unsigned integers in uint64 range
+// or null (which stores 0); JSON whitespace between tokens; and any bytes
+// after the closing brace, which are not read.
 func (c *Counters) UnmarshalJSON(data []byte) error {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	tok, err := dec.Token()
-	if err != nil {
-		return err
+	p := countersParser{data: data}
+	p.skipSpace()
+	if !p.consume('{') {
+		return p.fail("counters must be a JSON object")
 	}
-	if tok != json.Delim('{') {
-		return fmt.Errorf("stats: counters must be a JSON object, got %v", tok)
+	// Every member has a colon, so counting them bounds the member count.
+	n := bytes.Count(data[p.pos:], []byte(":"))
+	c.index = make(map[string]int32, n)
+	c.vals = slices.Grow(c.vals[:0], n)
+	c.order = slices.Grow(c.order[:0], n)
+	p.skipSpace()
+	if p.consume('}') {
+		return nil
 	}
-	c.index = make(map[string]int32)
-	c.vals = c.vals[:0]
-	c.order = c.order[:0]
-	for dec.More() {
-		tok, err := dec.Token()
+	for {
+		p.skipSpace()
+		key, err := p.key()
 		if err != nil {
 			return err
 		}
-		key, ok := tok.(string)
-		if !ok {
-			return fmt.Errorf("stats: non-string counter key %v", tok)
+		p.skipSpace()
+		if !p.consume(':') {
+			return p.fail("expected ':' after counter key")
 		}
-		var v uint64
-		if err := dec.Decode(&v); err != nil {
+		p.skipSpace()
+		v, err := p.value()
+		if err != nil {
 			return err
 		}
 		c.Set(key, v)
+		p.skipSpace()
+		if p.consume('}') {
+			return nil
+		}
+		if !p.consume(',') {
+			return p.fail("expected ',' or '}' after counter value")
+		}
 	}
-	if _, err := dec.Token(); err != nil {
-		return err
+}
+
+// countersParser is UnmarshalJSON's cursor over one counters object.
+type countersParser struct {
+	data []byte
+	pos  int
+}
+
+func (p *countersParser) skipSpace() {
+	for p.pos < len(p.data) {
+		switch p.data[p.pos] {
+		case ' ', '\t', '\n', '\r':
+			p.pos++
+		default:
+			return
+		}
 	}
-	return nil
+}
+
+// consume advances past b if it is the next byte.
+func (p *countersParser) consume(b byte) bool {
+	if p.pos < len(p.data) && p.data[p.pos] == b {
+		p.pos++
+		return true
+	}
+	return false
+}
+
+func (p *countersParser) fail(what string) error {
+	if p.pos >= len(p.data) {
+		return fmt.Errorf("stats: %s, got end of input", what)
+	}
+	return fmt.Errorf("stats: %s, got %q at offset %d", what, p.data[p.pos], p.pos)
+}
+
+// key reads a JSON string. Plain printable ASCII keys (every counter name
+// the simulator creates) are sliced out directly; a key with escapes or
+// other bytes is unquoted by encoding/json, which validates it.
+func (p *countersParser) key() (string, error) {
+	if !p.consume('"') {
+		return "", p.fail("counter key must be a string")
+	}
+	start := p.pos
+	plain := true
+	for i := start; i < len(p.data); i++ {
+		switch b := p.data[i]; {
+		case b == '"':
+			p.pos = i + 1
+			if plain {
+				return string(p.data[start:i]), nil
+			}
+			var key string
+			if err := json.Unmarshal(p.data[start-1:p.pos], &key); err != nil {
+				return "", fmt.Errorf("stats: counter key: %w", err)
+			}
+			return key, nil
+		case b == '\\':
+			plain = false
+			i++ // the escaped byte cannot end the string
+		case b < 0x20 || b >= 0x80:
+			plain = false
+		}
+	}
+	p.pos = len(p.data)
+	return "", p.fail("unterminated counter key")
+}
+
+// value reads a counter value: an unsigned decimal integer without
+// leading zeros that fits in uint64, or null.
+func (p *countersParser) value() (uint64, error) {
+	if bytes.HasPrefix(p.data[p.pos:], []byte("null")) {
+		p.pos += len("null")
+		return 0, nil
+	}
+	start := p.pos
+	var v uint64
+	for p.pos < len(p.data) {
+		d := p.data[p.pos] - '0'
+		if d > 9 {
+			break
+		}
+		if v > (1<<64-1-uint64(d))/10 {
+			return 0, fmt.Errorf("stats: counter value at offset %d overflows uint64", start)
+		}
+		v = v*10 + uint64(d)
+		p.pos++
+	}
+	switch n := p.pos - start; {
+	case n == 0:
+		return 0, p.fail("counter value must be an unsigned integer or null")
+	case n > 1 && p.data[start] == '0':
+		return 0, fmt.Errorf("stats: counter value at offset %d has a leading zero", start)
+	}
+	return v, nil
 }

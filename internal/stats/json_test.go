@@ -1,7 +1,10 @@
 package stats
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
+	"slices"
 	"testing"
 )
 
@@ -84,4 +87,77 @@ func TestCountersJSONIntoZeroValue(t *testing.T) {
 	if names := c.Names(); len(names) != 2 || names[0] != "b" {
 		t.Fatalf("order lost: %v", names)
 	}
+}
+
+// decoderUnmarshal is the json.Decoder implementation UnmarshalJSON
+// replaced, kept as the oracle for FuzzCountersUnmarshal.
+func decoderUnmarshal(c *Counters, data []byte) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	tok, err := dec.Token()
+	if err != nil {
+		return err
+	}
+	if tok != json.Delim('{') {
+		return fmt.Errorf("stats: counters must be a JSON object, got %v", tok)
+	}
+	c.index = make(map[string]int32)
+	c.vals = c.vals[:0]
+	c.order = c.order[:0]
+	for dec.More() {
+		tok, err := dec.Token()
+		if err != nil {
+			return err
+		}
+		key, ok := tok.(string)
+		if !ok {
+			return fmt.Errorf("stats: non-string counter key %v", tok)
+		}
+		var v uint64
+		if err := dec.Decode(&v); err != nil {
+			return err
+		}
+		c.Set(key, v)
+	}
+	if _, err := dec.Token(); err != nil {
+		return err
+	}
+	return nil
+}
+
+// FuzzCountersUnmarshal checks UnmarshalJSON against the json.Decoder
+// oracle on arbitrary input: the same accept/reject outcome and, on
+// acceptance, the same names in the same order with the same values.
+func FuzzCountersUnmarshal(f *testing.F) {
+	for _, seed := range []string{
+		`{}`, ` { } `, `{"zeta":3,"alpha":1}`, `{"a":1,"b":2,"a":3}`,
+		`{"a":null}`, `{"a":0}`, `{"a":18446744073709551615}`,
+		`{"a":18446744073709551616}`, `{"a":01}`, `{"a":-1}`, `{"a":-0}`,
+		`{"a":1.5}`, `{"a":1e3}`, `{"a":"1"}`, `{"a":true}`, `{"a":{}}`,
+		`{"a":[]}`, `{"a":1,}`, `{,}`, `{"a" 1}`, `{"a":}`, `{"a":1 "b":2}`,
+		`{"a":1}trailing`, `{"a":1}}`, `{"a":nullx}`, `{"a":1`, `{`, ``,
+		`[1,2]`, `null`, `"x"`, `{1:2}`, `{"a\n":1}`, `{"\ud800":1}`,
+		"{\"\xff\":1}", "{\"a\x01\":1}", `{"a\x":1}`, `{"\"":2}`, "\t{\r\n\"a\" :\n1 }",
+		`{"sector_requests":57160,"l1_misses":54624,"l2_hits":10072}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got, want := NewCounters(), NewCounters()
+		gerr := got.UnmarshalJSON(data)
+		werr := decoderUnmarshal(want, data)
+		if (gerr == nil) != (werr == nil) {
+			t.Fatalf("%q: UnmarshalJSON err = %v, decoder err = %v", data, gerr, werr)
+		}
+		if gerr != nil {
+			return
+		}
+		if !slices.Equal(got.Names(), want.Names()) {
+			t.Fatalf("%q: names %q, decoder names %q", data, got.Names(), want.Names())
+		}
+		for _, name := range want.Names() {
+			if got.Get(name) != want.Get(name) {
+				t.Fatalf("%q: %q = %d, decoder %d", data, name, got.Get(name), want.Get(name))
+			}
+		}
+	})
 }

@@ -3,13 +3,25 @@
 // identity, GPU configuration, workload, scheme) — see Fingerprint — and
 // written atomically (tempfile + rename in the same directory), so any
 // number of processes may read and write one store directory
-// concurrently. Every record carries a SHA-256 checksum of its body;
-// corruption of any kind (truncation, bit flips, foreign files) is
-// treated as a cache miss, never an error, because the simulator can
-// always regenerate the record.
+// concurrently.
+//
+// A record file holds exactly
+//
+//	{"sum":"<64 lowercase hex>","body":<body>}
+//
+// followed by a newline, where body is the record's canonical JSON (see
+// EncodeRecord) and sum is the hex SHA-256 of those body bytes. A read
+// checks, in order, the framing (any other shape, even equivalent JSON,
+// is a miss; the trailing newline is optional), the checksum, the
+// identity prefix the body must open with (its fingerprint and simulator
+// revision), and then decodes the body once. Any failure — a missing or
+// unreadable file, truncation, bit flips, foreign files, a record at the
+// wrong address or from another revision — is a cache miss, never an
+// error, because the simulator can always regenerate the record.
 package store
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -38,11 +50,20 @@ type Record struct {
 	Result      gpu.Result `json:"result"`
 }
 
-// envelope is the on-disk framing: the record body plus its checksum.
-type envelope struct {
-	Sum  string          `json:"sum"` // hex SHA-256 of Body
-	Body json.RawMessage `json:"body"`
-}
+// The on-disk framing of a record file: frameHead, the body's hex
+// checksum, frameMid, the body, frameTail. Put writes exactly this and a
+// newline — the bytes encoding/json produces for the equivalent
+// {sum, body} struct — and get accepts nothing else.
+const (
+	frameHead = `{"sum":"`
+	frameMid  = `","body":`
+	frameTail = `}`
+	sumLen    = 2 * sha256.Size
+)
+
+// identityTail closes the identity prefix every current record body opens
+// with, after its fingerprint: {"fingerprint":"<fp>" + identityTail.
+var identityTail = `","sim":"` + version.String() + `",`
 
 // Store is a handle on one store directory. The zero value is not usable;
 // call Open. Beyond the path a Store carries only optional resilience
@@ -109,10 +130,12 @@ func (s *Store) Put(rec Record) error {
 	if err != nil {
 		return err
 	}
-	data, err := json.Marshal(envelope{Sum: sum, Body: body})
-	if err != nil {
-		return fmt.Errorf("store: envelope %s: %w", rec.Fingerprint, err)
-	}
+	data := make([]byte, 0, len(frameHead)+sumLen+len(frameMid)+len(body)+len(frameTail)+1)
+	data = append(data, frameHead...)
+	data = append(data, sum...)
+	data = append(data, frameMid...)
+	data = append(data, body...)
+	data = append(data, frameTail+"\n"...)
 	// Only now does the disk come into play: an open breaker fast-fails
 	// the write (degraded mode: recompute-without-persist), and every
 	// disk outcome below feeds the breaker's consecutive-error count.
@@ -140,7 +163,7 @@ func (s *Store) putDisk(fp string, data []byte) error {
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	_, werr := tmp.Write(append(data, '\n'))
+	_, werr := tmp.Write(data)
 	if werr == nil {
 		// Flush the contents before the rename publishes the name: without
 		// this a crash can journal the rename but not the data, leaving a
@@ -186,12 +209,12 @@ func syncDir(dir string) error {
 	return cerr
 }
 
-// get loads, checksums, and decodes the record for fp. Any failure —
-// missing file, bad framing, checksum mismatch, a record that does not
-// belong at this address, or one from a different simulator revision —
-// is a miss. Disk health feeds the breaker: a missing file is a healthy
-// answer, a read error (EIO, injected chaos) counts toward tripping, and
-// an open breaker misses without touching the disk at all.
+// get loads, checks, and decodes the record for fp. Any failure —
+// missing file, non-canonical framing, checksum mismatch, a record that
+// does not belong at this address, or one from a different simulator
+// revision — is a miss. Disk health feeds the breaker: a missing file is
+// a healthy answer, a read error (EIO, injected chaos) counts toward
+// tripping, and an open breaker misses without touching the disk at all.
 func (s *Store) get(fp string) (Record, []byte, string, bool) {
 	if s.brk != nil && !s.brk.allow() {
 		return Record{}, nil, "", false
@@ -214,22 +237,55 @@ func (s *Store) get(fp string) (Record, []byte, string, bool) {
 	if err != nil {
 		return Record{}, nil, "", false
 	}
-	var env envelope
-	if err := json.Unmarshal(data, &env); err != nil {
+	sum, body, ok := unframe(data)
+	if !ok {
 		return Record{}, nil, "", false
 	}
-	h := sha256.Sum256(env.Body)
-	if hex.EncodeToString(h[:]) != env.Sum {
+	var want [sumLen]byte
+	h := sha256.Sum256(body)
+	hex.Encode(want[:], h[:])
+	if !bytes.Equal(sum, want[:]) || !hasIdentity(body, fp) {
 		return Record{}, nil, "", false
 	}
 	var rec Record
-	if err := json.Unmarshal(env.Body, &rec); err != nil {
+	if err := json.Unmarshal(body, &rec); err != nil {
 		return Record{}, nil, "", false
 	}
+	// The prefix check cannot see a key repeated later in the body, so the
+	// decoded identity is what finally decides.
 	if rec.Fingerprint != fp || rec.Sim != version.String() {
 		return Record{}, nil, "", false
 	}
-	return rec, env.Body, env.Sum, true
+	return rec, body, string(sum), true
+}
+
+// unframe slices the checksum and body out of a record file written in
+// the canonical framing, reporting false for any other shape.
+func unframe(data []byte) (sum, body []byte, ok bool) {
+	data = bytes.TrimSuffix(data, []byte("\n"))
+	if !bytes.HasPrefix(data, []byte(frameHead)) {
+		return nil, nil, false
+	}
+	data = data[len(frameHead):]
+	if len(data) < sumLen || !bytes.HasPrefix(data[sumLen:], []byte(frameMid)) {
+		return nil, nil, false
+	}
+	sum, data = data[:sumLen], data[sumLen+len(frameMid):]
+	if !bytes.HasSuffix(data, []byte(frameTail)) {
+		return nil, nil, false
+	}
+	return sum, data[:len(data)-len(frameTail)], true
+}
+
+// hasIdentity reports whether body opens with the identity a record at
+// fp written by this simulator revision carries.
+func hasIdentity(body []byte, fp string) bool {
+	const head = `{"fingerprint":"`
+	if !bytes.HasPrefix(body, []byte(head)) {
+		return false
+	}
+	body = body[len(head):]
+	return bytes.HasPrefix(body, []byte(fp)) && bytes.HasPrefix(body[len(fp):], []byte(identityTail))
 }
 
 // Get returns the record stored under fp, or ok=false on a miss
