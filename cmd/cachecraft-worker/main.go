@@ -2,7 +2,10 @@
 // coordinator (cachecraft-serve -coordinator) for leases — batches of
 // fingerprint-keyed simulation cells — runs them through a local
 // bench.Runner, pushes each result back the moment it finishes, and
-// heartbeats to keep its leases alive. Kill a worker at any point: its
+// heartbeats to keep its leases alive. An idle worker waits inside its
+// poll: the coordinator holds an empty poll open for up to a second and
+// answers as soon as a cell is queued, so the worker needs no poll
+// interval of its own. Kill a worker at any point: its
 // leases expire, the coordinator re-queues the unfinished cells, and the
 // surviving workers pick them up. See docs/CLUSTER.md.
 //
@@ -61,7 +64,6 @@ func main() {
 		name        = flag.String("name", "", "worker name for leases and metrics (default <hostname>-<pid>)")
 		jobs        = flag.Int("j", runtime.NumCPU(), "max simulations running concurrently")
 		batch       = flag.Int("batch", 0, "max cells per lease (0 = same as -j)")
-		poll        = flag.Duration("poll", 2*time.Second, "max idle-poll backoff between empty lease polls")
 		storeDir    = flag.String("store", "", "local persistent result store directory (empty = none)")
 		storeMax    = flag.Int64("store-max-bytes", 0, "prune the local store's oldest records beyond this many bytes (0 = unbounded)")
 		auditOn     = flag.Bool("audit", false, "run every simulation under the invariant-audit layer")
@@ -116,7 +118,6 @@ func main() {
 		Name:        *name,
 		Runner:      r,
 		Batch:       *batch,
-		PollMax:     *poll,
 		Registry:    reg,
 		Logger:      logger,
 		Chaos:       inj,

@@ -187,9 +187,6 @@ func New(cfg Config) *Cache {
 	return c
 }
 
-// Config reports the cache's configuration.
-func (c *Cache) Config() Config { return c.cfg }
-
 // SectorsPerLine reports the line's sector count.
 func (c *Cache) SectorsPerLine() int { return c.sectorsPerLine }
 

@@ -291,10 +291,6 @@ func TestStringersAndAccessors(t *testing.T) {
 	if Outcome(9).String() == "" {
 		t.Fatal("unknown outcome must render")
 	}
-	c := New(testConfig())
-	if c.Config().Name != "t" {
-		t.Fatal("Config accessor")
-	}
 }
 
 // TestMarksFollowTheLine: Mark only takes present sectors, a line's marks

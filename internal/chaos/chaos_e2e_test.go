@@ -71,7 +71,6 @@ func startChaosWorker(t *testing.T, url, name string, inj *chaos.Injector) {
 		Name:        name,
 		Runner:      r,
 		Batch:       1,
-		PollMax:     30 * time.Millisecond,
 		Chaos:       inj,
 	})
 	if err != nil {

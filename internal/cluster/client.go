@@ -136,61 +136,30 @@ func (c *Client) Status(ctx context.Context) (StatusResponse, error) {
 }
 
 // Run implements bench.Remote: it submits a single-cell sweep and decodes
-// the one streamed record. Saturation (429) backs off as the Retry-After
-// header asks and retries; an error line or a truncated stream is an
-// error the runner will recover from by simulating locally.
+// the one streamed record. Any failure — an HTTP error, an error line, a
+// truncated stream — is an error the runner recovers from by simulating
+// locally.
 func (c *Client) Run(ctx context.Context, cfg config.GPU, workload, scheme string) (gpu.Result, error) {
-	req := SweepRequest{Workloads: []string{workload}, Schemes: []string{scheme}, Config: &cfg}
-	raw, err := json.Marshal(req)
+	body, err := json.Marshal(SweepRequest{Workloads: []string{workload}, Schemes: []string{scheme}, Config: &cfg})
 	if err != nil {
 		return gpu.Result{}, err
 	}
-	backoff := time.Second
-	for attempt := 0; ; attempt++ {
-		res, retry, err := c.runOnce(ctx, raw)
-		if err == nil {
-			return res, nil
-		}
-		if !retry || attempt >= 4 || ctx.Err() != nil {
-			return gpu.Result{}, err
-		}
-		t := time.NewTimer(backoff)
-		select {
-		case <-ctx.Done():
-			t.Stop()
-			return gpu.Result{}, ctx.Err()
-		case <-t.C:
-		}
-		backoff *= 2
-	}
-}
-
-// runOnce performs one sweep request; retry reports whether the failure
-// is a saturation signal worth waiting out.
-func (c *Client) runOnce(ctx context.Context, body []byte) (gpu.Result, bool, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/v1/cluster/sweep", bytes.NewReader(body))
 	if err != nil {
-		return gpu.Result{}, false, err
+		return gpu.Result{}, err
 	}
 	req.Header.Set("Content-Type", "application/json")
 	resp, err := c.hc.Do(req)
 	if err != nil {
-		return gpu.Result{}, false, fmt.Errorf("cluster: sweep: %w", err)
+		return gpu.Result{}, fmt.Errorf("cluster: sweep: %w", err)
 	}
 	defer func() {
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 	}()
-	if resp.StatusCode == http.StatusTooManyRequests {
-		wait := retryAfterSeconds(resp.Header)
-		if wait < 1 {
-			wait = 1
-		}
-		return gpu.Result{}, true, fmt.Errorf("cluster: coordinator saturated (retry after %ds)", wait)
-	}
 	if resp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1024))
-		return gpu.Result{}, false, fmt.Errorf("cluster: sweep: HTTP %d: %s", resp.StatusCode, bytes.TrimSpace(msg))
+		return gpu.Result{}, fmt.Errorf("cluster: sweep: HTTP %d: %s", resp.StatusCode, bytes.TrimSpace(msg))
 	}
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -201,27 +170,27 @@ func (c *Client) runOnce(ctx context.Context, body []byte) (gpu.Result, bool, er
 			Fingerprint string `json:"fingerprint"`
 		}
 		if err := json.Unmarshal(sc.Bytes(), &probe); err != nil {
-			return gpu.Result{}, false, fmt.Errorf("cluster: bad stream line: %w", err)
+			return gpu.Result{}, fmt.Errorf("cluster: bad stream line: %w", err)
 		}
 		switch {
 		case probe.Error != "":
-			return gpu.Result{}, false, fmt.Errorf("cluster: remote cell failed: %s", probe.Error)
+			return gpu.Result{}, fmt.Errorf("cluster: remote cell failed: %s", probe.Error)
 		case probe.Done:
-			return gpu.Result{}, false, fmt.Errorf("cluster: stream ended without a record")
+			return gpu.Result{}, fmt.Errorf("cluster: stream ended without a record")
 		case probe.Fingerprint != "":
 			var rec store.Record
 			if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
-				return gpu.Result{}, false, fmt.Errorf("cluster: bad record line: %w", err)
+				return gpu.Result{}, fmt.Errorf("cluster: bad record line: %w", err)
 			}
 			if rec.Sim != version.String() {
-				return gpu.Result{}, false, fmt.Errorf("cluster: record from simulator revision %q, want %q",
+				return gpu.Result{}, fmt.Errorf("cluster: record from simulator revision %q, want %q",
 					rec.Sim, version.String())
 			}
-			return rec.Result, false, nil
+			return rec.Result, nil
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return gpu.Result{}, false, fmt.Errorf("cluster: stream: %w", err)
+		return gpu.Result{}, fmt.Errorf("cluster: stream: %w", err)
 	}
-	return gpu.Result{}, false, fmt.Errorf("cluster: stream truncated before any record")
+	return gpu.Result{}, fmt.Errorf("cluster: stream truncated before any record")
 }

@@ -130,7 +130,7 @@ type LeaseRequest struct {
 }
 
 // LeaseGrant is the 200 response to a lease poll. A poll that finds no
-// work gets 204 with a Retry-After header instead.
+// work is held open and gets 204 if none arrives within the hold.
 type LeaseGrant struct {
 	LeaseID string `json:"lease_id"`
 	// TTLMs is the lease lifetime in milliseconds; heartbeats reset it.

@@ -142,7 +142,8 @@ type Coordinator struct {
 
 	mu       sync.Mutex
 	cells    map[string]*cellState
-	queue    []string // pending fingerprints in arrival order
+	queue    []string      // pending fingerprints in arrival order
+	wake     chan struct{} // closed and replaced whenever a cell is queued
 	leases   map[string]*lease
 	workers  map[string]*workerInfo // every worker ever heard from
 	pendingJ []JournalEntry         // failure/quarantine entries awaiting append
@@ -179,6 +180,7 @@ func New(opt Options) *Coordinator {
 		cells:      make(map[string]*cellState),
 		leases:     make(map[string]*lease),
 		workers:    make(map[string]*workerInfo),
+		wake:       make(chan struct{}),
 		closed:     make(chan struct{}),
 		reaperDone: make(chan struct{}),
 	}
@@ -340,9 +342,16 @@ func (c *Coordinator) Submit(cell Cell) error {
 		c.m.storeSkips.Inc()
 		return nil
 	}
-	c.queue = append(c.queue, cell.Fingerprint)
+	c.enqueueLocked(cs)
 	c.m.queued.Inc()
 	return nil
+}
+
+// enqueueLocked queues a pending cell and wakes every held lease poll.
+func (c *Coordinator) enqueueLocked(cs *cellState) {
+	c.queue = append(c.queue, cs.cell.Fingerprint)
+	close(c.wake)
+	c.wake = make(chan struct{})
 }
 
 // Wait blocks until the given cell completes (first result wins), the
@@ -366,16 +375,21 @@ func (c *Coordinator) Wait(ctx context.Context, fp string) (Outcome, error) {
 }
 
 // Lease hands out up to max pending cells whose backoff has elapsed to
-// the named worker. It returns nil when there is nothing to hand out.
+// the named worker. It returns nil at once when there is nothing to hand
+// out; the HTTP poll is what waits.
 func (c *Coordinator) Lease(worker string, max int) *LeaseGrant {
-	grant := c.grantLease(worker, max)
+	grant, _, _ := c.grantLease(worker, max)
 	// Lazy reaping above may have terminally failed or quarantined
 	// cells; make those outcomes durable before the next poll.
 	c.flushJournal()
 	return grant
 }
 
-func (c *Coordinator) grantLease(worker string, max int) *LeaseGrant {
+// grantLease is Lease without the journal flush. With nothing to grant
+// it returns, under the same lock, the wake channel the next enqueue
+// closes and the earliest future notBefore among pending cells (zero if
+// none), so a poll that waits on them cannot miss a cell.
+func (c *Coordinator) grantLease(worker string, max int) (*LeaseGrant, <-chan struct{}, time.Time) {
 	if max < 1 {
 		max = 1
 	}
@@ -388,7 +402,10 @@ func (c *Coordinator) grantLease(worker string, max int) *LeaseGrant {
 	c.reapLocked(now)
 	c.touchWorkerLocked(worker, now)
 
-	var take []*cellState
+	var (
+		take []*cellState
+		next time.Time
+	)
 	rest := c.queue[:0]
 	for _, fp := range c.queue {
 		cs := c.cells[fp]
@@ -397,13 +414,16 @@ func (c *Coordinator) grantLease(worker string, max int) *LeaseGrant {
 		}
 		if len(take) < max && !cs.notBefore.After(now) && !c.retryElsewhereLocked(cs, worker, now) {
 			take = append(take, cs)
-		} else {
-			rest = append(rest, fp)
+			continue
+		}
+		rest = append(rest, fp)
+		if cs.notBefore.After(now) && (next.IsZero() || cs.notBefore.Before(next)) {
+			next = cs.notBefore
 		}
 	}
 	c.queue = rest
 	if len(take) == 0 {
-		return nil
+		return nil, c.wake, next
 	}
 
 	l := &lease{
@@ -421,7 +441,7 @@ func (c *Coordinator) grantLease(worker string, max int) *LeaseGrant {
 	c.leases[l.id] = l
 	c.m.leased.Add(uint64(len(take)))
 	c.m.workerLeases.With(worker).Add(1)
-	return grant
+	return grant, nil, time.Time{}
 }
 
 // retryElsewhereLocked reports whether a pending cell should wait for a
@@ -430,15 +450,15 @@ func (c *Coordinator) grantLease(worker string, max int) *LeaseGrant {
 // it. A cell that kills whichever worker runs it thus reaches a second
 // worker, which the poison-cell rule needs, instead of cycling on one
 // worker until its retry budget is gone. Another worker counts while it
-// was heard from within three lease TTLs or three idle-poll intervals,
-// whichever is longer, so neither a dead fleet nor a lone worker waits
-// for long.
+// was heard from within three lease TTLs or three lease holds, whichever
+// is longer (an idle worker re-polls at least once per hold), so neither
+// a dead fleet nor a lone worker waits for long.
 func (c *Coordinator) retryElsewhereLocked(cs *cellState, worker string, now time.Time) bool {
 	n := len(cs.history)
 	if n == 0 || !cs.history[n-1].crashLike || cs.history[n-1].worker != worker {
 		return false
 	}
-	horizon := 3 * max(c.opt.LeaseTTL, idleRetry)
+	horizon := 3 * max(c.opt.LeaseTTL, leaseHold)
 	for name, wi := range c.workers {
 		if name != worker && now.Sub(wi.lastSeen) <= horizon {
 			return true
@@ -713,33 +733,28 @@ func (c *Coordinator) status() StatusResponse {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.reapLocked(now)
+	t := c.tallyLocked(now)
 
 	resp := StatusResponse{
 		UptimeMs:             now.Sub(c.start).Milliseconds(),
+		PendingCells:         t.pending,
+		LeasedCells:          t.leased,
+		DoneCells:            t.done,
+		FailedCells:          t.failed,
+		QuarantinedCells:     len(t.quarantined),
+		ActiveLeases:         t.leases,
 		JournalReplayedCells: c.replayed,
 		Workers:              []WorkerStatus{},
 		Quarantined:          []QuarantinedCell{},
 	}
-	for _, cs := range c.cells {
-		switch {
-		case cs.done && cs.errMsg == "":
-			resp.DoneCells++
-		case cs.done && cs.quarantined:
-			resp.QuarantinedCells++
-			resp.Quarantined = append(resp.Quarantined, QuarantinedCell{
-				Fingerprint: cs.cell.Fingerprint,
-				Workload:    cs.cell.Workload,
-				Scheme:      cs.cell.Scheme,
-				Error:       cs.errMsg,
-				History:     cs.historyLines(),
-			})
-		case cs.done:
-			resp.FailedCells++
-		case cs.lease != "":
-			resp.LeasedCells++
-		default:
-			resp.PendingCells++
-		}
+	for _, cs := range t.quarantined {
+		resp.Quarantined = append(resp.Quarantined, QuarantinedCell{
+			Fingerprint: cs.cell.Fingerprint,
+			Workload:    cs.cell.Workload,
+			Scheme:      cs.cell.Scheme,
+			Error:       cs.errMsg,
+			History:     cs.historyLines(),
+		})
 	}
 	sort.Slice(resp.Quarantined, func(i, j int) bool {
 		a, b := resp.Quarantined[i], resp.Quarantined[j]
@@ -751,33 +766,17 @@ func (c *Coordinator) status() StatusResponse {
 		}
 		return a.Fingerprint < b.Fingerprint
 	})
-	resp.ActiveLeases = len(c.leases)
 
-	type leaseAgg struct {
-		count  int
-		oldest time.Time
-	}
-	byWorker := make(map[string]leaseAgg, len(c.leases))
-	for _, l := range c.leases {
-		agg := byWorker[l.worker]
-		agg.count++
-		if agg.oldest.IsZero() || l.granted.Before(agg.oldest) {
-			agg.oldest = l.granted
-		}
-		byWorker[l.worker] = agg
-	}
-
-	liveWithin := 3 * c.opt.LeaseTTL
 	for name, wi := range c.workers {
 		ws := WorkerStatus{
 			Name:           name,
-			Live:           now.Sub(wi.lastSeen) <= liveWithin,
+			Live:           c.liveLocked(wi, now),
 			LastSeenMs:     now.Sub(wi.lastSeen).Milliseconds(),
 			CellsCompleted: wi.completed,
 		}
-		if agg, ok := byWorker[name]; ok {
-			ws.ActiveLeases = agg.count
-			ws.OldestLeaseMs = now.Sub(agg.oldest).Milliseconds()
+		if h, ok := t.holders[name]; ok {
+			ws.ActiveLeases = h.leases
+			ws.OldestLeaseMs = now.Sub(h.oldest).Milliseconds()
 		}
 		if alive := now.Sub(wi.firstSeen).Seconds(); alive > 0 && wi.completed > 0 {
 			ws.CellsPerSec = float64(wi.completed) / alive
@@ -788,6 +787,71 @@ func (c *Coordinator) status() StatusResponse {
 		return resp.Workers[i].Name < resp.Workers[j].Name
 	})
 	return resp
+}
+
+// tally is one counting pass over the coordinator's cells, leases and
+// workers: the numbers behind both GET /v1/cluster/status and the
+// cachecraft_cluster_* gauges.
+type tally struct {
+	pending, leased, done, failed int
+	quarantined                   []*cellState
+	leases                        int               // live leases
+	holders                       map[string]holder // live leases by worker
+	known, live                   int               // workers ever heard from; within the liveness horizon
+}
+
+type holder struct {
+	leases int
+	oldest time.Time // grant time of the worker's oldest live lease
+}
+
+// tallyLocked counts without reaping or journaling, so sampling a gauge
+// never changes what it samples.
+func (c *Coordinator) tallyLocked(now time.Time) tally {
+	t := tally{leases: len(c.leases), holders: make(map[string]holder, len(c.leases)), known: len(c.workers)}
+	for _, cs := range c.cells {
+		switch {
+		case cs.done && cs.errMsg == "":
+			t.done++
+		case cs.done && cs.quarantined:
+			t.quarantined = append(t.quarantined, cs)
+		case cs.done:
+			t.failed++
+		case cs.lease != "":
+			t.leased++
+		default:
+			t.pending++
+		}
+	}
+	for _, l := range c.leases {
+		h := t.holders[l.worker]
+		h.leases++
+		if h.oldest.IsZero() || l.granted.Before(h.oldest) {
+			h.oldest = l.granted
+		}
+		t.holders[l.worker] = h
+	}
+	for _, wi := range c.workers {
+		if c.liveLocked(wi, now) {
+			t.live++
+		}
+	}
+	return t
+}
+
+// liveLocked reports whether a worker was heard from within the liveness
+// horizon of three lease TTLs (see Status).
+func (c *Coordinator) liveLocked(wi *workerInfo, now time.Time) bool {
+	return now.Sub(wi.lastSeen) <= 3*c.opt.LeaseTTL
+}
+
+// sample is a gauge sampler over one tally.
+func (c *Coordinator) sample(f func(tally) int) func() float64 {
+	return func() float64 {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return float64(f(c.tallyLocked(time.Now())))
+	}
 }
 
 // failAttemptLocked charges one failed dispatch (worker-reported error or
@@ -824,7 +888,7 @@ func (c *Coordinator) failAttemptLocked(cs *cellState, worker, cause string, cra
 		return
 	}
 	cs.notBefore = now.Add(c.backoff(cs.attempts))
-	c.queue = append(c.queue, cs.cell.Fingerprint)
+	c.enqueueLocked(cs)
 	c.m.retried.Inc()
 }
 
@@ -903,50 +967,4 @@ func (c *Coordinator) logf(format string, args ...any) {
 	if c.opt.Logger != nil {
 		c.opt.Logger.Info("cluster: " + fmt.Sprintf(format, args...))
 	}
-}
-
-// countCells is the gauge sampler: pending (unleased, not done) and
-// leased (held by a live lease) cell counts.
-func (c *Coordinator) countCells() (pending, leased int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, cs := range c.cells {
-		switch {
-		case cs.done:
-		case cs.lease != "":
-			leased++
-		default:
-			pending++
-		}
-	}
-	return pending, leased
-}
-
-// countWorkers reports distinct workers holding live leases and the total
-// live lease count.
-func (c *Coordinator) countWorkers() (workers, leases int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	seen := make(map[string]bool, len(c.leases))
-	for _, l := range c.leases {
-		seen[l.worker] = true
-	}
-	return len(seen), len(c.leases)
-}
-
-// countKnown reports workers ever heard from and the subset seen within
-// the liveness horizon (3× lease TTL) — the samplers behind the
-// known/live worker gauges.
-func (c *Coordinator) countKnown() (known, live int) {
-	now := time.Now()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	horizon := 3 * c.opt.LeaseTTL
-	for _, wi := range c.workers {
-		known++
-		if now.Sub(wi.lastSeen) <= horizon {
-			live++
-		}
-	}
-	return known, live
 }

@@ -61,7 +61,6 @@ func startWorker(t *testing.T, url, name string) (stop func()) {
 		Coordinator: url,
 		Name:        name,
 		Runner:      r,
-		PollMax:     50 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -443,7 +442,8 @@ func TestClientPingRejectsForeignServer(t *testing.T) {
 func TestLeaseEndpointContract(t *testing.T) {
 	ts, _ := newClusterServer(t, quickBase(), cluster.Options{}, nil)
 
-	// Empty queue: 204 with an integer Retry-After hint.
+	// Empty queue: 204 once the hold is spent, with no Retry-After hint
+	// (the worker re-polls at once).
 	resp, err := http.Post(ts.URL+"/v1/cluster/lease", "application/json",
 		strings.NewReader(`{"worker":"w1","max":4}`))
 	if err != nil {
@@ -454,8 +454,8 @@ func TestLeaseEndpointContract(t *testing.T) {
 	if resp.StatusCode != http.StatusNoContent {
 		t.Fatalf("idle lease poll: status %d, want 204", resp.StatusCode)
 	}
-	if ra := resp.Header.Get("Retry-After"); ra == "" {
-		t.Fatal("204 without Retry-After hint")
+	if ra := resp.Header.Get("Retry-After"); ra != "" {
+		t.Fatalf("204 carries Retry-After %q; an idle worker should re-poll at once", ra)
 	}
 
 	// Version fencing: a mismatched worker is refused with 409.

@@ -151,7 +151,7 @@ func TestHungHeartbeatsDoNotWedgeTheSweep(t *testing.T) {
 	r := bench.NewRunner(config.Default())
 	r.SetWorkers(2)
 	w, err := cluster.NewWorker(cluster.WorkerOptions{
-		Coordinator: proxy.URL, Name: "hb-hung", Runner: r, PollMax: 50 * time.Millisecond,
+		Coordinator: proxy.URL, Name: "hb-hung", Runner: r,
 	})
 	if err != nil {
 		t.Fatal(err)

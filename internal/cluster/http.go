@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"strconv"
 	"sync"
 	"time"
 
@@ -154,14 +153,18 @@ func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}, c.m.streamErrors)
 }
 
-// idleRetry is the Retry-After hint on a 204 lease answer: an idle worker
-// polls again after this long, so it is heard from at least this often.
-const idleRetry = time.Second
+// leaseHold bounds how long a lease poll on an empty queue is held open.
+// An idle worker re-polls straight after each 204, so the coordinator
+// hears from it at least this often.
+const leaseHold = time.Second
 
-// handleLease answers a worker's poll: 200 with a batch of cells, 204
-// (plus a Retry-After hint) when there is nothing to do, or 409 when the
-// worker runs a different simulator revision — a mixed-revision fleet
-// would compute records under fingerprints no current client asks for.
+// handleLease answers a worker's poll: 200 with a batch of cells, 409
+// when the worker runs a different simulator revision — a mixed-revision
+// fleet would compute records under fingerprints no current client asks
+// for — or, when nothing is eligible, a held poll. The hold answers 200
+// as soon as a cell this worker may take is queued or a backed-off cell's
+// notBefore passes, 204 once leaseHold is spent, and 503 at once when the
+// coordinator closes; it ends when the worker hangs up.
 func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	var req LeaseRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
@@ -181,14 +184,34 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	// (every poll answered 204) still shows up live on /v1/cluster/status
 	// with fresh cachecraft_worker_* families on /metrics.
 	c.ReportWorker(req.Worker, req.Metrics)
-	grant := c.Lease(req.Worker, req.Max)
-	if grant == nil {
-		w.Header().Set("Retry-After", strconv.Itoa(int(idleRetry/time.Second)))
-		w.WriteHeader(http.StatusNoContent)
-		return
+	end := time.Now().Add(leaseHold)
+	for {
+		grant, wake, next := c.grantLease(req.Worker, req.Max)
+		// Lazy reaping may have terminally failed or quarantined cells.
+		c.flushJournal()
+		if grant != nil {
+			w.Header().Set("Content-Type", "application/json")
+			json.NewEncoder(w).Encode(grant)
+			return
+		}
+		wait := time.Until(end)
+		if wait <= 0 {
+			w.WriteHeader(http.StatusNoContent)
+			return
+		}
+		if !next.IsZero() {
+			wait = min(wait, time.Until(next))
+		}
+		select {
+		case <-wake:
+		case <-time.After(wait):
+		case <-r.Context().Done():
+			return // the worker hung up
+		case <-c.closed:
+			httpError(w, http.StatusServiceUnavailable, "coordinator closed")
+			return
+		}
 	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(grant)
 }
 
 func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
@@ -227,14 +250,4 @@ func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	enc.Encode(c.Status())
-}
-
-// retryAfterSeconds parses a Retry-After header as integer seconds
-// (the only form this system emits); 0 means absent or unparseable.
-func retryAfterSeconds(h http.Header) int {
-	n, err := strconv.Atoi(h.Get("Retry-After"))
-	if err != nil || n < 0 {
-		return 0
-	}
-	return n
 }

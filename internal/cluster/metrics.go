@@ -58,25 +58,25 @@ func newMetrics(reg *obs.Registry, c *Coordinator) *metrics {
 		"Sweep cells that failed mid-stream and were reported as NDJSON error lines.")
 	reg.GaugeFunc("cachecraft_cluster_pending_cells",
 		"Cells waiting (or backing off) for a lease.",
-		func() float64 { p, _ := c.countCells(); return float64(p) })
+		c.sample(func(t tally) int { return t.pending }))
 	reg.GaugeFunc("cachecraft_cluster_leased_cells",
 		"Cells currently held by a live lease.",
-		func() float64 { _, l := c.countCells(); return float64(l) })
+		c.sample(func(t tally) int { return t.leased }))
 	reg.GaugeFunc("cachecraft_cluster_active_workers",
 		"Distinct workers currently holding live leases.",
-		func() float64 { w, _ := c.countWorkers(); return float64(w) })
+		c.sample(func(t tally) int { return len(t.holders) }))
 	reg.GaugeFunc("cachecraft_cluster_active_leases",
 		"Live leases across all workers.",
-		func() float64 { _, l := c.countWorkers(); return float64(l) })
+		c.sample(func(t tally) int { return t.leases }))
 	// Fleet liveness, sampled from the worker-contact history: known is
 	// every worker ever heard from (polls count, so an idle worker is
 	// known), live is the subset seen within three lease TTLs. known -
 	// live is the dead-worker count an operator alerts on.
 	reg.GaugeFunc("cachecraft_cluster_known_workers",
 		"Workers that have ever contacted this coordinator (lease poll, heartbeat, or result push).",
-		func() float64 { k, _ := c.countKnown(); return float64(k) })
+		c.sample(func(t tally) int { return t.known }))
 	reg.GaugeFunc("cachecraft_cluster_live_workers",
 		"Known workers heard from within the liveness horizon (3x lease TTL).",
-		func() float64 { _, l := c.countKnown(); return float64(l) })
+		c.sample(func(t tally) int { return t.live }))
 	return m
 }

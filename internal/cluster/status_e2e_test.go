@@ -32,7 +32,6 @@ func startWorkerWithRegistry(t *testing.T, url, name string) (stop func()) {
 		Coordinator: url,
 		Name:        name,
 		Runner:      r,
-		PollMax:     50 * time.Millisecond,
 		Registry:    reg,
 	})
 	if err != nil {

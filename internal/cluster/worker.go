@@ -39,10 +39,6 @@ type WorkerOptions struct {
 	// Batch is the most cells requested per lease (default: the
 	// runner's worker-pool size, so one lease keeps the pool full).
 	Batch int
-	// PollMax caps the idle-poll backoff (default 2s). The backoff
-	// starts small and doubles while no work arrives; a Retry-After
-	// hint from the coordinator (204 or 429) overrides it.
-	PollMax time.Duration
 	// HTTPClient overrides the default client (tests, timeouts).
 	HTTPClient *http.Client
 	// Registry, when set, is snapshotted onto every lease poll and
@@ -88,9 +84,6 @@ func NewWorker(opt WorkerOptions) (*Worker, error) {
 	if opt.Batch <= 0 {
 		opt.Batch = opt.Runner.Workers()
 	}
-	if opt.PollMax <= 0 {
-		opt.PollMax = 2 * time.Second
-	}
 	hc := opt.HTTPClient
 	if hc == nil {
 		hc = &http.Client{}
@@ -101,39 +94,28 @@ func NewWorker(opt WorkerOptions) (*Worker, error) {
 // Name reports the worker's lease/metrics identity.
 func (w *Worker) Name() string { return w.opt.Name }
 
-// Run polls for leases and processes them until ctx ends. Transient
-// coordinator failures back off and retry; a simulator-revision mismatch
-// returns ErrVersionMismatch.
+// pollRetry is the fixed pause after a lease poll that failed (the
+// coordinator is down, restarting, or answered an error). An empty poll
+// needs no pause: the coordinator already held it open.
+const pollRetry = time.Second
+
+// Run polls for leases and processes them until ctx ends. A failed poll
+// is retried after pollRetry; a simulator-revision mismatch returns
+// ErrVersionMismatch.
 func (w *Worker) Run(ctx context.Context) error {
-	const idleMin = 50 * time.Millisecond
-	idle := idleMin
-	for {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		grant, hint, err := w.lease(ctx)
+	for ctx.Err() == nil {
+		grant, err := w.lease(ctx)
 		switch {
 		case errors.Is(err, ErrVersionMismatch):
 			return err
-		case err != nil:
-			if ctx.Err() != nil {
-				return ctx.Err()
-			}
+		case err != nil && ctx.Err() == nil:
 			w.logf("lease poll: %v", err)
-			sleepCtx(ctx, idle)
-			idle = bump(idle, w.opt.PollMax)
-		case grant == nil:
-			d := hint
-			if d <= 0 {
-				d = idle
-				idle = bump(idle, w.opt.PollMax)
-			}
-			sleepCtx(ctx, d)
-		default:
-			idle = idleMin
+			sleepCtx(ctx, pollRetry)
+		case grant != nil:
 			w.process(ctx, grant)
 		}
 	}
+	return ctx.Err()
 }
 
 func bump(d, max time.Duration) time.Duration {
@@ -269,7 +251,7 @@ func (w *Worker) heartbeat(ctx context.Context, grant *LeaseGrant) {
 		case <-tick.C:
 		}
 		hbCtx, cancel := context.WithTimeout(ctx, budget)
-		code, _, err := w.post(hbCtx, "/v1/cluster/heartbeat", HeartbeatRequest{
+		code, err := w.post(hbCtx, "/v1/cluster/heartbeat", HeartbeatRequest{
 			LeaseID: grant.LeaseID,
 			Worker:  w.opt.Name,
 			Metrics: w.snapshot(),
@@ -297,11 +279,11 @@ func rpcBudget(fromTTL, floor time.Duration) time.Duration {
 	return fromTTL
 }
 
-// lease polls for work: (grant, 0, nil) on success, (nil, hint, nil) when
-// there is none (hint = Retry-After), or an error.
-func (w *Worker) lease(ctx context.Context) (*LeaseGrant, time.Duration, error) {
+// lease polls for work: a grant, nil when the coordinator held the poll
+// and no cell arrived (204), or an error.
+func (w *Worker) lease(ctx context.Context) (*LeaseGrant, error) {
 	var grant LeaseGrant
-	code, hdr, err := w.post(ctx, "/v1/cluster/lease", LeaseRequest{
+	code, err := w.post(ctx, "/v1/cluster/lease", LeaseRequest{
 		Worker:  w.opt.Name,
 		Max:     w.opt.Batch,
 		Sim:     version.String(),
@@ -309,18 +291,15 @@ func (w *Worker) lease(ctx context.Context) (*LeaseGrant, time.Duration, error) 
 	}, &grant)
 	switch {
 	case err != nil:
-		return nil, 0, err
-	case code == http.StatusOK:
-		if len(grant.Cells) == 0 {
-			return nil, 0, nil
-		}
-		return &grant, 0, nil
-	case code == http.StatusNoContent, code == http.StatusTooManyRequests:
-		return nil, time.Duration(retryAfterSeconds(hdr)) * time.Second, nil
+		return nil, err
+	case code == http.StatusOK && len(grant.Cells) > 0:
+		return &grant, nil
+	case code == http.StatusNoContent:
+		return nil, nil
 	case code == http.StatusConflict:
-		return nil, 0, ErrVersionMismatch
+		return nil, ErrVersionMismatch
 	default:
-		return nil, 0, fmt.Errorf("cluster: lease poll: HTTP %d", code)
+		return nil, fmt.Errorf("cluster: lease poll: HTTP %d", code)
 	}
 }
 
@@ -335,20 +314,13 @@ func (w *Worker) complete(ctx context.Context, grant *LeaseGrant, batch []CellRe
 	backoff := 100 * time.Millisecond
 	for attempt := 0; attempt < 4; attempt++ {
 		pushCtx, cancel := context.WithTimeout(ctx, budget)
-		code, hdr, err := w.post(pushCtx, "/v1/cluster/complete", req, nil)
+		code, err := w.post(pushCtx, "/v1/cluster/complete", req, nil)
 		cancel()
 		switch {
 		case ctx.Err() != nil:
 			return
 		case err == nil && code == http.StatusOK:
 			return
-		case err == nil && code == http.StatusTooManyRequests:
-			// Back off as the coordinator asks (satellite contract:
-			// 429s carry Retry-After precisely so workers can do this).
-			if ra := retryAfterSeconds(hdr); ra > 0 {
-				sleepCtx(ctx, time.Duration(ra)*time.Second)
-				continue
-			}
 		case err == nil:
 			w.logf("complete: HTTP %d", code)
 		default:
@@ -373,24 +345,24 @@ var rpcSites = map[string]chaos.Site{
 // an injected error or partition is indistinguishable from a connection
 // failure, injected latency stalls the call inside whatever context
 // budget the caller imposed.
-func (w *Worker) post(ctx context.Context, path string, body, out any) (int, http.Header, error) {
+func (w *Worker) post(ctx context.Context, path string, body, out any) (int, error) {
 	if site, ok := rpcSites[path]; ok {
 		if err := w.opt.Chaos.Inject(site, w.opt.Name); err != nil {
-			return 0, nil, fmt.Errorf("cluster: %s: %w", path, err)
+			return 0, fmt.Errorf("cluster: %s: %w", path, err)
 		}
 	}
 	raw, err := json.Marshal(body)
 	if err != nil {
-		return 0, nil, err
+		return 0, err
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.opt.Coordinator+path, bytes.NewReader(raw))
 	if err != nil {
-		return 0, nil, err
+		return 0, err
 	}
 	req.Header.Set("Content-Type", "application/json")
 	resp, err := w.hc.Do(req)
 	if err != nil {
-		return 0, nil, err
+		return 0, err
 	}
 	defer func() {
 		io.Copy(io.Discard, resp.Body)
@@ -398,10 +370,10 @@ func (w *Worker) post(ctx context.Context, path string, body, out any) (int, htt
 	}()
 	if out != nil && resp.StatusCode == http.StatusOK {
 		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-			return resp.StatusCode, resp.Header, fmt.Errorf("cluster: decode %s response: %w", path, err)
+			return resp.StatusCode, fmt.Errorf("cluster: decode %s response: %w", path, err)
 		}
 	}
-	return resp.StatusCode, resp.Header, nil
+	return resp.StatusCode, nil
 }
 
 // snapshot flattens the worker's registry to the name → value map the

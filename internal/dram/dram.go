@@ -285,9 +285,6 @@ func New(eng *sim.Engine, cfg Config) *DRAM {
 	return d
 }
 
-// Config reports the memory configuration.
-func (d *DRAM) Config() Config { return d.cfg }
-
 // route decodes a physical address into channel, bank, and row.
 func (d *DRAM) route(addr uint64) (ch, bk int, row int64) {
 	stripe := addr / uint64(d.cfg.ChannelInterleaveBytes)

@@ -69,7 +69,8 @@ func TestRedTagRoutingConsistent(t *testing.T) {
 func TestInsertEvictionFlowsToControllerWriteback(t *testing.T) {
 	m := buildMachine(t, protect.NewNone)
 	b := m.banks[0]
-	cfg := b.cache.Config()
+	cfg := m.cfg.L2 // as newL2Bank sizes each bank's slice
+	cfg.SizeBytes /= m.cfg.L2Banks
 	// Fill one set beyond capacity with dirty lines. Consecutive bank-0
 	// lines that share a set: stride = sets*lineBytes*banks.
 	sets := cfg.SizeBytes / (cfg.LineBytes * cfg.Ways)

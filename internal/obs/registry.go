@@ -82,13 +82,6 @@ func (h *Histogram) Count() uint64 {
 	return h.count
 }
 
-// Sum reports the total of all observed samples.
-func (h *Histogram) Sum() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sum
-}
-
 // snapshot returns cumulative bucket counts (ending with the +Inf total),
 // the sample sum, and the sample count.
 func (h *Histogram) snapshot() ([]uint64, float64, uint64) {
@@ -227,11 +220,6 @@ func (f *family) get(values []string) *series {
 // Counter registers (or fetches) an unlabelled counter.
 func (r *Registry) Counter(name, help string) *Counter {
 	return r.register(name, help, counterKind, nil, nil).get(nil).c
-}
-
-// Gauge registers (or fetches) an unlabelled gauge.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	return r.register(name, help, gaugeKind, nil, nil).get(nil).g
 }
 
 // Histogram registers (or fetches) an unlabelled histogram with the given

@@ -141,11 +141,6 @@ func (e *Engine) At(at Cycle, fn Event) {
 	e.enqueue(idx, at)
 }
 
-// After schedules fn to run delay cycles from now.
-func (e *Engine) After(delay Cycle, fn Event) {
-	e.At(e.now+delay, fn)
-}
-
 // Post schedules h.OnEvent(at, a0, a1) without allocating: the handler and
 // its arguments are stored in a pooled record. Past cycles clamp to now,
 // exactly as in At.

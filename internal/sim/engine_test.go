@@ -91,7 +91,7 @@ func TestEngineNestedScheduling(t *testing.T) {
 	recurse = func(now Cycle) {
 		depth++
 		if depth < 5 {
-			e.After(7, recurse)
+			e.At(e.Now()+7, recurse)
 		}
 	}
 	e.At(0, recurse)
@@ -140,11 +140,11 @@ func TestThrottledPortZeroByteTransferStillOccupies(t *testing.T) {
 	}
 }
 
-func TestUtilization(t *testing.T) {
+func TestBusyBytes(t *testing.T) {
 	p := NewThrottledPort("link", 32, 0)
 	p.Transfer(0, 64)
-	if u := p.Utilization(4); u != 0.5 {
-		t.Fatalf("port utilization = %v, want 0.5", u)
+	if b := p.BusyBytes(); b != 64 {
+		t.Fatalf("port busy bytes = %d, want 64", b)
 	}
 }
 
@@ -153,7 +153,7 @@ func TestStepAndPending(t *testing.T) {
 	if e.Step() {
 		t.Fatal("Step on empty queue must report false")
 	}
-	e.After(5, func(Cycle) {})
+	e.At(e.Now()+5, func(Cycle) {})
 	if e.Pending() != 1 {
 		t.Fatalf("pending = %d", e.Pending())
 	}

@@ -56,12 +56,3 @@ func (p *ThrottledPort) Transfer(at Cycle, bytes int) Cycle {
 
 // BusyBytes reports the cumulative bytes moved.
 func (p *ThrottledPort) BusyBytes() uint64 { return p.busyBytes }
-
-// Utilization reports moved bytes as a fraction of the port's capacity
-// over elapsed cycles.
-func (p *ThrottledPort) Utilization(elapsed Cycle) float64 {
-	if elapsed == 0 {
-		return 0
-	}
-	return float64(p.busyBytes) / (float64(elapsed) * float64(p.bytesPerCy))
-}

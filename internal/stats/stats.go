@@ -49,9 +49,6 @@ func (c *Counters) Add(name string, delta uint64) {
 	c.vals[c.slot(name)] += delta
 }
 
-// Inc increments the named counter by one.
-func (c *Counters) Inc(name string) { c.Add(name, 1) }
-
 // Get reports the counter's value (zero if never touched).
 func (c *Counters) Get(name string) uint64 {
 	if i, ok := c.index[name]; ok {

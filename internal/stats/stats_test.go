@@ -9,9 +9,9 @@ import (
 
 func TestCountersBasics(t *testing.T) {
 	c := NewCounters()
-	c.Inc("a")
+	c.Add("a", 1)
 	c.Add("b", 10)
-	c.Inc("a")
+	c.Add("a", 1)
 	if c.Get("a") != 2 || c.Get("b") != 10 {
 		t.Fatalf("got a=%d b=%d", c.Get("a"), c.Get("b"))
 	}

@@ -110,20 +110,20 @@ func TestSingleSourceCannotExceedItsPort(t *testing.T) {
 	}
 }
 
-func TestUtilizationAndTotals(t *testing.T) {
+func TestPortTotals(t *testing.T) {
 	x := New("t", testConfig())
 	x.Transfer(0, 1, 2, 64)
 	if x.TotalBytes() != 64 {
 		t.Fatalf("total = %d", x.TotalBytes())
 	}
-	if u := x.inject[1].Utilization(4); u != 0.5 {
-		t.Fatalf("inject util = %v", u)
+	if b := x.inject[1].BusyBytes(); b != 64 {
+		t.Fatalf("inject busy bytes = %d", b)
 	}
-	if u := x.eject[2].Utilization(4); u != 0.5 {
-		t.Fatalf("eject util = %v", u)
+	if b := x.eject[2].BusyBytes(); b != 64 {
+		t.Fatalf("eject busy bytes = %d", b)
 	}
-	if u := x.inject[0].Utilization(4); u != 0 {
-		t.Fatalf("idle port util = %v", u)
+	if b := x.inject[0].BusyBytes(); b != 0 {
+		t.Fatalf("idle port busy bytes = %d", b)
 	}
 }
 
