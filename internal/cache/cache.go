@@ -315,7 +315,19 @@ func (c *Cache) FillInto(lineAddr uint64, sectorMask, dirtyMask uint64, ev *Evic
 	}
 	base, key := c.locate(lineAddr)
 	c.clock++
-	if i := c.findWay(base, key); i >= 0 {
+	// One pass over the set's tags finds the line or, failing that, the
+	// first invalid way (a valid tag word is never 0).
+	i, free := -1, -1
+	for w, t := range c.tags[base : base+c.ways] {
+		if t == key {
+			i = base + w
+			break
+		}
+		if t == 0 && free < 0 {
+			free = base + w
+		}
+	}
+	if i >= 0 {
 		newSectors := sectorMask &^ c.vmask[i]
 		c.vmask[i] |= sectorMask
 		c.dmask[i] |= dirtyMask & sectorMask
@@ -325,11 +337,11 @@ func (c *Cache) FillInto(lineAddr uint64, sectorMask, dirtyMask uint64, ev *Evic
 		}
 		return false
 	}
-	i := c.chooseVictim(base)
-	evicted := false
-	if c.tags[i] != 0 {
+	evicted := free < 0
+	i = free
+	if evicted {
+		i = c.chooseVictim(base)
 		c.stEvictions.Inc()
-		evicted = true
 		*ev = Eviction{
 			LineAddr:  c.lineAddrOf(c.tags[i]),
 			ValidMask: c.vmask[i],
@@ -357,15 +369,9 @@ func (c *Cache) lineAddrOf(key uint64) uint64 {
 	return (key - 1) * uint64(c.cfg.LineBytes)
 }
 
-// chooseVictim returns the element index of the way in the set at base
-// that a new line replaces: an invalid way if there is one, else the
-// policy's victim.
+// chooseVictim returns the element index of the policy's victim in the
+// full set at base.
 func (c *Cache) chooseVictim(base int) int {
-	for w, t := range c.tags[base : base+c.ways] {
-		if t == 0 {
-			return base + w
-		}
-	}
 	switch c.cfg.Repl {
 	case SRRIP:
 		rrpv := c.rrpv[base : base+c.ways]

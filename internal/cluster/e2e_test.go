@@ -218,28 +218,37 @@ func TestClusterSweepEndToEnd(t *testing.T) {
 
 // TestClusterSweepRejectsInvalidConfig: a sweep whose config override
 // fails validation is answered 400 before any cell is submitted, so no
-// worker is ever leased a geometry it cannot build.
+// worker is ever leased a geometry it cannot build — including one it
+// could build only by allocating queue slots for a billion DRAM banks.
 func TestClusterSweepRejectsInvalidConfig(t *testing.T) {
 	ts, co := newClusterServer(t, quickBase(), cluster.Options{}, nil)
-	bad := quickBase()
-	bad.XbarReqBytesPerCycle = -1
-	body, err := json.Marshal(cluster.SweepRequest{
-		Workloads: []string{"stream"}, Schemes: []string{"none"}, Config: &bad,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp := postSweep(t, ts.URL, string(body))
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("status %d, want 400", resp.StatusCode)
-	}
-	msg, _ := io.ReadAll(resp.Body)
-	if !strings.Contains(string(msg), "bisection") {
-		t.Fatalf("error does not name the bad field: %s", msg)
-	}
-	if st := co.Status(); st.PendingCells+st.LeasedCells+st.DoneCells+st.FailedCells != 0 {
-		t.Fatalf("rejected sweep submitted cells: %+v", st)
+	for _, tc := range []struct {
+		mut  func(*config.GPU)
+		want string
+	}{
+		{func(g *config.GPU) { g.XbarReqBytesPerCycle = -1 }, "bisection"},
+		{func(g *config.GPU) { g.DRAM.BanksPerChannel = 1 << 30 }, "banks"},
+	} {
+		bad := quickBase()
+		tc.mut(&bad)
+		body, err := json.Marshal(cluster.SweepRequest{
+			Workloads: []string{"stream"}, Schemes: []string{"none"}, Config: &bad,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp := postSweep(t, ts.URL, string(body))
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400", tc.want, resp.StatusCode)
+		}
+		if !strings.Contains(string(msg), tc.want) {
+			t.Fatalf("error does not name the bad field (%s): %s", tc.want, msg)
+		}
+		if st := co.Status(); st.PendingCells+st.LeasedCells+st.DoneCells+st.FailedCells != 0 {
+			t.Fatalf("%s: rejected sweep submitted cells: %+v", tc.want, st)
+		}
 	}
 }
 

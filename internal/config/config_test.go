@@ -26,6 +26,9 @@ func TestValidateCatchesBadFields(t *testing.T) {
 		{"bad L1", func(g *GPU) { g.L1.LineBytes = 100 }},
 		{"bad bank size", func(g *GPU) { g.L2.SizeBytes = 3 << 20 }}, // 3MiB/8 banks → 24576 sets? not pow2
 		{"bad dram", func(g *GPU) { g.DRAM.Channels = 0 }},
+		{"too many dram channels", func(g *GPU) { g.DRAM.Channels = 1 << 20 }},
+		{"too many dram banks", func(g *GPU) { g.DRAM.BanksPerChannel = 1 << 30 }},
+		{"too deep a scheduler window", func(g *GPU) { g.DRAM.SchedulerWindow = 1 << 30 }},
 		{"bad geometry", func(g *GPU) { g.Geometry.GranuleBytes = 100 }},
 		{"zero L2 MSHRs", func(g *GPU) { g.L2MSHRs = 0 }},
 		{"negative L2 MSHRs", func(g *GPU) { g.L2MSHRs = -1 }},

@@ -40,11 +40,26 @@ type Config struct {
 	SchedulerWindow int
 }
 
+// Upper bounds on the sizes New allocates for: every bank of every
+// channel gets its first queue slots up front, so an absurd geometry
+// would ask for gigabytes before simulating anything.
+const (
+	MaxChannels        = 128
+	MaxBanksPerChannel = 128
+	MaxSchedulerWindow = 128
+)
+
 // Validate checks the configuration.
 func (c Config) Validate() error {
 	switch {
 	case c.Channels <= 0 || c.BanksPerChannel <= 0 || c.RowBytes <= 0:
 		return fmt.Errorf("dram: sizes must be positive: %+v", c)
+	case c.Channels > MaxChannels:
+		return fmt.Errorf("dram: %d channels exceeds %d", c.Channels, MaxChannels)
+	case c.BanksPerChannel > MaxBanksPerChannel:
+		return fmt.Errorf("dram: %d banks per channel exceeds %d", c.BanksPerChannel, MaxBanksPerChannel)
+	case c.SchedulerWindow > MaxSchedulerWindow:
+		return fmt.Errorf("dram: scheduler window %d exceeds %d", c.SchedulerWindow, MaxSchedulerWindow)
 	case c.ChannelInterleaveBytes <= 0:
 		return fmt.Errorf("dram: channel interleave must be positive")
 	case c.SchedulerWindow <= 0 || c.TCmd <= 0:
@@ -109,24 +124,19 @@ type doneFunc func(now sim.Cycle)
 func (f doneFunc) OnEvent(now sim.Cycle, _, _ uint64) { f(now) }
 
 // bank holds its own FIFO request queue (with a head index so dequeues are
-// O(1) and in-window promotions are O(window)).
+// O(1) and in-window promotions are O(window)). The bank's ready cycle and
+// whether its scheduler window (the first window requests queued) holds a
+// row hit live in its channel's packed readyAt and hit arrays, so the bank
+// pick reads no bank.
 type bank struct {
 	openRow int64 // -1 when closed
-	readyAt sim.Cycle
 	queue   []pendingReq
 	head    int
-	// hits counts the requests in the scheduler window (the first window
-	// queued) whose row is open, so the scheduler knows whether the bank
-	// has a row hit without scanning its window.
-	hits int
 }
 
 func (b *bank) pending() int { return len(b.queue) - b.head }
 
-func (b *bank) push(pr pendingReq, window int) {
-	if b.pending() < window && pr.row == b.openRow {
-		b.hits++
-	}
+func (b *bank) push(pr pendingReq) {
 	if len(b.queue) == cap(b.queue) && b.head*2 >= len(b.queue) && b.head > 0 {
 		// Full, but at least half of it is the consumed prefix: slide the
 		// live requests down instead of growing the backing array.
@@ -138,17 +148,10 @@ func (b *bank) push(pr pendingReq, window int) {
 	b.queue = append(b.queue, pr)
 }
 
-// removeAt extracts the request at absolute index i, which must lie in the
-// scheduler window, shifting the intervening entries to preserve arrival
-// order; the first request beyond the window moves into it.
-func (b *bank) removeAt(i, window int) pendingReq {
+// removeAt extracts the request at absolute index i, shifting the
+// entries before it to preserve arrival order.
+func (b *bank) removeAt(i int) pendingReq {
 	pr := b.queue[i]
-	if pr.row == b.openRow {
-		b.hits--
-	}
-	if j := b.head + window; j < len(b.queue) && b.queue[j].row == b.openRow {
-		b.hits++
-	}
 	copy(b.queue[b.head+1:i+1], b.queue[b.head:i])
 	b.queue[b.head] = pendingReq{}
 	b.head++
@@ -160,18 +163,16 @@ func (b *bank) removeAt(i, window int) pendingReq {
 	return pr
 }
 
-// setOpenRow opens row, recounting the window's hits when it changes.
-func (b *bank) setOpenRow(row int64, window int) {
-	if row == b.openRow {
-		return
-	}
-	b.openRow = row
-	b.hits = 0
-	for i := b.head; i < len(b.queue) && i < b.head+window; i++ {
-		if b.queue[i].row == row {
-			b.hits++
+// windowHit reports whether a request in the scheduler window targets the
+// open row.
+func (b *bank) windowHit(window int) bool {
+	end := min(len(b.queue), b.head+window)
+	for i := b.head; i < end; i++ {
+		if b.queue[i].row == b.openRow {
+			return true
 		}
 	}
+	return false
 }
 
 type channel struct {
@@ -185,12 +186,17 @@ type channel struct {
 	// busBusy totals the claimed cycles for BusUtilization.
 	busFree, busBusy sim.Cycle
 
-	// pending has bit i set while bank i has queued requests (one word per
-	// 64 banks); queued counts the channel's requests. ready and hit are
-	// pickBank's scratch masks, shaped like pending.
-	pending    []uint64
-	ready, hit []uint64
-	queued     int
+	// readyAt is, per bank, the cycle it can take its next command.
+	// pending has bit i set while bank i has queued requests, and hit
+	// while bank i's scheduler window holds a request to its open row
+	// (one word per 64 banks); queued counts the channel's requests.
+	// ready and pick are pickBank's scratch masks for channels of more
+	// than 64 banks, shaped like pending.
+	readyAt     []sim.Cycle
+	pending     []uint64
+	hit         []uint64
+	ready, pick []uint64
+	queued      int
 
 	// Scheduler arming state: one wake event is outstanding at a time;
 	// re-arming earlier supersedes it via the generation counter.
@@ -198,6 +204,11 @@ type channel struct {
 	armed   bool
 	armedAt sim.Cycle
 	nextCmd sim.Cycle // command-pacing: no two issues within TCmd
+}
+
+// setHit records whether bank bk's window holds a row hit.
+func (c *channel) setHit(bk int, on bool) {
+	c.hit[bk>>6] = c.hit[bk>>6]&^(1<<uint(bk&63)) | bit(on)<<uint(bk&63)
 }
 
 // Hook observes the memory system's scheduling decisions. Serviced reports
@@ -271,8 +282,12 @@ func New(eng *sim.Engine, cfg Config) *DRAM {
 	for i := 0; i < cfg.Channels; i++ {
 		ch := &channel{id: i, nextRefresh: cfg.TREFI}
 		ch.banks = make([]bank, cfg.BanksPerChannel)
+		ch.readyAt = make([]sim.Cycle, cfg.BanksPerChannel)
 		words := (cfg.BanksPerChannel + 63) / 64
-		ch.pending, ch.ready, ch.hit = make([]uint64, words), make([]uint64, words), make([]uint64, words)
+		ch.pending, ch.hit = make([]uint64, words), make([]uint64, words)
+		if words > 1 {
+			ch.ready, ch.pick = make([]uint64, words), make([]uint64, words)
+		}
 		// One backing array gives every bank's queue its first slots, so
 		// queues grow from there instead of from empty during the run.
 		backing := make([]pendingReq, cfg.BanksPerChannel*initialQueue)
@@ -377,15 +392,20 @@ func (h *armHandler) OnEvent(now sim.Cycle, a0, a1 uint64) {
 
 // push queues a request on bank bk.
 func (c *channel) push(bk int, pr pendingReq, window int) {
-	c.banks[bk].push(pr, window)
+	b := &c.banks[bk]
+	if b.pending() < window && pr.row == b.openRow {
+		c.hit[bk>>6] |= 1 << uint(bk&63)
+	}
+	b.push(pr)
 	c.pending[bk>>6] |= 1 << uint(bk&63)
 	c.queued++
 }
 
-// remove dequeues the request at absolute index i of bank bk.
-func (c *channel) remove(bk, i, window int) pendingReq {
+// remove dequeues the request at absolute index i of bank bk. The caller
+// opens the request's row and rechecks the bank's hit bit.
+func (c *channel) remove(bk, i int) pendingReq {
 	b := &c.banks[bk]
-	pr := b.removeAt(i, window)
+	pr := b.removeAt(i)
 	if b.pending() == 0 {
 		c.pending[bk>>6] &^= 1 << uint(bk&63)
 	}
@@ -433,15 +453,15 @@ func (d *DRAM) service(c *channel, now sim.Cycle) {
 	window := d.cfg.SchedulerWindow
 	b := &c.banks[bk]
 	idx := b.head
-	if b.hits > 0 {
+	if c.hit[bk>>6]&(1<<uint(bk&63)) != 0 {
 		for b.queue[idx].row != b.openRow {
 			idx++
 		}
 	}
-	pr := c.remove(bk, idx, window)
+	pr := c.remove(bk, idx)
 	row := pr.row
 	if d.hook != nil {
-		d.hook.Serviced(now, pr.request(), c.id, bk, row, b.openRow, b.readyAt)
+		d.hook.Serviced(now, pr.request(), c.id, bk, row, b.openRow, c.readyAt[bk])
 	}
 
 	// Split bank occupancy from access latency: a row hit issues its CAS
@@ -461,14 +481,17 @@ func (d *DRAM) service(c *channel, now sim.Cycle) {
 		d.stRowConflicts.Inc()
 		colIssued = now + d.cfg.TRP + d.cfg.TRCD
 	}
-	b.setOpenRow(row, window)
+	// The window lost this request and may have gained the next queued
+	// one, and the open row may have changed: recheck it for a hit.
+	b.openRow = row
+	c.setHit(bk, b.windowHit(window))
 
 	bursts := (int(pr.bytes) + 31) / 32
 	if bursts == 0 {
 		bursts = 1
 	}
 	busDur := d.cfg.TBurst * sim.Cycle(bursts)
-	b.readyAt = colIssued + busDur // next CAS may follow at tCCD (≈ burst)
+	c.readyAt[bk] = colIssued + busDur // next CAS may follow at tCCD (≈ burst)
 	finish := max(colIssued+d.cfg.TCAS, c.busFree) + busDur
 	c.busFree = finish
 	c.busBusy += busDur
@@ -496,13 +519,10 @@ func (d *DRAM) maybeRefresh(c *channel, now sim.Cycle) {
 	for now >= c.nextRefresh {
 		end := c.nextRefresh + d.cfg.TRFC
 		for i := range c.banks {
-			b := &c.banks[i]
-			if b.readyAt < end {
-				b.readyAt = end
-			}
-			b.openRow = -1
-			b.hits = 0
+			c.readyAt[i] = max(c.readyAt[i], end)
+			c.banks[i].openRow = -1
 		}
+		clear(c.hit)
 		c.nextRefresh += d.cfg.TREFI
 		d.stRefreshes.Inc()
 		if d.hook != nil {
@@ -517,30 +537,61 @@ func (d *DRAM) maybeRefresh(c *channel, now sim.Cycle) {
 // the earliest cycle at which one will be (meaningless when nothing is
 // queued).
 func (d *DRAM) pickBank(c *channel, now sim.Cycle) (int, sim.Cycle) {
-	// Mask the pending banks ready now, and those of them with a row hit
-	// in their window, without a data-dependent branch per bank.
+	if len(c.pending) > 1 {
+		return d.pickBankWide(c, now)
+	}
+	ready, wake := c.readyWord(0, now, ^sim.Cycle(0))
+	if ready == 0 {
+		return -1, wake
+	}
+	cand := ready & c.hit[0]
+	if cand == 0 {
+		cand = ready
+	}
+	// The first candidate at or after rr, else the lowest.
+	bk := bits.TrailingZeros64(cand)
+	if from := cand >> uint(c.rr) << uint(c.rr); from != 0 {
+		bk = bits.TrailingZeros64(from)
+	}
+	c.rr = bk + 1
+	if c.rr == len(c.banks) {
+		c.rr = 0
+	}
+	return bk, 0
+}
+
+// readyWord masks the pending banks of mask word w that are ready at now,
+// without a data-dependent branch per bank, and lowers wake to the
+// earliest ready cycle among them.
+func (c *channel) readyWord(w int, now, wake sim.Cycle) (ready uint64, _ sim.Cycle) {
+	for m := c.pending[w]; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(m)
+		at := c.readyAt[w<<6|i]
+		ready |= bit(at <= now) << uint(i)
+		wake = min(wake, at)
+	}
+	return ready, wake
+}
+
+// pickBankWide is pickBank for channels of more than 64 banks.
+func (d *DRAM) pickBankWide(c *channel, now sim.Cycle) (int, sim.Cycle) {
 	wake := ^sim.Cycle(0)
-	var anyReady uint64
-	for w, pend := range c.pending {
-		var ready, hit uint64
-		for m := pend; m != 0; m &= m - 1 {
-			i := bits.TrailingZeros64(m)
-			b := &c.banks[w<<6|i]
-			r := bit(b.readyAt <= now)
-			ready |= r << uint(i)
-			hit |= (r & bit(b.hits > 0)) << uint(i)
-			wake = min(wake, b.readyAt)
-		}
-		c.ready[w], c.hit[w] = ready, hit
+	var anyReady, anyHit uint64
+	for w := range c.pending {
+		var ready uint64
+		ready, wake = c.readyWord(w, now, wake)
+		c.ready[w], c.pick[w] = ready, ready&c.hit[w]
 		anyReady |= ready
+		anyHit |= c.pick[w]
 	}
 	if anyReady == 0 {
 		return -1, wake
 	}
-	bk := nextSet(c.hit, c.rr)
-	if bk < 0 {
-		bk = nextSet(c.ready, c.rr)
+	cand := c.pick
+	if anyHit == 0 {
+		cand = c.ready
 	}
+	bk := nextSet(cand, c.rr)
 	c.rr = (bk + 1) % len(c.banks)
 	return bk, 0
 }

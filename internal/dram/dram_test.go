@@ -33,6 +33,22 @@ func TestConfigValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Fatal("zero interleave accepted")
 	}
+	edge := DefaultConfig()
+	edge.Channels, edge.BanksPerChannel, edge.SchedulerWindow = MaxChannels, MaxBanksPerChannel, MaxSchedulerWindow
+	if err := edge.Validate(); err != nil {
+		t.Fatalf("largest geometry rejected: %v", err)
+	}
+	for _, grow := range []func(*Config){
+		func(c *Config) { c.Channels++ },
+		func(c *Config) { c.BanksPerChannel++ },
+		func(c *Config) { c.SchedulerWindow++ },
+	} {
+		bad := edge
+		grow(&bad)
+		if err := bad.Validate(); err == nil {
+			t.Fatalf("geometry past the limits accepted: %+v", bad)
+		}
+	}
 }
 
 func run(eng *sim.Engine, d *DRAM) sim.Cycle {

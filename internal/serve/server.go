@@ -43,7 +43,9 @@ import (
 	"cachecraft/internal/config"
 	"cachecraft/internal/gpu"
 	"cachecraft/internal/obs"
+	"cachecraft/internal/schemes"
 	"cachecraft/internal/store"
+	"cachecraft/internal/trace"
 	"cachecraft/internal/version"
 )
 
@@ -103,6 +105,27 @@ type Server struct {
 	log    *slog.Logger
 	tracer *obs.Tracer
 	inj    *chaos.Injector
+	// fps holds the store fingerprint of every expressible (workload,
+	// scheme) pair on base; a pair not in it is not expressible.
+	fps map[cell]string
+}
+
+// cell is a (workload, scheme) pair.
+type cell struct{ workload, scheme string }
+
+// fingerprints computes the store fingerprint on base of every pair
+// cluster.Expressible accepts (every registered workload with every
+// scheme in schemes.All), so a request costs one lookup instead of a
+// config encoding and a hash.
+func fingerprints(base config.GPU) map[cell]string {
+	fp := store.Fingerprinter(base)
+	fps := make(map[cell]string)
+	for _, wl := range trace.Names() {
+		for _, sc := range schemes.All() {
+			fps[cell{wl, sc}] = fp(wl, sc)
+		}
+	}
+	return fps
 }
 
 // New builds a server. The runner's worker pool (bench.Runner.SetWorkers)
@@ -138,6 +161,7 @@ func New(opt Options) *Server {
 		log:    opt.Logger,
 		tracer: opt.Tracer,
 		inj:    opt.Chaos,
+		fps:    fingerprints(opt.Base),
 	}
 	s.m = newMetrics(reg, r, s.lim)
 	s.mux.HandleFunc("POST /v1/simulate", s.handleSimulate)
@@ -250,11 +274,11 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
-	if !cluster.Expressible(req.Workload, req.Scheme) {
+	fp, ok := s.fps[cell{req.Workload, req.Scheme}]
+	if !ok {
 		httpError(w, http.StatusBadRequest, "unknown workload or scheme %q/%q", req.Workload, req.Scheme)
 		return
 	}
-	fp := store.Fingerprint(s.base, req.Workload, req.Scheme)
 
 	// Warm path: stored bytes answer the request (possibly with a 304)
 	// without touching the limiter or the runner.

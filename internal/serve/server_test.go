@@ -13,8 +13,11 @@ import (
 	"testing"
 	"time"
 
+	"cachecraft/internal/cluster"
 	"cachecraft/internal/config"
+	"cachecraft/internal/schemes"
 	"cachecraft/internal/store"
+	"cachecraft/internal/trace"
 )
 
 // sweepLine decodes any line of a sweep stream: a record, an error line
@@ -164,6 +167,32 @@ func TestSimulateValidation(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("sweep with unknown workload: status %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestFingerprintTableMatchesStore: the table New builds holds exactly the
+// expressible (workload, scheme) pairs, each under the fingerprint
+// store.Fingerprint gives it on the server's base configuration.
+func TestFingerprintTableMatchesStore(t *testing.T) {
+	srv, _ := newTestServer(t, nil, 1, 1)
+	n := 0
+	for _, wl := range trace.Names() {
+		for _, sc := range schemes.Names() {
+			fp, ok := srv.fps[cell{wl, sc}]
+			if ok != cluster.Expressible(wl, sc) {
+				t.Fatalf("%s/%s: in table %v, expressible %v", wl, sc, ok, cluster.Expressible(wl, sc))
+			}
+			if !ok {
+				continue
+			}
+			n++
+			if want := store.Fingerprint(quickBase(), wl, sc); fp != want {
+				t.Fatalf("%s/%s: table fingerprint %s, store.Fingerprint %s", wl, sc, fp, want)
+			}
+		}
+	}
+	if n == 0 || n != len(srv.fps) {
+		t.Fatalf("table has %d entries, %d expressible pairs", len(srv.fps), n)
 	}
 }
 
