@@ -16,8 +16,9 @@ import (
 // goldenConfigs are the configurations TestCellDigestsMatchGolden pins:
 // config.Quick (the cachecraft-sweep -quick grid) and odd geometries that
 // stress the DRAM scheduler and the L2 miss path (short refresh, a
-// one-deep FR-FCFS window, a bank count spanning two 64-bit pending-mask
-// words, two MSHRs with no decode latency, correctable-error injection).
+// one-deep FR-FCFS window, a bank count that fills every bit of the
+// 64-bit bank masks, two MSHRs with no decode latency, correctable-error
+// injection).
 func goldenConfigs() []struct {
 	id  string
 	cfg config.GPU
@@ -27,8 +28,8 @@ func goldenConfigs() []struct {
 	refresh.DRAM.TREFI, refresh.DRAM.TRFC = 400, 60
 	window1 := base
 	window1.DRAM.SchedulerWindow = 1
-	banks70 := base
-	banks70.DRAM.BanksPerChannel = 70
+	banks64 := base
+	banks64.DRAM.BanksPerChannel = 64
 	mshr2 := base
 	mshr2.L2MSHRs, mshr2.DecodeLat = 2, 0
 	errs := base
@@ -40,7 +41,7 @@ func goldenConfigs() []struct {
 		{"quick", base},
 		{"trefi400-trfc60", refresh},
 		{"window1", window1},
-		{"banks70", banks70},
+		{"banks64", banks64},
 		{"mshr2-decode0", mshr2},
 		{"errors-100000ppm", errs},
 	}
