@@ -42,10 +42,11 @@ type Config struct {
 
 // Upper bounds on the sizes New allocates for: every bank of every
 // channel gets its first queue slots up front, so an absurd geometry
-// would ask for gigabytes before simulating anything.
+// would ask for gigabytes before simulating anything. A channel's banks
+// fit one 64-bit mask word.
 const (
 	MaxChannels        = 128
-	MaxBanksPerChannel = 128
+	MaxBanksPerChannel = 64
 	MaxSchedulerWindow = 128
 )
 
@@ -101,7 +102,7 @@ type pendingReq struct {
 	arrival sim.Cycle
 	row     int64 // decoded once at submit; FR-FCFS scans compare it often
 	// done completes the request when set: it is posted as
-	// done.OnEvent(finish, arg, 0). A Request.Done rides as a doneFunc.
+	// done.OnEvent(finish, arg, 0).
 	done  sim.Handler
 	arg   uint64
 	bytes int32
@@ -111,22 +112,13 @@ type pendingReq struct {
 
 // request rebuilds the request as submitted (for the hook).
 func (pr *pendingReq) request() mem.Request {
-	req := mem.Request{Addr: pr.addr, Write: pr.write, Bytes: int(pr.bytes), Class: mem.Class(pr.class)}
-	if f, ok := pr.done.(doneFunc); ok {
-		req.Done = f
-	}
-	return req
+	return mem.Request{Addr: pr.addr, Write: pr.write, Bytes: int(pr.bytes), Class: mem.Class(pr.class)}
 }
-
-// doneFunc completes a request submitted with a Done callback.
-type doneFunc func(now sim.Cycle)
-
-func (f doneFunc) OnEvent(now sim.Cycle, _, _ uint64) { f(now) }
 
 // bank holds its own FIFO request queue (with a head index so dequeues are
 // O(1) and in-window promotions are O(window)). The bank's ready cycle and
 // whether its scheduler window (the first window requests queued) holds a
-// row hit live in its channel's packed readyAt and hit arrays, so the bank
+// row hit live in its channel's readyAt array and hit mask, so the bank
 // pick reads no bank.
 type bank struct {
 	openRow int64 // -1 when closed
@@ -188,15 +180,12 @@ type channel struct {
 
 	// readyAt is, per bank, the cycle it can take its next command.
 	// pending has bit i set while bank i has queued requests, and hit
-	// while bank i's scheduler window holds a request to its open row
-	// (one word per 64 banks); queued counts the channel's requests.
-	// ready and pick are pickBank's scratch masks for channels of more
-	// than 64 banks, shaped like pending.
-	readyAt     []sim.Cycle
-	pending     []uint64
-	hit         []uint64
-	ready, pick []uint64
-	queued      int
+	// while bank i's scheduler window holds a request to its open row;
+	// queued counts the channel's requests.
+	readyAt []sim.Cycle
+	pending uint64
+	hit     uint64
+	queued  int
 
 	// Scheduler arming state: one wake event is outstanding at a time;
 	// re-arming earlier supersedes it via the generation counter.
@@ -208,7 +197,7 @@ type channel struct {
 
 // setHit records whether bank bk's window holds a row hit.
 func (c *channel) setHit(bk int, on bool) {
-	c.hit[bk>>6] = c.hit[bk>>6]&^(1<<uint(bk&63)) | bit(on)<<uint(bk&63)
+	c.hit = c.hit&^(1<<uint(bk)) | bit(on)<<uint(bk)
 }
 
 // Hook observes the memory system's scheduling decisions. Serviced reports
@@ -229,12 +218,15 @@ type Hook interface {
 
 // DRAM is the memory system. It is driven by the shared event engine.
 type DRAM struct {
-	cfg     Config
-	eng     *sim.Engine
-	chans   []*channel
-	hook    Hook
-	Stats   *stats.Counters
-	LatHist *stats.Histogram
+	cfg   Config
+	eng   *sim.Engine
+	chans []*channel
+	hook  Hook
+	Stats *stats.Counters
+
+	// latSum totals the arrival-to-completion latency of the latN
+	// requests serviced so far.
+	latSum, latN uint64
 
 	// Pre-resolved counter handles for the per-request hot path (lazy, so
 	// the Stats creation order still follows first touch). stClassBytes is
@@ -261,10 +253,9 @@ func New(eng *sim.Engine, cfg Config) *DRAM {
 		panic(err)
 	}
 	d := &DRAM{
-		cfg:     cfg,
-		eng:     eng,
-		Stats:   stats.NewCounters(),
-		LatHist: stats.NewHistogram(64, 128, 256, 512, 1024, 2048),
+		cfg:   cfg,
+		eng:   eng,
+		Stats: stats.NewCounters(),
 	}
 	d.stRequests = d.Stats.Handle("requests")
 	d.stBytesRead = d.Stats.Handle("bytes_read")
@@ -283,11 +274,6 @@ func New(eng *sim.Engine, cfg Config) *DRAM {
 		ch := &channel{id: i, nextRefresh: cfg.TREFI}
 		ch.banks = make([]bank, cfg.BanksPerChannel)
 		ch.readyAt = make([]sim.Cycle, cfg.BanksPerChannel)
-		words := (cfg.BanksPerChannel + 63) / 64
-		ch.pending, ch.hit = make([]uint64, words), make([]uint64, words)
-		if words > 1 {
-			ch.ready, ch.pick = make([]uint64, words), make([]uint64, words)
-		}
 		// One backing array gives every bank's queue its first slots, so
 		// queues grow from there instead of from empty during the run.
 		backing := make([]pendingReq, cfg.BanksPerChannel*initialQueue)
@@ -313,26 +299,18 @@ func (d *DRAM) route(addr uint64) (ch, bk int, row int64) {
 	return ch, bk, row
 }
 
-// Submit enqueues a request. The request's Done callback fires at
-// completion time. Reads and writes are scheduled identically (write
-// latency matters because protection read-modify-writes serialize on it).
+// Submit enqueues a request that nobody waits on. Reads and writes are
+// scheduled identically (write latency matters because protection
+// read-modify-writes serialize on it).
 func (d *DRAM) Submit(now sim.Cycle, req mem.Request) {
-	var done sim.Handler
-	if req.Done != nil {
-		done = doneFunc(req.Done)
-	}
-	d.submit(now, req, done, 0)
+	d.SubmitPost(now, req, nil, 0)
 }
 
-// SubmitPost is Submit for callers that track their requests by index:
-// the request completes by posting done.OnEvent(finish, arg, 0) — one
-// event at the cycle Done would run — and req.Done is ignored, so
-// completing it needs no closure.
+// SubmitPost enqueues a request and completes it by posting
+// done.OnEvent(finish, arg, 0) at the cycle it finishes: reads deliver
+// their data then, writes are accepted by the bank. A nil done completes
+// it silently, as Submit does.
 func (d *DRAM) SubmitPost(now sim.Cycle, req mem.Request, done sim.Handler, arg uint64) {
-	d.submit(now, req, done, arg)
-}
-
-func (d *DRAM) submit(now sim.Cycle, req mem.Request, done sim.Handler, arg uint64) {
 	if req.Class < 0 || req.Class > math.MaxUint8 || req.Bytes < 0 || req.Bytes > math.MaxInt32 {
 		panic(fmt.Sprintf("dram: request out of range: %v", req))
 	}
@@ -394,10 +372,10 @@ func (h *armHandler) OnEvent(now sim.Cycle, a0, a1 uint64) {
 func (c *channel) push(bk int, pr pendingReq, window int) {
 	b := &c.banks[bk]
 	if b.pending() < window && pr.row == b.openRow {
-		c.hit[bk>>6] |= 1 << uint(bk&63)
+		c.hit |= 1 << uint(bk)
 	}
 	b.push(pr)
-	c.pending[bk>>6] |= 1 << uint(bk&63)
+	c.pending |= 1 << uint(bk)
 	c.queued++
 }
 
@@ -407,25 +385,10 @@ func (c *channel) remove(bk, i int) pendingReq {
 	b := &c.banks[bk]
 	pr := b.removeAt(i)
 	if b.pending() == 0 {
-		c.pending[bk>>6] &^= 1 << uint(bk&63)
+		c.pending &^= 1 << uint(bk)
 	}
 	c.queued--
 	return pr
-}
-
-// nextSet returns the first bank set in mask at or after from, wrapping
-// around to the lowest; -1 when mask is empty.
-func nextSet(mask []uint64, from int) int {
-	w := from >> 6
-	word := mask[w] &^ (1<<uint(from&63) - 1)
-	for n := 0; word == 0; n++ {
-		if n > len(mask) {
-			return -1
-		}
-		w = (w + 1) % len(mask)
-		word = mask[w]
-	}
-	return w<<6 + bits.TrailingZeros64(word)
 }
 
 // bit is 1 for true, 0 for false.
@@ -453,7 +416,7 @@ func (d *DRAM) service(c *channel, now sim.Cycle) {
 	window := d.cfg.SchedulerWindow
 	b := &c.banks[bk]
 	idx := b.head
-	if c.hit[bk>>6]&(1<<uint(bk&63)) != 0 {
+	if c.hit&(1<<uint(bk)) != 0 {
 		for b.queue[idx].row != b.openRow {
 			idx++
 		}
@@ -496,7 +459,8 @@ func (d *DRAM) service(c *channel, now sim.Cycle) {
 	c.busFree = finish
 	c.busBusy += busDur
 
-	d.LatHist.Observe(uint64(finish - pr.arrival))
+	d.latSum += uint64(finish - pr.arrival)
+	d.latN++
 	if pr.done != nil {
 		d.eng.Post(finish, pr.done, pr.arg, 0)
 	}
@@ -522,7 +486,7 @@ func (d *DRAM) maybeRefresh(c *channel, now sim.Cycle) {
 			c.readyAt[i] = max(c.readyAt[i], end)
 			c.banks[i].openRow = -1
 		}
-		clear(c.hit)
+		c.hit = 0
 		c.nextRefresh += d.cfg.TREFI
 		d.stRefreshes.Inc()
 		if d.hook != nil {
@@ -537,14 +501,11 @@ func (d *DRAM) maybeRefresh(c *channel, now sim.Cycle) {
 // the earliest cycle at which one will be (meaningless when nothing is
 // queued).
 func (d *DRAM) pickBank(c *channel, now sim.Cycle) (int, sim.Cycle) {
-	if len(c.pending) > 1 {
-		return d.pickBankWide(c, now)
-	}
-	ready, wake := c.readyWord(0, now, ^sim.Cycle(0))
+	ready, wake := c.readyMask(now)
 	if ready == 0 {
 		return -1, wake
 	}
-	cand := ready & c.hit[0]
+	cand := ready & c.hit
 	if cand == 0 {
 		cand = ready
 	}
@@ -560,40 +521,18 @@ func (d *DRAM) pickBank(c *channel, now sim.Cycle) (int, sim.Cycle) {
 	return bk, 0
 }
 
-// readyWord masks the pending banks of mask word w that are ready at now,
-// without a data-dependent branch per bank, and lowers wake to the
-// earliest ready cycle among them.
-func (c *channel) readyWord(w int, now, wake sim.Cycle) (ready uint64, _ sim.Cycle) {
-	for m := c.pending[w]; m != 0; m &= m - 1 {
+// readyMask masks the pending banks that are ready at now, without a
+// data-dependent branch per bank, and returns the earliest ready cycle
+// among them.
+func (c *channel) readyMask(now sim.Cycle) (ready uint64, wake sim.Cycle) {
+	wake = ^sim.Cycle(0)
+	for m := c.pending; m != 0; m &= m - 1 {
 		i := bits.TrailingZeros64(m)
-		at := c.readyAt[w<<6|i]
+		at := c.readyAt[i]
 		ready |= bit(at <= now) << uint(i)
 		wake = min(wake, at)
 	}
 	return ready, wake
-}
-
-// pickBankWide is pickBank for channels of more than 64 banks.
-func (d *DRAM) pickBankWide(c *channel, now sim.Cycle) (int, sim.Cycle) {
-	wake := ^sim.Cycle(0)
-	var anyReady, anyHit uint64
-	for w := range c.pending {
-		var ready uint64
-		ready, wake = c.readyWord(w, now, wake)
-		c.ready[w], c.pick[w] = ready, ready&c.hit[w]
-		anyReady |= ready
-		anyHit |= c.pick[w]
-	}
-	if anyReady == 0 {
-		return -1, wake
-	}
-	cand := c.pick
-	if anyHit == 0 {
-		cand = c.ready
-	}
-	bk := nextSet(cand, c.rr)
-	c.rr = (bk + 1) % len(c.banks)
-	return bk, 0
 }
 
 // Drain returns true when all channels have empty queues.
@@ -619,6 +558,10 @@ func (d *DRAM) BusUtilization(elapsed sim.Cycle) []float64 {
 	sort.Float64s(out)
 	return out
 }
+
+// Latency reports the summed arrival-to-completion latency of the
+// requests serviced so far, and their number.
+func (d *DRAM) Latency() (sum, n uint64) { return d.latSum, d.latN }
 
 // TotalBytes reports all bytes moved, by summing read and write counters.
 func (d *DRAM) TotalBytes() uint64 {

@@ -55,16 +55,46 @@ func run(eng *sim.Engine, d *DRAM) sim.Cycle {
 	return eng.Run(1 << 30)
 }
 
+// completions is the handler tests submit requests with: it records each
+// completed request's arg and finish cycle, in completion order.
+type completions struct {
+	args []uint64
+	at   []sim.Cycle
+}
+
+func (c *completions) OnEvent(now sim.Cycle, arg, _ uint64) {
+	c.args = append(c.args, arg)
+	c.at = append(c.at, now)
+}
+
+// last is the finish cycle of the latest completion (0 if none).
+func (c *completions) last() sim.Cycle {
+	if len(c.at) == 0 {
+		return 0
+	}
+	return c.at[len(c.at)-1]
+}
+
+// of is the finish cycle of the request submitted with arg (0 if it has
+// not completed).
+func (c *completions) of(arg uint64) sim.Cycle {
+	for i, a := range c.args {
+		if a == arg {
+			return c.at[i]
+		}
+	}
+	return 0
+}
+
 func TestSingleReadLatency(t *testing.T) {
 	eng := sim.NewEngine()
 	d := New(eng, testConfig())
-	var doneAt sim.Cycle
-	d.Submit(0, mem.Request{Addr: 0, Bytes: 32, Class: mem.Demand,
-		Done: func(now sim.Cycle) { doneAt = now }})
+	var done completions
+	d.SubmitPost(0, mem.Request{Addr: 0, Bytes: 32, Class: mem.Demand}, &done, 0)
 	run(eng, d)
 	// Cold bank: tRCD + tCAS + one burst.
 	want := testConfig().TRCD + testConfig().TCAS + testConfig().TBurst
-	if doneAt != want {
+	if doneAt := done.last(); len(done.at) != 1 || doneAt != want {
 		t.Fatalf("latency = %d, want %d", doneAt, want)
 	}
 	if d.Stats.Get("row_misses") != 1 {
@@ -76,11 +106,10 @@ func TestRowHitFasterThanConflict(t *testing.T) {
 	cfg := testConfig()
 	eng := sim.NewEngine()
 	d := New(eng, cfg)
-	var hitDone, confDone sim.Cycle
+	var hit, conf completions
 	// Same row (sequential sectors) → second access is a row hit.
 	d.Submit(0, mem.Request{Addr: 0, Bytes: 32})
-	d.Submit(0, mem.Request{Addr: 32, Bytes: 32,
-		Done: func(now sim.Cycle) { hitDone = now }})
+	d.SubmitPost(0, mem.Request{Addr: 32, Bytes: 32}, &hit, 0)
 	run(eng, d)
 
 	eng2 := sim.NewEngine()
@@ -90,8 +119,7 @@ func TestRowHitFasterThanConflict(t *testing.T) {
 	// 2 channels the physical stride doubles per interleave stripe.
 	conflictAddr := uint64(cfg.RowBytes) * uint64(cfg.BanksPerChannel) * uint64(cfg.Channels)
 	d2.Submit(0, mem.Request{Addr: 0, Bytes: 32})
-	d2.Submit(0, mem.Request{Addr: conflictAddr, Bytes: 32,
-		Done: func(now sim.Cycle) { confDone = now }})
+	d2.SubmitPost(0, mem.Request{Addr: conflictAddr, Bytes: 32}, &conf, 0)
 	run(eng2, d2)
 
 	if d.Stats.Get("row_hits") != 1 {
@@ -100,7 +128,7 @@ func TestRowHitFasterThanConflict(t *testing.T) {
 	if d2.Stats.Get("row_conflicts") != 1 {
 		t.Fatalf("expected a row conflict, got stats: %s", d2.Stats)
 	}
-	if hitDone >= confDone {
+	if hitDone, confDone := hit.last(), conf.last(); hitDone >= confDone {
 		t.Fatalf("row hit (%d) must complete before conflict (%d)", hitDone, confDone)
 	}
 }
@@ -129,24 +157,22 @@ func TestBankParallelismBeatsSerialBank(t *testing.T) {
 
 	engA := sim.NewEngine()
 	a := New(engA, cfg)
-	var lastA sim.Cycle
+	var doneA completions
 	for i := 0; i < 4; i++ {
-		a.Submit(0, mem.Request{Addr: uint64(i) * bankStride, Bytes: 32,
-			Done: func(now sim.Cycle) { lastA = now }})
+		a.SubmitPost(0, mem.Request{Addr: uint64(i) * bankStride, Bytes: 32}, &doneA, 0)
 	}
 	run(engA, a)
 
 	engB := sim.NewEngine()
 	b := New(engB, cfg)
-	var lastB sim.Cycle
+	var doneB completions
 	conflictStride := bankStride * uint64(cfg.BanksPerChannel)
 	for i := 0; i < 4; i++ {
-		b.Submit(0, mem.Request{Addr: uint64(i) * conflictStride, Bytes: 32,
-			Done: func(now sim.Cycle) { lastB = now }})
+		b.SubmitPost(0, mem.Request{Addr: uint64(i) * conflictStride, Bytes: 32}, &doneB, 0)
 	}
 	run(engB, b)
 
-	if lastA >= lastB {
+	if lastA, lastB := doneA.last(), doneB.last(); lastA >= lastB {
 		t.Fatalf("bank-parallel %d should beat serial-bank %d", lastA, lastB)
 	}
 }
@@ -155,19 +181,18 @@ func TestFRFCFSPrefersOpenRow(t *testing.T) {
 	cfg := testConfig()
 	eng := sim.NewEngine()
 	d := New(eng, cfg)
-	var orderDone []uint64
-	mk := func(addr uint64) mem.Request {
-		return mem.Request{Addr: addr, Bytes: 32, Done: func(sim.Cycle) {
-			orderDone = append(orderDone, addr)
-		}}
+	var done completions
+	submit := func(addr uint64) {
+		d.SubmitPost(0, mem.Request{Addr: addr, Bytes: 32}, &done, addr)
 	}
 	conflictAddr := uint64(cfg.RowBytes) * uint64(cfg.BanksPerChannel) * uint64(cfg.Channels)
 	// First opens row 0. Then a conflicting row arrives, then a row-0 hit.
 	// FR-FCFS should serve the row hit before the conflict.
-	d.Submit(0, mk(0))
-	d.Submit(0, mk(conflictAddr))
-	d.Submit(0, mk(64))
+	submit(0)
+	submit(conflictAddr)
+	submit(64)
 	run(eng, d)
+	orderDone := done.args
 	if len(orderDone) != 3 {
 		t.Fatalf("completed %d", len(orderDone))
 	}
@@ -197,14 +222,14 @@ func TestLargeBurstOccupiesBusLonger(t *testing.T) {
 	cfg := testConfig()
 	eng := sim.NewEngine()
 	d := New(eng, cfg)
-	var small, large sim.Cycle
-	d.Submit(0, mem.Request{Addr: 0, Bytes: 32, Done: func(n sim.Cycle) { small = n }})
+	var doneSmall, doneLarge completions
+	d.SubmitPost(0, mem.Request{Addr: 0, Bytes: 32}, &doneSmall, 0)
 	run(eng, d)
 	eng2 := sim.NewEngine()
 	d2 := New(eng2, cfg)
-	d2.Submit(0, mem.Request{Addr: 0, Bytes: 128, Done: func(n sim.Cycle) { large = n }})
+	d2.SubmitPost(0, mem.Request{Addr: 0, Bytes: 128}, &doneLarge, 0)
 	run(eng2, d2)
-	if large != small+3*cfg.TBurst {
+	if small, large := doneSmall.last(), doneLarge.last(); large != small+3*cfg.TBurst {
 		t.Fatalf("128B done at %d, 32B at %d: want 3 extra bursts", large, small)
 	}
 }
@@ -247,18 +272,24 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-func TestLatencyHistogramPopulated(t *testing.T) {
+// TestLatencyCountsEveryRequest: the latency sum and count cover every
+// serviced request, and their mean lies between the fastest and slowest
+// completion (all requests arrive at cycle 0).
+func TestLatencyCountsEveryRequest(t *testing.T) {
 	eng := sim.NewEngine()
 	d := New(eng, testConfig())
+	var done completions
 	for i := 0; i < 10; i++ {
-		d.Submit(0, mem.Request{Addr: uint64(i * 32), Bytes: 32})
+		d.SubmitPost(0, mem.Request{Addr: uint64(i * 32), Bytes: 32}, &done, 0)
 	}
 	run(eng, d)
-	if d.LatHist.Count() != 10 {
-		t.Fatalf("histogram count = %d", d.LatHist.Count())
+	sum, n := d.Latency()
+	if n != 10 || len(done.at) != 10 {
+		t.Fatalf("latency count = %d, %d completions", n, len(done.at))
 	}
-	if d.LatHist.Mean() <= 0 {
-		t.Fatal("histogram mean must be positive")
+	mean := float64(sum) / float64(n)
+	if lo, hi := float64(done.at[0]), float64(done.last()); mean < lo || mean > hi || lo <= 0 {
+		t.Fatalf("latency mean %v outside the completions' [%v, %v]", mean, lo, hi)
 	}
 }
 
@@ -313,11 +344,11 @@ func TestCommandPacing(t *testing.T) {
 	eng := sim.NewEngine()
 	d := New(eng, cfg)
 	bankStride := uint64(cfg.RowBytes) * uint64(cfg.Channels)
-	var first, second sim.Cycle
-	d.Submit(0, mem.Request{Addr: 0, Bytes: 32, Done: func(at sim.Cycle) { first = at }})
-	d.Submit(0, mem.Request{Addr: bankStride, Bytes: 32, Done: func(at sim.Cycle) { second = at }})
+	var done completions
+	d.SubmitPost(0, mem.Request{Addr: 0, Bytes: 32}, &done, 1)
+	d.SubmitPost(0, mem.Request{Addr: bankStride, Bytes: 32}, &done, 2)
 	eng.Run(1 << 20)
-	if second < first+cfg.TCmd {
+	if first, second := done.of(1), done.of(2); first == 0 || second < first+cfg.TCmd {
 		t.Fatalf("second done %d, first %d: command gap not enforced", second, first)
 	}
 }

@@ -15,19 +15,18 @@ func TestRowHitStreamSaturatesBus(t *testing.T) {
 	eng := sim.NewEngine()
 	d := New(eng, cfg)
 	const n = 64
-	var last sim.Cycle
+	var done completions
 	for i := 0; i < n; i++ {
 		// Sequential 32B within one 256B channel stripe, then continue in
 		// the same row via the same channel's next stripes.
 		addr := uint64(i%8)*32 + uint64(i/8)*uint64(cfg.ChannelInterleaveBytes)*uint64(cfg.Channels)
-		d.Submit(0, mem.Request{Addr: addr, Bytes: 32,
-			Done: func(now sim.Cycle) { last = now }})
+		d.SubmitPost(0, mem.Request{Addr: addr, Bytes: 32}, &done, 0)
 	}
 	eng.Run(1 << 30)
 	// Ideal: n bursts at TBurst each plus initial activate+CAS. Allow 2x
 	// slack for scheduling quantization.
 	ideal := sim.Cycle(n)*cfg.TBurst + cfg.TRCD + cfg.TCAS
-	if last > 2*ideal {
+	if last := done.last(); len(done.at) != n || last > 2*ideal {
 		t.Fatalf("row-hit stream took %d cycles, ideal %d — CAS not pipelined", last, ideal)
 	}
 	if d.Stats.Get("row_hits") < n-8 {
@@ -49,14 +48,13 @@ func TestBusyBankDoesNotBlockChannel(t *testing.T) {
 	}
 	// One access to bank 1 of the same channel.
 	bank1 := uint64(cfg.RowBytes) * uint64(cfg.Channels)
-	var doneAt sim.Cycle
-	d.Submit(0, mem.Request{Addr: bank1, Bytes: 32,
-		Done: func(now sim.Cycle) { doneAt = now }})
+	var done completions
+	d.SubmitPost(0, mem.Request{Addr: bank1, Bytes: 32}, &done, 0)
 	eng.Run(1 << 30)
 	// The bank-1 access should finish in roughly one cold access time, not
 	// behind 32 conflicts.
 	coldish := 4 * (cfg.TRP + cfg.TRCD + cfg.TCAS + cfg.TBurst)
-	if doneAt > coldish {
+	if doneAt := done.last(); len(done.at) != 1 || doneAt > coldish {
 		t.Fatalf("bank-1 access finished at %d, head-of-line blocked (budget %d)", doneAt, coldish)
 	}
 }
@@ -68,20 +66,29 @@ func TestRoundRobinFairness(t *testing.T) {
 	eng := sim.NewEngine()
 	d := New(eng, cfg)
 	bankStride := uint64(cfg.RowBytes) * uint64(cfg.Channels)
-	var done0, done1 int
+	var done completions
 	for i := 0; i < 32; i++ {
-		d.Submit(0, mem.Request{Addr: uint64(i%8) * 32, Bytes: 32,
-			Done: func(sim.Cycle) { done0++ }})
-		d.Submit(0, mem.Request{Addr: bankStride + uint64(i%8)*32, Bytes: 32,
-			Done: func(sim.Cycle) { done1++ }})
+		d.SubmitPost(0, mem.Request{Addr: uint64(i%8) * 32, Bytes: 32}, &done, 0)
+		d.SubmitPost(0, mem.Request{Addr: bankStride + uint64(i%8)*32, Bytes: 32}, &done, 1)
+	}
+	// count reports how many requests of each bank have completed.
+	count := func() (done0, done1 int) {
+		for _, bk := range done.args {
+			if bk == 0 {
+				done0++
+			} else {
+				done1++
+			}
+		}
+		return done0, done1
 	}
 	// Run only partway: both banks must have progressed.
 	eng.Run(200)
-	if done0 == 0 || done1 == 0 {
+	if done0, done1 := count(); done0 == 0 || done1 == 0 {
 		t.Fatalf("starvation: bank0 %d, bank1 %d after 200 cycles", done0, done1)
 	}
 	eng.Run(1 << 30)
-	if done0 != 32 || done1 != 32 {
+	if done0, done1 := count(); done0 != 32 || done1 != 32 {
 		t.Fatalf("lost requests: %d/%d", done0, done1)
 	}
 }
@@ -91,13 +98,12 @@ func TestBankQueueCompaction(t *testing.T) {
 	cfg := testConfig()
 	eng := sim.NewEngine()
 	d := New(eng, cfg)
-	completed := 0
+	var done completions
 	for i := 0; i < 3000; i++ {
-		d.Submit(0, mem.Request{Addr: uint64(i%8) * 32, Bytes: 32,
-			Done: func(sim.Cycle) { completed++ }})
+		d.SubmitPost(0, mem.Request{Addr: uint64(i%8) * 32, Bytes: 32}, &done, 0)
 	}
 	eng.Run(1 << 30)
-	if completed != 3000 {
+	if completed := len(done.at); completed != 3000 {
 		t.Fatalf("completed %d of 3000", completed)
 	}
 	if !d.Drain() {
@@ -113,16 +119,16 @@ func TestFRFCFSWindowPromotesRowHitWithinBank(t *testing.T) {
 	eng := sim.NewEngine()
 	d := New(eng, cfg)
 	conflictStride := uint64(cfg.RowBytes) * uint64(cfg.BanksPerChannel) * uint64(cfg.Channels)
-	var order []string
-	mk := func(name string, addr uint64) mem.Request {
-		return mem.Request{Addr: addr, Bytes: 32, Done: func(sim.Cycle) {
-			order = append(order, name)
-		}}
-	}
-	d.Submit(0, mk("open", 0))                  // opens row 0
-	d.Submit(0, mk("conflict", conflictStride)) // same bank, other row
-	d.Submit(0, mk("hit", 64))                  // row 0 again
+	names := []string{"open", "conflict", "hit"}
+	var done completions
+	d.SubmitPost(0, mem.Request{Addr: 0, Bytes: 32}, &done, 0)              // opens row 0
+	d.SubmitPost(0, mem.Request{Addr: conflictStride, Bytes: 32}, &done, 1) // same bank, other row
+	d.SubmitPost(0, mem.Request{Addr: 64, Bytes: 32}, &done, 2)             // row 0 again
 	eng.Run(1 << 30)
+	var order []string
+	for _, i := range done.args {
+		order = append(order, names[i])
+	}
 	if len(order) != 3 {
 		t.Fatalf("completed %d", len(order))
 	}
@@ -139,16 +145,15 @@ func TestRefreshStallsChannel(t *testing.T) {
 	cfg.TRFC = 300
 	eng := sim.NewEngine()
 	d := New(eng, cfg)
-	var doneAt sim.Cycle
+	var done completions
 	// Submit just after the first refresh boundary.
 	eng.At(501, func(now sim.Cycle) {
-		d.Submit(now, mem.Request{Addr: 0, Bytes: 32,
-			Done: func(at sim.Cycle) { doneAt = at }})
+		d.SubmitPost(now, mem.Request{Addr: 0, Bytes: 32}, &done, 0)
 	})
 	eng.Run(1 << 20)
 	// Refresh at 500 blocks until 800; then the cold access follows.
 	min := sim.Cycle(800)
-	if doneAt < min {
+	if doneAt := done.last(); doneAt < min {
 		t.Fatalf("done at %d, want ≥ %d (refresh ignored)", doneAt, min)
 	}
 	if d.Stats.Get("refreshes") == 0 {

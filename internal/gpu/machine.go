@@ -307,6 +307,15 @@ func (m *Machine) execute() (sim.Cycle, error) {
 		return 0, fmt.Errorf("gpu: simulation did not converge within %d cycles (done %d/%d SMs, %d outstanding)",
 			limit, m.smsDone, len(m.sms), m.outstanding)
 	}
+	// A stream that ended on an error (a malformed trace record) ended
+	// early: its run is short, not a result.
+	for _, s := range m.sms {
+		if w, ok := s.wl.(interface{ Err() error }); ok {
+			if err := w.Err(); err != nil {
+				return 0, fmt.Errorf("gpu: SM %d workload: %w", s.id, err)
+			}
+		}
+	}
 	if m.perfCycles == 0 {
 		return m.eng.Now(), nil
 	}
@@ -361,7 +370,9 @@ func (m *Machine) drain(perfEnd sim.Cycle) (Result, error) {
 	res.DRAMRowConfl = m.dram.Stats.Get("row_conflicts")
 	res.L1HitRate = safeRate(m.stats.Get("l1_hits"), m.stats.Get("l1_hits")+m.stats.Get("l1_misses"))
 	res.L2HitRate = safeRate(m.stats.Get("l2_hits"), m.stats.Get("l2_hits")+m.stats.Get("l2_misses"))
-	res.AvgMemLatency = m.dram.LatHist.Mean()
+	if sum, n := m.dram.Latency(); n > 0 {
+		res.AvgMemLatency = float64(sum) / float64(n)
+	}
 	res.BusUtilization = busUtil
 	return res, nil
 }

@@ -2,11 +2,7 @@
 // hierarchy, the protection controllers, and the DRAM model.
 package mem
 
-import (
-	"fmt"
-
-	"cachecraft/internal/sim"
-)
+import "fmt"
 
 // Class labels why a DRAM access exists, for the traffic-breakdown figures.
 type Class int
@@ -51,15 +47,14 @@ func Classes() []Class {
 }
 
 // Request is one DRAM access. Addr is a physical byte address; Bytes is the
-// transfer size (a sector or redundancy block). Done, if non-nil, runs when
-// the access completes (reads deliver data then; writes complete when
-// accepted by the bank).
+// transfer size (a sector or redundancy block). A request carries no
+// completion callback: a caller that waits for it submits it with a
+// handler (dram.DRAM.SubmitPost).
 type Request struct {
 	Addr  uint64
 	Write bool
 	Bytes int
 	Class Class
-	Done  func(now sim.Cycle)
 }
 
 // String renders the request for debugging.

@@ -1,12 +1,11 @@
 // Package stats collects and renders simulation statistics: named counters,
-// distributions, and the table/CSV renderers used by the benchmark harness
-// to print paper-style rows.
+// means, and the table/CSV renderers used by the benchmark harness to
+// print paper-style rows.
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -141,51 +140,3 @@ func Mean(xs []float64) float64 {
 	}
 	return sum / float64(len(xs))
 }
-
-// Histogram is a fixed-bucket histogram over uint64 samples.
-type Histogram struct {
-	bounds []uint64 // ascending upper bounds; final bucket is overflow
-	counts []uint64
-	total  uint64
-	sum    uint64
-	max    uint64
-}
-
-// NewHistogram builds a histogram with the given ascending bucket upper
-// bounds. A sample lands in the first bucket whose bound is >= sample; the
-// implicit final bucket catches everything larger.
-func NewHistogram(bounds ...uint64) *Histogram {
-	b := make([]uint64, len(bounds))
-	copy(b, bounds)
-	sort.Slice(b, func(i, j int) bool { return b[i] < b[j] })
-	return &Histogram{bounds: b, counts: make([]uint64, len(b)+1)}
-}
-
-// Observe records one sample. Histograms have a handful of bounds, so a
-// linear scan finds the bucket faster than a binary search.
-func (h *Histogram) Observe(v uint64) {
-	idx := 0
-	for idx < len(h.bounds) && h.bounds[idx] < v {
-		idx++
-	}
-	h.counts[idx]++
-	h.total++
-	h.sum += v
-	if v > h.max {
-		h.max = v
-	}
-}
-
-// Count reports the number of samples observed.
-func (h *Histogram) Count() uint64 { return h.total }
-
-// Mean reports the average of all observed samples.
-func (h *Histogram) Mean() float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return float64(h.sum) / float64(h.total)
-}
-
-// Max reports the largest observed sample.
-func (h *Histogram) Max() uint64 { return h.max }

@@ -137,39 +137,6 @@ func TestMean(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(10, 100, 1000)
-	for _, v := range []uint64{5, 10, 11, 500, 5000} {
-		h.Observe(v)
-	}
-	if h.Count() != 5 {
-		t.Fatalf("count = %d", h.Count())
-	}
-	if len(h.counts) != 4 {
-		t.Fatalf("bucket count = %d, want 4", len(h.counts))
-	}
-	wantCounts := []uint64{2, 1, 1, 1}
-	for i, c := range h.counts {
-		if c != wantCounts[i] {
-			t.Fatalf("bucket %d count = %d, want %d", i, c, wantCounts[i])
-		}
-	}
-	if h.Max() != 5000 {
-		t.Fatalf("max = %d", h.Max())
-	}
-	if m := h.Mean(); math.Abs(m-1105.2) > 1e-9 {
-		t.Fatalf("mean = %v", m)
-	}
-}
-
-func TestHistogramUnsortedBoundsAreSorted(t *testing.T) {
-	h := NewHistogram(100, 10)
-	h.Observe(5)
-	if h.bounds[0] != 10 || h.counts[0] != 1 {
-		t.Fatalf("bounds not sorted: %v counts %v", h.bounds, h.counts)
-	}
-}
-
 func TestTableRender(t *testing.T) {
 	tab := NewTable("demo", "name", "value")
 	tab.AddRow("alpha", "1")
