@@ -25,6 +25,27 @@ import (
 
 var traceMagic = [8]byte{'C', 'C', 'T', 'R', 'A', 'C', 'E', '1'}
 
+// Bounds on a record's shape. A per-thread access is 1 to MaxAccessBytes
+// bytes wide (a 128-bit load; the built-in workloads use 4), and a compute
+// weight above MaxComputeWeight (the built-ins use at most 12) marks a
+// malformed record, not a workload.
+const (
+	MaxAccessBytes   = 16
+	MaxComputeWeight = 1 << 12
+)
+
+// checkShape rejects a record whose width or compute weight is out of
+// bounds.
+func checkShape(width, weight uint64) error {
+	switch {
+	case width == 0 || width > MaxAccessBytes:
+		return fmt.Errorf("trace: access width %d outside 1-%d bytes", width, MaxAccessBytes)
+	case weight > MaxComputeWeight:
+		return fmt.Errorf("trace: compute weight %d exceeds %d", weight, MaxComputeWeight)
+	}
+	return nil
+}
+
 // Writer serializes accesses.
 type Writer struct {
 	w   *bufio.Writer
@@ -47,10 +68,14 @@ func (t *Writer) uvarint(v uint64) error {
 	return err
 }
 
-// Write appends one access.
+// Write appends one access. It rejects an access a Replayer would reject
+// for its shape.
 func (t *Writer) Write(a Access) error {
-	if len(a.Addrs) == 0 {
-		return fmt.Errorf("trace: access with no addresses")
+	if len(a.Addrs) == 0 || len(a.Addrs) > WarpSize {
+		return fmt.Errorf("trace: access with %d addresses", len(a.Addrs))
+	}
+	if err := checkShape(uint64(a.Bytes), uint64(a.ComputeWeight)); err != nil {
+		return err
 	}
 	if err := t.uvarint(a.PC); err != nil {
 		return err
@@ -127,7 +152,8 @@ func (t *Replayer) Name() string { return t.name }
 func (t *Replayer) Footprint() uint64 { return t.footprint }
 
 // Err reports the first malformed-record error encountered (EOF is not an
-// error; it ends the stream).
+// error; it ends the stream). A malformed record ends the stream too, so
+// the machine reports Err after its run.
 func (t *Replayer) Err() error { return t.err }
 
 // Next decodes the next access.
@@ -164,6 +190,10 @@ func (t *Replayer) Next() (Access, bool) {
 	}
 	if n == 0 || n > WarpSize {
 		t.err = fmt.Errorf("trace: record with %d addresses", n)
+		return Access{}, false
+	}
+	if err := checkShape(width, weight); err != nil {
+		t.err = err
 		return Access{}, false
 	}
 	a := Access{

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"io"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -233,4 +234,79 @@ func TestReplayerTruncatedMidRecordVariants(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzReplayer decodes arbitrary bytes as a trace. Every access it yields
+// must be in bounds (1–WarpSize addresses inside the footprint, a width of
+// 1–MaxAccessBytes, a compute weight of at most MaxComputeWeight), the
+// stream must end within one record per input byte, and the accesses
+// must survive a Writer round trip unchanged.
+func FuzzReplayer(f *testing.F) {
+	p := DefaultParams(0, 4, 9)
+	p.Accesses = 6
+	for _, name := range []string{"stream", "histogram", "bfs"} {
+		w, err := Build(name, p)
+		if err != nil {
+			f.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if _, err := Record(w, &buf); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Add([]byte("CCTRACE1"))
+	footprint := p.FootprintBytes
+	f.Fuzz(func(t *testing.T, data []byte) {
+		replay, err := NewReplayer("fuzz", bytes.NewReader(data), footprint)
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		tw, err := NewWriter(&out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []Access
+		for {
+			a, ok := replay.Next()
+			if !ok {
+				break
+			}
+			if len(got) > len(data) {
+				t.Fatalf("%d accesses from %d bytes", len(got), len(data))
+			}
+			if len(a.Addrs) == 0 || len(a.Addrs) > WarpSize || a.Bytes < 1 || a.Bytes > MaxAccessBytes ||
+				a.ComputeWeight < 0 || a.ComputeWeight > MaxComputeWeight {
+				t.Fatalf("access out of bounds: %+v", a)
+			}
+			for _, addr := range a.Addrs {
+				if addr >= footprint {
+					t.Fatalf("address %#x outside footprint", addr)
+				}
+			}
+			if err := tw.Write(a); err != nil {
+				t.Fatalf("writer rejects a replayed access %+v: %v", a, err)
+			}
+			a.Addrs = append([]uint64(nil), a.Addrs...)
+			got = append(got, a)
+		}
+		if err := tw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		again, err := NewReplayer("again", &out, footprint)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, want := range got {
+			a, ok := again.Next()
+			if !ok || a.PC != want.PC || a.Write != want.Write || a.Dependent != want.Dependent ||
+				a.Bytes != want.Bytes || a.ComputeWeight != want.ComputeWeight || !slices.Equal(a.Addrs, want.Addrs) {
+				t.Fatalf("access %d round-trips as %+v (ok %v), want %+v", i, a, ok, want)
+			}
+		}
+		if _, ok := again.Next(); ok || again.Err() != nil {
+			t.Fatalf("round trip has extra records or an error: %v", again.Err())
+		}
+	})
 }

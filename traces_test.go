@@ -2,7 +2,10 @@ package cachecraft
 
 import (
 	"bytes"
+	"encoding/binary"
+	"strings"
 	"testing"
+	"time"
 )
 
 // TestReplayMatchesDirectRun: replaying a recorded workload must produce
@@ -64,5 +67,59 @@ func TestRunCustomValidatesFootprint(t *testing.T) {
 func TestRunCustomUnknownScheme(t *testing.T) {
 	if _, err := RunCustom(quickCfg(), "nope", nil); err == nil {
 		t.Fatal("unknown scheme accepted")
+	}
+}
+
+// rawRecord encodes one trace record field by field, bypassing the
+// Writer's checks: pc 1, a load, the given width and compute weight, and
+// one address.
+func rawRecord(width, weight, addr uint64) []byte {
+	b := binary.AppendUvarint(nil, 1)
+	b = append(b, 0)
+	b = binary.AppendUvarint(b, width)
+	b = binary.AppendUvarint(b, weight)
+	b = binary.AppendUvarint(b, 1)
+	return binary.AppendUvarint(b, addr<<1) // zig-zag of a positive delta
+}
+
+// TestRunCustomRejectsMalformedTraces: replaying a malformed record
+// returns an error promptly instead of hanging, failing to converge or
+// returning a short result with a nil error.
+func TestRunCustomRejectsMalformedTraces(t *testing.T) {
+	cfg := quickCfg()
+	good := rawRecord(4, 0, 64)
+	for _, tc := range []struct {
+		name, want string
+		record     []byte
+	}{
+		{"width 2^40", "width", rawRecord(1<<40, 0, 64)},
+		{"width 0", "width", rawRecord(0, 0, 64)},
+		{"width 17", "width", rawRecord(17, 0, 64)},
+		{"weight 2^63", "compute weight", rawRecord(4, 1<<63, 64)},
+		{"weight past the bound", "compute weight", rawRecord(4, 1<<12+1, 64)},
+		{"truncated record", "reading address", append(append([]byte{}, good...), good[:len(good)-1]...)},
+		{"address outside the footprint", "outside footprint", rawRecord(4, 0, cfg.FootprintBytes)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			trace := append([]byte("CCTRACE1"), tc.record...)
+			start := time.Now()
+			res, err := RunCustom(cfg, "none", func(smID, numSMs int) (Workload, error) {
+				return NewTraceReplayer("bad", bytes.NewReader(trace), cfg.FootprintBytes)
+			})
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error %v, want one naming %q (result: %d cycles, %d instructions)",
+					err, tc.want, res.Cycles, res.Instructions)
+			}
+			if d := time.Since(start); d > 10*time.Second {
+				t.Fatalf("rejecting took %v", d)
+			}
+		})
+	}
+	// The same trace with only well-formed records replays cleanly.
+	trace := append([]byte("CCTRACE1"), good...)
+	if _, err := RunCustom(cfg, "none", func(smID, numSMs int) (Workload, error) {
+		return NewTraceReplayer("good", bytes.NewReader(trace), cfg.FootprintBytes)
+	}); err != nil {
+		t.Fatalf("well-formed record rejected: %v", err)
 	}
 }
