@@ -51,11 +51,23 @@ type Config struct {
 	HashSets bool
 }
 
+// Upper bounds on a cache's size and associativity: New allocates every
+// line's tag and sector state up front, and a lookup scans every way of
+// a set. The largest shipped cache is a 4 MiB 16-way L2.
+const (
+	MaxSizeBytes = 256 << 20
+	MaxWays      = 256
+)
+
 // Validate checks the configuration for consistency.
 func (c Config) Validate() error {
 	switch {
 	case c.SizeBytes <= 0 || c.Ways <= 0 || c.LineBytes <= 0 || c.SectorBytes <= 0:
 		return fmt.Errorf("cache %q: sizes must be positive", c.Name)
+	case c.SizeBytes > MaxSizeBytes:
+		return fmt.Errorf("cache %q: size %d exceeds %d", c.Name, c.SizeBytes, MaxSizeBytes)
+	case c.Ways > MaxWays:
+		return fmt.Errorf("cache %q: %d ways exceeds %d", c.Name, c.Ways, MaxWays)
 	case c.LineBytes%c.SectorBytes != 0:
 		return fmt.Errorf("cache %q: line %dB not a multiple of sector %dB", c.Name, c.LineBytes, c.SectorBytes)
 	case c.LineBytes/c.SectorBytes > 64:

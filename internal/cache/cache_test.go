@@ -33,11 +33,17 @@ func TestConfigValidate(t *testing.T) {
 		{Name: "c", SizeBytes: 16384, Ways: 3, LineBytes: 128, SectorBytes: 32}, // 42.66 sets
 		{Name: "d", SizeBytes: 24576, Ways: 4, LineBytes: 128, SectorBytes: 32}, // 48 sets, not pow2
 		{Name: "e", SizeBytes: 16384, Ways: 4, LineBytes: 128, SectorBytes: 1},  // >64 sectors
+		{Name: "f", SizeBytes: 2 * MaxSizeBytes, Ways: 4, LineBytes: 128, SectorBytes: 32},
+		{Name: "g", SizeBytes: 1 << 20, Ways: 2 * MaxWays, LineBytes: 128, SectorBytes: 32},
 	}
 	for _, cfg := range bads {
 		if err := cfg.Validate(); err == nil {
 			t.Fatalf("config %q accepted: %+v", cfg.Name, cfg)
 		}
+	}
+	edge := Config{Name: "edge", SizeBytes: MaxSizeBytes, Ways: MaxWays, LineBytes: 128, SectorBytes: 32}
+	if err := edge.Validate(); err != nil {
+		t.Fatalf("largest cache rejected: %v", err)
 	}
 }
 

@@ -228,6 +228,7 @@ func TestClusterSweepRejectsInvalidConfig(t *testing.T) {
 	}{
 		{func(g *config.GPU) { g.XbarReqBytesPerCycle = -1 }, "bisection"},
 		{func(g *config.GPU) { g.DRAM.BanksPerChannel = 1 << 30 }, "banks"},
+		{func(g *config.GPU) { g.L2.SizeBytes = 1 << 40 }, "L2 size"},
 	} {
 		bad := quickBase()
 		tc.mut(&bad)

@@ -108,13 +108,40 @@ func Default() GPU {
 	}
 }
 
+// Upper bounds on the machine's sizes, far over every shipped config and
+// experiment (16 SMs, 24 accesses in flight per SM, 8 L2 banks, 48 MSHRs
+// and 16 targets): a machine allocates its SMs, L2 banks and MSHRs up
+// front. All L1s together, like the whole L2, hold at most
+// cache.MaxSizeBytes.
+const (
+	MaxNumSMs      = 1024
+	MaxOutstanding = 4096
+	MaxL2Banks     = 256
+	MaxMSHRs       = 4096
+	MaxMSHRTargets = 1024
+)
+
 // Validate checks the configuration for consistency.
 func (g GPU) Validate() error {
 	switch {
 	case g.NumSMs <= 0 || g.MaxOutstanding <= 0:
 		return fmt.Errorf("config: SM parameters must be positive")
+	case g.NumSMs > MaxNumSMs:
+		return fmt.Errorf("config: %d SMs exceeds %d", g.NumSMs, MaxNumSMs)
+	case g.MaxOutstanding > MaxOutstanding:
+		return fmt.Errorf("config: %d outstanding accesses per SM exceeds %d", g.MaxOutstanding, MaxOutstanding)
 	case g.L2Banks <= 0 || g.L2.SizeBytes%g.L2Banks != 0:
 		return fmt.Errorf("config: L2 size %d not divisible by %d banks", g.L2.SizeBytes, g.L2Banks)
+	case g.L2Banks > MaxL2Banks:
+		return fmt.Errorf("config: %d L2 banks exceeds %d", g.L2Banks, MaxL2Banks)
+	case g.L2.SizeBytes > cache.MaxSizeBytes:
+		return fmt.Errorf("config: L2 size %d exceeds %d", g.L2.SizeBytes, cache.MaxSizeBytes)
+	case g.L1.SizeBytes > cache.MaxSizeBytes/g.NumSMs:
+		return fmt.Errorf("config: %d L1s of %d bytes exceed %d in all", g.NumSMs, g.L1.SizeBytes, cache.MaxSizeBytes)
+	case g.L1MSHRs > MaxMSHRs || g.L2MSHRs > MaxMSHRs:
+		return fmt.Errorf("config: MSHR counts %d (L1), %d (L2) exceed %d", g.L1MSHRs, g.L2MSHRs, MaxMSHRs)
+	case g.L1MSHRTargets > MaxMSHRTargets || g.L2MSHRTargets > MaxMSHRTargets:
+		return fmt.Errorf("config: MSHR target counts %d (L1), %d (L2) exceed %d", g.L1MSHRTargets, g.L2MSHRTargets, MaxMSHRTargets)
 	case g.Layout != "linear" && g.Layout != "row-local":
 		return fmt.Errorf("config: unknown layout %q", g.Layout)
 	case g.AccessesPerSM <= 0 || g.FootprintBytes == 0:

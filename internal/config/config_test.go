@@ -1,6 +1,10 @@
 package config
 
-import "testing"
+import (
+	"testing"
+
+	"cachecraft/internal/cache"
+)
 
 func TestDefaultValidates(t *testing.T) {
 	if err := Default().Validate(); err != nil {
@@ -28,6 +32,17 @@ func TestValidateCatchesBadFields(t *testing.T) {
 		{"bad dram", func(g *GPU) { g.DRAM.Channels = 0 }},
 		{"too many dram channels", func(g *GPU) { g.DRAM.Channels = 1 << 20 }},
 		{"too many dram banks", func(g *GPU) { g.DRAM.BanksPerChannel = 1 << 30 }},
+		{"dram banks past one mask word", func(g *GPU) { g.DRAM.BanksPerChannel = 70 }},
+		{"huge L2", func(g *GPU) { g.L2.SizeBytes = 1 << 40 }},
+		{"too many SMs", func(g *GPU) { g.NumSMs = 1 << 30 }},
+		{"too many outstanding", func(g *GPU) { g.MaxOutstanding = MaxOutstanding + 1 }},
+		{"too many L2 banks", func(g *GPU) { g.L2Banks = 2 * MaxL2Banks }},
+		{"L1s too large together", func(g *GPU) { g.NumSMs, g.L1.SizeBytes = MaxNumSMs, 1<<20 }},
+		{"too many L1 MSHRs", func(g *GPU) { g.L1MSHRs = MaxMSHRs + 1 }},
+		{"too many L2 MSHRs", func(g *GPU) { g.L2MSHRs = MaxMSHRs + 1 }},
+		{"too many L1 MSHR targets", func(g *GPU) { g.L1MSHRTargets = MaxMSHRTargets + 1 }},
+		{"too many L2 MSHR targets", func(g *GPU) { g.L2MSHRTargets = MaxMSHRTargets + 1 }},
+		{"too many L2 ways", func(g *GPU) { g.L2.Ways = 2 * cache.MaxWays }},
 		{"too deep a scheduler window", func(g *GPU) { g.DRAM.SchedulerWindow = 1 << 30 }},
 		{"bad geometry", func(g *GPU) { g.Geometry.GranuleBytes = 100 }},
 		{"zero L2 MSHRs", func(g *GPU) { g.L2MSHRs = 0 }},
