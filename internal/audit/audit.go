@@ -108,9 +108,8 @@ type Checker struct {
 	tokens    map[uint64]token
 
 	// Controller reads.
-	nextCall    uint64
-	calls       map[uint64]schemeCall
-	readSectors map[mem.Class]uint64
+	nextCall uint64
+	calls    map[uint64]schemeCall
 
 	// L2 MSHR shadow.
 	mshr    map[mshrKey]mshrShadow
@@ -131,13 +130,12 @@ type Checker struct {
 // NewChecker returns an empty checker for one simulation.
 func NewChecker() *Checker {
 	return &Checker{
-		tokens:      make(map[uint64]token),
-		calls:       make(map[uint64]schemeCall),
-		readSectors: make(map[mem.Class]uint64),
-		mshr:        make(map[mshrKey]mshrShadow),
-		banks:       make(map[bankKey]*bankShadow),
-		classBytes:  make(map[mem.Class]uint64),
-		xbarBytes:   make(map[string]uint64),
+		tokens:     make(map[uint64]token),
+		calls:      make(map[uint64]schemeCall),
+		mshr:       make(map[mshrKey]mshrShadow),
+		banks:      make(map[bankKey]*bankShadow),
+		classBytes: make(map[mem.Class]uint64),
+		xbarBytes:  make(map[string]uint64),
 	}
 }
 
@@ -261,7 +259,6 @@ func (c *Checker) ReadMissIssued(now sim.Cycle, lineAddr uint64, mask uint64, cl
 	if mask == 0 {
 		c.violatef(now, "scheme-read-mask", "ReadMiss with empty mask for line %#x", lineAddr)
 	}
-	c.readSectors[class] += uint64(popcount(mask))
 	c.nextCall++
 	c.calls[c.nextCall] = schemeCall{line: lineAddr, mask: mask, class: class, issued: now}
 	return c.nextCall
@@ -551,22 +548,4 @@ func (c *Checker) FinishXbar(now sim.Cycle, name string, totalBytes uint64) {
 	if got := c.xbarBytes[name]; got != totalBytes {
 		c.violatef(now, "xbar-bytes", "%s fabric reports %d bytes, checker observed %d", name, totalBytes, got)
 	}
-}
-
-// ReadSectors reports how many sectors the controller was asked to fetch
-// for the given class (analytical-oracle support for the fuzz harness).
-func (c *Checker) ReadSectors(class mem.Class) uint64 {
-	if c == nil {
-		return 0
-	}
-	return c.readSectors[class]
-}
-
-func popcount(m uint64) int {
-	n := 0
-	for m != 0 {
-		m &= m - 1
-		n++
-	}
-	return n
 }

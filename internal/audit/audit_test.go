@@ -59,7 +59,7 @@ func TestAuditNilCheckerIsSafe(t *testing.T) {
 	c.BankDrained(2, 0, 0, 0)
 	c.FinishSim(2, 0, 0)
 	c.FinishXbar(2, "req", 0)
-	if c.Err() != nil || c.Total() != 0 || c.Violations() != nil || c.ReadSectors(mem.Demand) != 0 {
+	if c.Err() != nil || c.Total() != 0 || c.Violations() != nil {
 		t.Fatal("nil checker reported state")
 	}
 }
@@ -112,9 +112,6 @@ func TestAuditSchemeCallPairing(t *testing.T) {
 	tok := c.ReadMissIssued(5, 0x1000, 0b11, mem.Demand)
 	c.ReadMissDone(9, tok)
 	wantClean(t, c)
-	if got := c.ReadSectors(mem.Demand); got != 2 {
-		t.Fatalf("ReadSectors(demand) = %d, want 2", got)
-	}
 	c.ReadMissDone(10, tok) // double completion
 	wantRule(t, c, "scheme-done-twice")
 

@@ -54,6 +54,9 @@ func fuzzConfig(seed int64, smSel uint8, accSel uint16, mshrSel uint8) config.GP
 // checker, and cross-validates the results against analytical oracles:
 //
 //   - any audit violation fails the input outright (an audited Run errors);
+//   - protection equivalence (DESIGN.md §6): every scheme retires the
+//     same instruction count, since protection may cost cycles but never
+//     work;
 //   - none must produce zero redundancy-side DRAM traffic;
 //   - inline-naive's redundancy traffic must equal its redundancy-block
 //     fetch count (one per demand read miss, plus one per writeback RMW)
@@ -101,6 +104,12 @@ func FuzzSim(f *testing.F) {
 		}
 
 		none := results["none"]
+		for s, res := range results {
+			if res.Instructions != none.Instructions {
+				t.Fatalf("%s/%s retired %d instructions, none retired %d",
+					wl, s, res.Instructions, none.Instructions)
+			}
+		}
 		for _, class := range []string{"redundancy", "rmw", "reconstruct"} {
 			if none.DRAMBytes[class] != 0 {
 				t.Fatalf("%s/none: %d bytes of %s traffic in the unprotected baseline",

@@ -68,6 +68,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("cache %q: size %d exceeds %d", c.Name, c.SizeBytes, MaxSizeBytes)
 	case c.Ways > MaxWays:
 		return fmt.Errorf("cache %q: %d ways exceeds %d", c.Name, c.Ways, MaxWays)
+	case c.LineBytes > c.SizeBytes:
+		return fmt.Errorf("cache %q: line %dB exceeds size %d", c.Name, c.LineBytes, c.SizeBytes)
 	case c.LineBytes%c.SectorBytes != 0:
 		return fmt.Errorf("cache %q: line %dB not a multiple of sector %dB", c.Name, c.LineBytes, c.SectorBytes)
 	case c.LineBytes/c.SectorBytes > 64:
@@ -453,21 +455,6 @@ func (c *Cache) CleanSector(addr uint64) {
 	if i := c.lookup(addr); i >= 0 {
 		c.dmask[i] &^= c.SectorMask(addr)
 	}
-}
-
-// InvalidateLine drops a line, returning its dirty mask (0 if absent or
-// clean).
-func (c *Cache) InvalidateLine(lineAddr uint64) uint64 {
-	i := c.lookup(lineAddr)
-	if i < 0 {
-		return 0
-	}
-	d := c.dmask[i]
-	c.tags[i], c.vmask[i], c.dmask[i], c.stamp[i], c.rrpv[i] = 0, 0, 0, 0, maxRRPV
-	if c.marks != nil {
-		c.marks[i] = 0
-	}
-	return d
 }
 
 // ValidMask reports the valid-sector mask of a line (0 if absent).

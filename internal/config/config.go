@@ -17,8 +17,6 @@ type GPU struct {
 	NumSMs         int
 	MaxOutstanding int // in-flight warp accesses per SM
 	L1             cache.Config
-	L1MSHRs        int
-	L1MSHRTargets  int
 	L1Latency      sim.Cycle
 
 	// Interconnect: per-endpoint port bandwidth plus a shared bisection
@@ -29,11 +27,10 @@ type GPU struct {
 	XbarLatency           sim.Cycle
 
 	// Shared L2.
-	L2            cache.Config // aggregate size; split evenly across banks
-	L2Banks       int
-	L2MSHRs       int // per bank
-	L2MSHRTargets int
-	L2Latency     sim.Cycle
+	L2        cache.Config // aggregate size; split evenly across banks
+	L2Banks   int
+	L2MSHRs   int // per bank
+	L2Latency sim.Cycle
 
 	// Memory and protection.
 	DRAM        dram.Config
@@ -71,9 +68,7 @@ func Default() GPU {
 			SectorBytes: 32,
 			Repl:        cache.LRU,
 		},
-		L1MSHRs:       32,
-		L1MSHRTargets: 16,
-		L1Latency:     28,
+		L1Latency: 28,
 
 		XbarPortBytesPerCycle: 64,
 		XbarReqBytesPerCycle:  256,
@@ -89,10 +84,9 @@ func Default() GPU {
 			Repl:        cache.LRU,
 			HashSets:    true,
 		},
-		L2Banks:       8,
-		L2MSHRs:       48,
-		L2MSHRTargets: 16,
-		L2Latency:     90,
+		L2Banks:   8,
+		L2MSHRs:   48,
+		L2Latency: 90,
 
 		DRAM:        dram.DefaultConfig(),
 		MemoryBytes: 256 << 20,
@@ -110,15 +104,13 @@ func Default() GPU {
 
 // Upper bounds on the machine's sizes, far over every shipped config and
 // experiment (16 SMs, 24 accesses in flight per SM, 8 L2 banks, 48 MSHRs
-// and 16 targets): a machine allocates its SMs, L2 banks and MSHRs up
-// front. All L1s together, like the whole L2, hold at most
-// cache.MaxSizeBytes.
+// per bank): a machine allocates its SMs, L2 banks and MSHRs up front.
+// All L1s together, like the whole L2, hold at most cache.MaxSizeBytes.
 const (
 	MaxNumSMs      = 1024
 	MaxOutstanding = 4096
 	MaxL2Banks     = 256
 	MaxMSHRs       = 4096
-	MaxMSHRTargets = 1024
 )
 
 // Validate checks the configuration for consistency.
@@ -138,10 +130,8 @@ func (g GPU) Validate() error {
 		return fmt.Errorf("config: L2 size %d exceeds %d", g.L2.SizeBytes, cache.MaxSizeBytes)
 	case g.L1.SizeBytes > cache.MaxSizeBytes/g.NumSMs:
 		return fmt.Errorf("config: %d L1s of %d bytes exceed %d in all", g.NumSMs, g.L1.SizeBytes, cache.MaxSizeBytes)
-	case g.L1MSHRs > MaxMSHRs || g.L2MSHRs > MaxMSHRs:
-		return fmt.Errorf("config: MSHR counts %d (L1), %d (L2) exceed %d", g.L1MSHRs, g.L2MSHRs, MaxMSHRs)
-	case g.L1MSHRTargets > MaxMSHRTargets || g.L2MSHRTargets > MaxMSHRTargets:
-		return fmt.Errorf("config: MSHR target counts %d (L1), %d (L2) exceed %d", g.L1MSHRTargets, g.L2MSHRTargets, MaxMSHRTargets)
+	case g.L2MSHRs > MaxMSHRs:
+		return fmt.Errorf("config: %d L2 MSHRs per bank exceeds %d", g.L2MSHRs, MaxMSHRs)
 	case g.Layout != "linear" && g.Layout != "row-local":
 		return fmt.Errorf("config: unknown layout %q", g.Layout)
 	case g.AccessesPerSM <= 0 || g.FootprintBytes == 0:

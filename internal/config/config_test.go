@@ -38,10 +38,7 @@ func TestValidateCatchesBadFields(t *testing.T) {
 		{"too many outstanding", func(g *GPU) { g.MaxOutstanding = MaxOutstanding + 1 }},
 		{"too many L2 banks", func(g *GPU) { g.L2Banks = 2 * MaxL2Banks }},
 		{"L1s too large together", func(g *GPU) { g.NumSMs, g.L1.SizeBytes = MaxNumSMs, 1<<20 }},
-		{"too many L1 MSHRs", func(g *GPU) { g.L1MSHRs = MaxMSHRs + 1 }},
 		{"too many L2 MSHRs", func(g *GPU) { g.L2MSHRs = MaxMSHRs + 1 }},
-		{"too many L1 MSHR targets", func(g *GPU) { g.L1MSHRTargets = MaxMSHRTargets + 1 }},
-		{"too many L2 MSHR targets", func(g *GPU) { g.L2MSHRTargets = MaxMSHRTargets + 1 }},
 		{"too many L2 ways", func(g *GPU) { g.L2.Ways = 2 * cache.MaxWays }},
 		{"too deep a scheduler window", func(g *GPU) { g.DRAM.SchedulerWindow = 1 << 30 }},
 		{"bad geometry", func(g *GPU) { g.Geometry.GranuleBytes = 100 }},

@@ -195,11 +195,13 @@ func (c *CacheCraft) taggedRed(dataAddr uint64) uint64 {
 	return protect.RedTag | c.env.Map.RedundancyAddr(dataAddr)
 }
 
-// granuleSectorIndex converts a data sector address to its index within
-// its granule.
-func (c *CacheCraft) granuleSectorIndex(sa uint64) int {
+// granuleMask converts a sector mask of the line at lineAddr to the same
+// sectors' mask within their granule: a line lies inside one granule, so
+// it is the in-line mask shifted by the line's sector offset.
+func (c *CacheCraft) granuleMask(lineAddr, mask uint64) uint64 {
 	geo := c.env.Map.Geometry()
-	return int((sa - c.env.Map.GranuleBase(sa)) / uint64(geo.SectorBytes))
+	off := (lineAddr - c.env.Map.GranuleBase(lineAddr)) / uint64(geo.SectorBytes)
+	return (mask & (uint64(1)<<geo.SectorsPerLine() - 1)) << off
 }
 
 // --- Redundancy read path -------------------------------------------------
@@ -258,12 +260,7 @@ func (c *CacheCraft) insertRC(now sim.Cycle, tagged uint64, dirty bool) {
 	var ev cache.Eviction
 	if c.rc.FillInto(tagged, 1, dmask, &ev) && ev.DirtyMask != 0 {
 		c.stRCDirtyEvictions.Inc()
-		c.env.DRAM.Submit(now, mem.Request{
-			Addr:  ev.LineAddr &^ protect.RedTag,
-			Write: true,
-			Bytes: c.env.Map.Geometry().RedBlockBytes,
-			Class: mem.Redundancy,
-		})
+		c.env.WriteRedundancy(now, ev.LineAddr&^protect.RedTag)
 	}
 }
 
@@ -395,31 +392,18 @@ func (c *CacheCraft) reconArrived(at sim.Cycle, sa uint64, _, merged bool) {
 func (c *CacheCraft) ReadMiss(now sim.Cycle, lineAddr uint64, mask uint64, class mem.Class, done func(sim.Cycle)) {
 	env := c.env
 	geo := env.Map.Geometry()
-	spl := geo.SectorsPerLine()
-	mask &= uint64(1)<<spl - 1
-	neededMask := uint64(0)
-	for s := 0; s < spl; s++ {
-		if mask&(1<<s) != 0 {
-			neededMask |= 1 << c.granuleSectorIndex(lineAddr+uint64(s*geo.SectorBytes))
-		}
-	}
+	mask &= uint64(1)<<geo.SectorsPerLine() - 1
 	join := env.NewJoin(now, bits.OnesCount64(mask)+1, lineAddr, true, done)
-	for s := 0; s < spl; s++ {
-		if mask&(1<<s) == 0 {
-			continue
+	// A sector already on its way as a reconstruction merges with that
+	// fetch; the rest are read.
+	fetch := mask
+	for m := mask; m != 0; m &= m - 1 {
+		if c.reconInFlight.Wait(lineAddr+uint64(bits.TrailingZeros64(m)*geo.SectorBytes), false, join) {
+			fetch &^= m & -m
 		}
-		sa := lineAddr + uint64(s*geo.SectorBytes)
-		if c.reconInFlight.Wait(sa, false, join) {
-			// The sector is already on its way as a reconstruction; merge.
-			continue
-		}
-		env.SubmitTo(now, mem.Request{
-			Addr:  env.Map.DataPhys(sa),
-			Bytes: geo.SectorBytes,
-			Class: class,
-		}, join)
 	}
-	c.redReady(now, lineAddr, neededMask, join)
+	env.ReadSectors(now, lineAddr, fetch, class, join)
+	c.redReady(now, lineAddr, c.granuleMask(lineAddr, mask), join)
 	if class == mem.Demand && c.opt.Reconstruct {
 		switch {
 		case c.shouldReconstruct(lineAddr):
@@ -433,39 +417,9 @@ func (c *CacheCraft) ReadMiss(now sim.Cycle, lineAddr uint64, mask uint64, class
 // Writeback writes dirty data sectors and coalesces the redundancy update
 // through the RC and the write buffer.
 func (c *CacheCraft) Writeback(now sim.Cycle, lineAddr uint64, dirtyMask uint64) {
-	env := c.env
-	geo := env.Map.Geometry()
-	if lineAddr&protect.RedTag != 0 {
-		// CacheCraft never inserts redundancy into the L2, but stay safe
-		// against future wiring: write tagged lines straight out.
-		for s := 0; s < geo.SectorsPerLine(); s++ {
-			if dirtyMask&(1<<s) != 0 {
-				env.DRAM.Submit(now, mem.Request{
-					Addr:  (lineAddr &^ protect.RedTag) + uint64(s*geo.SectorBytes),
-					Write: true,
-					Bytes: geo.SectorBytes,
-					Class: mem.Redundancy,
-				})
-			}
-		}
-		return
-	}
-	var writtenMask uint64
-	for s := 0; s < geo.SectorsPerLine(); s++ {
-		if dirtyMask&(1<<s) == 0 {
-			continue
-		}
-		sa := lineAddr + uint64(s*geo.SectorBytes)
-		writtenMask |= 1 << c.granuleSectorIndex(sa)
-		env.DRAM.Submit(now, mem.Request{
-			Addr:  env.Map.DataPhys(sa),
-			Write: true,
-			Bytes: geo.SectorBytes,
-			Class: mem.Writeback,
-		})
-	}
-	if writtenMask != 0 {
-		c.redUpdate(now, lineAddr, writtenMask)
+	c.env.WriteSectors(now, lineAddr, dirtyMask)
+	if written := c.granuleMask(lineAddr, dirtyMask); written != 0 {
+		c.redUpdate(now, lineAddr, written)
 	}
 }
 
@@ -504,12 +458,7 @@ func (c *CacheCraft) redUpdate(now sim.Cycle, lineAddr uint64, writtenMask uint6
 		// Every check byte of the block is known: write it blind.
 		c.wbufRemove(tagged)
 		c.stBlindWrites.Inc()
-		env.DRAM.Submit(now, mem.Request{
-			Addr:  tagged &^ protect.RedTag,
-			Write: true,
-			Bytes: geo.RedBlockBytes,
-			Class: mem.Redundancy,
-		})
+		env.WriteRedundancy(now, tagged&^protect.RedTag)
 		return
 	}
 	if c.opt.UseRC {
@@ -627,15 +576,9 @@ func (c *CacheCraft) Drain(now sim.Cycle) {
 		c.flushEntry(now, tagged)
 	}
 	if c.rc != nil {
-		geo := c.env.Map.Geometry()
 		c.rc.Walk(func(lineAddr uint64, vmask, dmask uint64) {
 			if dmask != 0 {
-				c.env.DRAM.Submit(now, mem.Request{
-					Addr:  lineAddr &^ protect.RedTag,
-					Write: true,
-					Bytes: geo.RedBlockBytes,
-					Class: mem.Redundancy,
-				})
+				c.env.WriteRedundancy(now, lineAddr&^protect.RedTag)
 				c.rc.CleanSector(lineAddr)
 			}
 		})

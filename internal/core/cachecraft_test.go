@@ -334,16 +334,6 @@ func TestNoRCNoWBufFallsBackToNaiveRMW(t *testing.T) {
 	}
 }
 
-func TestRedTagWritebackGoesStraightOut(t *testing.T) {
-	env, eng, _ := testEnv(t)
-	c := New(env, DefaultOptions())
-	c.Writeback(0, protect.RedTag|4096, 0b0001)
-	drain(eng)
-	if env.DRAM.Stats.Get("bytes_redundancy") != 32 {
-		t.Fatalf("red bytes = %d", env.DRAM.Stats.Get("bytes_redundancy"))
-	}
-}
-
 func TestNameAndInterfaces(t *testing.T) {
 	env, _, _ := testEnv(t)
 	c := New(env, DefaultOptions())

@@ -147,7 +147,7 @@ func TestWriteBufferVictimsMatchMinGenerationScan(t *testing.T) {
 				for s := 0; s < geo.SectorsPerLine(); s++ {
 					if dirty&(1<<s) != 0 {
 						sa := lineAddr + uint64(s*geo.SectorBytes)
-						written |= 1 << c.granuleSectorIndex(sa)
+						written |= 1 << (sa % uint64(geo.GranuleBytes) / uint64(geo.SectorBytes))
 						ref.reqs = append(ref.reqs, reqString(mem.Writeback, true, env.Map.DataPhys(sa)))
 					}
 				}

@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -86,7 +87,7 @@ func TestGroupByLineProperty(t *testing.T) {
 			if g.fullMask&^g.sectorMask != 0 {
 				return false // full sectors must be requested sectors
 			}
-			counted += popcount(g.sectorMask)
+			counted += bits.OnesCount64(g.sectorMask)
 		}
 		return counted == len(reqs)
 	}

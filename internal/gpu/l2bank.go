@@ -267,13 +267,13 @@ func (b *L2Bank) read(now sim.Cycle, op l2Op) {
 		}
 	}
 	if hitMask != 0 {
-		b.m.stL2Hits.Add(uint64(popcount(hitMask)))
+		b.m.stL2Hits.Add(uint64(bits.OnesCount64(hitMask)))
 		b.m.respondToken(now, op.tok, hitMask)
 	}
 	if missMask == 0 {
 		return
 	}
-	b.m.stL2Misses.Add(uint64(popcount(missMask)))
+	b.m.stL2Misses.Add(uint64(bits.OnesCount64(missMask)))
 	b.enqueueMiss(now, op.lineAddr, missMask, l2Target{
 		sectorMask: missMask,
 		tok:        op.tok,

@@ -2,6 +2,7 @@ package gpu
 
 import (
 	"fmt"
+	"math/bits"
 
 	"cachecraft/internal/config"
 	"cachecraft/internal/dram"
@@ -134,14 +135,14 @@ func NewFromSource(cfg config.GPU, src WorkloadSource, factory protect.Factory) 
 	m.stRMWFetches = m.stats.Handle("l2_rmw_fetches")
 	m.stMSHRStalls = m.stats.Handle("l2_mshr_stalls")
 	m.dram = dram.New(m.eng, cfg.DRAM)
-	m.reqNet = xbar.New("xbar-req", xbar.Config{
+	m.reqNet = xbar.New(xbar.Config{
 		Sources:                cfg.NumSMs,
 		Destinations:           cfg.L2Banks,
 		PortBytesPerCycle:      cfg.XbarPortBytesPerCycle,
 		BisectionBytesPerCycle: cfg.XbarReqBytesPerCycle,
 		Latency:                cfg.XbarLatency,
 	})
-	m.respNet = xbar.New("xbar-resp", xbar.Config{
+	m.respNet = xbar.New(xbar.Config{
 		Sources:                cfg.L2Banks,
 		Destinations:           cfg.NumSMs,
 		PortBytesPerCycle:      cfg.XbarPortBytesPerCycle,
@@ -269,7 +270,7 @@ func (m *Machine) sendStore(now sim.Cycle, smID int, g lineGroup, recIdx int32) 
 		recIdx:    recIdx,
 		write:     true,
 	}
-	bytes := 16 + popcount(g.sectorMask)*m.cfg.L2.SectorBytes
+	bytes := 16 + bits.OnesCount64(g.sectorMask)*m.cfg.L2.SectorBytes
 	bankIdx := m.bankIndexFor(g.lineAddr)
 	arrive := m.reqNet.Transfer(now, smID, bankIdx, bytes)
 	m.banks[bankIdx].scheduleStore(arrive, g.lineAddr, g.sectorMask, g.fullMask, ti)
@@ -307,13 +308,11 @@ func (m *Machine) execute() (sim.Cycle, error) {
 		return 0, fmt.Errorf("gpu: simulation did not converge within %d cycles (done %d/%d SMs, %d outstanding)",
 			limit, m.smsDone, len(m.sms), m.outstanding)
 	}
-	// A stream that ended on an error (a malformed trace record) ended
-	// early: its run is short, not a result.
+	// A stream that ended on an error (a malformed access) ended early:
+	// its run is short, not a result.
 	for _, s := range m.sms {
-		if w, ok := s.wl.(interface{ Err() error }); ok {
-			if err := w.Err(); err != nil {
-				return 0, fmt.Errorf("gpu: SM %d workload: %w", s.id, err)
-			}
+		if s.err != nil {
+			return 0, fmt.Errorf("gpu: SM %d workload: %w", s.id, s.err)
 		}
 	}
 	if m.perfCycles == 0 {

@@ -28,9 +28,13 @@ type l1Waiter struct {
 // warp accesses from its workload, filters loads through a private
 // sectored L1, and tracks outstanding accesses against an occupancy limit.
 type SM struct {
-	id int
-	m  *Machine
-	wl trace.Workload
+	id        int
+	m         *Machine
+	wl        trace.Workload
+	footprint uint64 // wl's footprint, which its accesses must stay inside
+	// err is why the workload's stream ended early: an access
+	// trace.CheckAccess rejected, or the workload's own Err.
+	err error
 
 	l1      *cache.Cache
 	l1mshr  sim.AddrTable // sector address → waiter-chain head
@@ -55,11 +59,12 @@ type SM struct {
 func newSM(id int, m *Machine, wl trace.Workload) *SM {
 	cfg := m.cfg.L1
 	return &SM{
-		id:      id,
-		m:       m,
-		wl:      wl,
-		l1:      cache.New(cfg),
-		waiters: make([]l1Waiter, 1), // slot 0 is the chain sentinel
+		id:        id,
+		m:         m,
+		wl:        wl,
+		footprint: wl.Footprint(),
+		l1:        cache.New(cfg),
+		waiters:   make([]l1Waiter, 1), // slot 0 is the chain sentinel
 	}
 }
 
@@ -118,7 +123,12 @@ func (s *SM) tryIssue(now sim.Cycle) {
 		return // re-armed on completion
 	}
 	a, ok := s.wl.Next()
-	if !ok {
+	if ok {
+		s.err = trace.CheckAccess(a, s.footprint)
+	} else if w, hasErr := s.wl.(interface{ Err() error }); hasErr {
+		s.err = w.Err()
+	}
+	if !ok || s.err != nil {
 		s.finished = true
 		s.m.smFinished(now)
 		return
@@ -219,15 +229,6 @@ func (s *SM) onLoadResponse(now sim.Cycle, lineAddr uint64, mask uint64) {
 			n = w.next
 		}
 	}
-}
-
-func popcount(m uint64) int {
-	n := 0
-	for m != 0 {
-		m &= m - 1
-		n++
-	}
-	return n
 }
 
 // completeSectorsIdx retires n sector completions of one pooled access,

@@ -1,6 +1,10 @@
 package gpu
 
-import "cachecraft/internal/sim"
+import (
+	"math/bits"
+
+	"cachecraft/internal/sim"
+)
 
 // l2Token tracks one SM→L2 transaction (a line read or store) from issue
 // through its last delivered sector batch. Tokens live in the machine's
@@ -60,7 +64,7 @@ func (m *Machine) respondToken(at sim.Cycle, ti int32, got uint64) {
 	bankIdx := m.bankIndexFor(t.lineAddr)
 	bytes := 8 // store ack
 	if !t.write {
-		bytes = popcount(got) * m.cfg.L2.SectorBytes
+		bytes = bits.OnesCount64(got) * m.cfg.L2.SectorBytes
 	}
 	deliver := m.respNet.Transfer(at, bankIdx, int(t.smID), bytes)
 	m.eng.Post(deliver, (*deliverHandler)(m), uint64(uint32(ti)), got)
@@ -90,7 +94,7 @@ func (h *deliverHandler) OnEvent(dn sim.Cycle, a0, a1 uint64) {
 	}
 	s := m.sms[smID]
 	if write {
-		s.completeSectorsIdx(dn, recIdx, popcount(got))
+		s.completeSectorsIdx(dn, recIdx, bits.OnesCount64(got))
 	} else {
 		s.onLoadResponse(dn, lineAddr, got)
 	}

@@ -27,6 +27,11 @@ type Geometry struct {
 	RedBlockBytes int
 }
 
+// MaxRedBlockBytes bounds a redundancy block, which is moved as one DRAM
+// access and cached whole: CacheCraft's redundancy cache uses it as its
+// line size.
+const MaxRedBlockBytes = 256
+
 // Validate checks internal consistency.
 func (g Geometry) Validate() error {
 	switch {
@@ -38,6 +43,8 @@ func (g Geometry) Validate() error {
 		return fmt.Errorf("layout: granule %dB not a multiple of line %dB", g.GranuleBytes, g.LineBytes)
 	case g.RedBlockBytes > g.GranuleBytes:
 		return fmt.Errorf("layout: redundancy block %dB exceeds granule %dB", g.RedBlockBytes, g.GranuleBytes)
+	case g.RedBlockBytes&(g.RedBlockBytes-1) != 0 || g.RedBlockBytes > MaxRedBlockBytes:
+		return fmt.Errorf("layout: redundancy block %dB not a power of two of at most %dB", g.RedBlockBytes, MaxRedBlockBytes)
 	}
 	return nil
 }

@@ -15,6 +15,8 @@ func TestGeometryValidate(t *testing.T) {
 		{SectorBytes: 32, LineBytes: 100, GranuleBytes: 256, RedBlockBytes: 32},
 		{SectorBytes: 32, LineBytes: 128, GranuleBytes: 192, RedBlockBytes: 32},
 		{SectorBytes: 32, LineBytes: 128, GranuleBytes: 128, RedBlockBytes: 256},
+		{SectorBytes: 32, LineBytes: 128, GranuleBytes: 256, RedBlockBytes: 7},
+		{SectorBytes: 32, LineBytes: 128, GranuleBytes: 1024, RedBlockBytes: 512},
 	}
 	for i, g := range bads {
 		if err := g.Validate(); err == nil {

@@ -1,6 +1,8 @@
 package protect
 
 import (
+	"math/bits"
+
 	"cachecraft/internal/mem"
 	"cachecraft/internal/sim"
 	"cachecraft/internal/stats"
@@ -77,18 +79,8 @@ func (s *eccCache) redArrived(at sim.Cycle, tagged uint64, dirty, _ bool) {
 // (L2 or DRAM), completing after decode.
 func (s *eccCache) ReadMiss(now sim.Cycle, lineAddr uint64, mask uint64, class mem.Class, done func(sim.Cycle)) {
 	env := s.env
-	geo := env.Map.Geometry()
-	join := env.NewJoin(now, sectorCount(geo, mask)+1, lineAddr, true, done)
-	for sec := 0; sec < geo.SectorsPerLine(); sec++ {
-		if mask&(1<<sec) == 0 {
-			continue
-		}
-		env.SubmitTo(now, mem.Request{
-			Addr:  env.Map.DataPhys(lineAddr + uint64(sec*geo.SectorBytes)),
-			Bytes: geo.SectorBytes,
-			Class: class,
-		}, join)
-	}
+	join := env.NewJoin(now, sectorCount(env.Map.Geometry(), mask)+1, lineAddr, true, done)
+	env.ReadSectors(now, lineAddr, mask, class, join)
 	s.redReady(now, lineAddr, false, join)
 }
 
@@ -98,16 +90,14 @@ func (s *eccCache) ReadMiss(now sim.Cycle, lineAddr uint64, mask uint64, class m
 // writes.
 func (s *eccCache) Writeback(now sim.Cycle, lineAddr uint64, dirtyMask uint64) {
 	env := s.env
-	geo := env.Map.Geometry()
 	if lineAddr&RedTag != 0 {
-		base := lineAddr &^ RedTag
-		for sec := 0; sec < geo.SectorsPerLine(); sec++ {
-			if dirtyMask&(1<<sec) == 0 {
-				continue
-			}
+		// The line's sectors are carve-out addresses already, each
+		// written whole.
+		geo := env.Map.Geometry()
+		for m := dirtyMask & lineMask(geo); m != 0; m &= m - 1 {
 			s.stWritebacks.Inc()
 			env.DRAM.Submit(now, mem.Request{
-				Addr:  base + uint64(sec*geo.SectorBytes),
+				Addr:  lineAddr&^RedTag + uint64(bits.TrailingZeros64(m)*geo.SectorBytes),
 				Write: true,
 				Bytes: geo.SectorBytes,
 				Class: mem.Redundancy,
@@ -115,17 +105,7 @@ func (s *eccCache) Writeback(now sim.Cycle, lineAddr uint64, dirtyMask uint64) {
 		}
 		return
 	}
-	for sec := 0; sec < geo.SectorsPerLine(); sec++ {
-		if dirtyMask&(1<<sec) == 0 {
-			continue
-		}
-		env.DRAM.Submit(now, mem.Request{
-			Addr:  env.Map.DataPhys(lineAddr + uint64(sec*geo.SectorBytes)),
-			Write: true,
-			Bytes: geo.SectorBytes,
-			Class: mem.Writeback,
-		})
-	}
+	env.WriteSectors(now, lineAddr, dirtyMask)
 	s.redReady(now, lineAddr, true, NoJoin)
 }
 

@@ -25,37 +25,13 @@ func (s *ideal) Name() string { return "ideal" }
 // ReadMiss fetches only the demanded sectors; the redundancy is assumed
 // resident, so the read pays just the decode.
 func (s *ideal) ReadMiss(now sim.Cycle, lineAddr uint64, mask uint64, class mem.Class, done func(sim.Cycle)) {
-	env := s.env
-	geo := env.Map.Geometry()
-	join := env.NewJoin(now, sectorCount(geo, mask), lineAddr, true, done)
-	for sec := 0; sec < geo.SectorsPerLine(); sec++ {
-		if mask&(1<<sec) == 0 {
-			continue
-		}
-		env.SubmitTo(now, mem.Request{
-			Addr:  env.Map.DataPhys(lineAddr + uint64(sec*geo.SectorBytes)),
-			Bytes: geo.SectorBytes,
-			Class: class,
-		}, join)
-	}
+	join := s.env.NewJoin(now, sectorCount(s.env.Map.Geometry(), mask), lineAddr, true, done)
+	s.env.ReadSectors(now, lineAddr, mask, class, join)
 }
 
 // Writeback writes the dirty data sectors; redundancy updates are free.
 func (s *ideal) Writeback(now sim.Cycle, lineAddr uint64, dirtyMask uint64) {
-	env := s.env
-	geo := env.Map.Geometry()
-	base := lineAddr &^ RedTag
-	for sec := 0; sec < geo.SectorsPerLine(); sec++ {
-		if dirtyMask&(1<<sec) == 0 {
-			continue
-		}
-		env.DRAM.Submit(now, mem.Request{
-			Addr:  env.Map.DataPhys(base + uint64(sec*geo.SectorBytes)),
-			Write: true,
-			Bytes: geo.SectorBytes,
-			Class: mem.Writeback,
-		})
-	}
+	s.env.WriteSectors(now, lineAddr, dirtyMask)
 }
 
 // NeedsRMWFetch is true: even an infinite redundancy cache cannot restore

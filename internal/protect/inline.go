@@ -32,16 +32,7 @@ func (s *inlineNaive) ReadMiss(now sim.Cycle, lineAddr uint64, mask uint64, clas
 	geo := s.env.Map.Geometry()
 	env := s.env
 	join := env.NewJoin(now, sectorCount(geo, mask)+1, lineAddr, true, done)
-	for sec := 0; sec < geo.SectorsPerLine(); sec++ {
-		if mask&(1<<sec) == 0 {
-			continue
-		}
-		env.SubmitTo(now, mem.Request{
-			Addr:  env.Map.DataPhys(lineAddr + uint64(sec*geo.SectorBytes)),
-			Bytes: geo.SectorBytes,
-			Class: class,
-		}, join)
-	}
+	env.ReadSectors(now, lineAddr, mask, class, join)
 	s.stReadsDRAM.Inc()
 	env.SubmitTo(now, mem.Request{
 		Addr:  env.Map.RedundancyAddr(lineAddr),
@@ -57,19 +48,7 @@ func (s *inlineNaive) ReadMiss(now sim.Cycle, lineAddr uint64, mask uint64, clas
 // 128B line can never cover a 256B granule, so it always reads.
 func (s *inlineNaive) Writeback(now sim.Cycle, lineAddr uint64, dirtyMask uint64) {
 	env := s.env
-	geo := env.Map.Geometry()
-	lineAddr &^= RedTag
-	for sec := 0; sec < geo.SectorsPerLine(); sec++ {
-		if dirtyMask&(1<<sec) == 0 {
-			continue
-		}
-		env.DRAM.Submit(now, mem.Request{
-			Addr:  env.Map.DataPhys(lineAddr + uint64(sec*geo.SectorBytes)),
-			Write: true,
-			Bytes: geo.SectorBytes,
-			Class: mem.Writeback,
-		})
-	}
+	env.WriteSectors(now, lineAddr, dirtyMask)
 	env.RedundancyRMW(now, env.Map.RedundancyAddr(lineAddr))
 }
 

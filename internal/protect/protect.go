@@ -149,6 +149,45 @@ func (e *Env) SubmitTo(now sim.Cycle, req mem.Request, j Join) {
 	e.DRAM.SubmitPost(now, req, (*joinArrival)(e), uint64(uint32(j)))
 }
 
+// ReadSectors reads the data sectors in mask of the line at lineAddr, in
+// ascending sector order, each arriving at j. This and WriteSectors are
+// the one place a line's sector mask becomes data requests.
+func (e *Env) ReadSectors(now sim.Cycle, lineAddr, mask uint64, class mem.Class, j Join) {
+	geo := e.Map.Geometry()
+	for m := mask & lineMask(geo); m != 0; m &= m - 1 {
+		e.SubmitTo(now, mem.Request{
+			Addr:  e.Map.DataPhys(lineAddr + uint64(bits.TrailingZeros64(m)*geo.SectorBytes)),
+			Bytes: geo.SectorBytes,
+			Class: class,
+		}, j)
+	}
+}
+
+// WriteSectors writes the data sectors in mask of the line at lineAddr
+// (class Writeback), in ascending sector order.
+func (e *Env) WriteSectors(now sim.Cycle, lineAddr, mask uint64) {
+	geo := e.Map.Geometry()
+	for m := mask & lineMask(geo); m != 0; m &= m - 1 {
+		e.DRAM.Submit(now, mem.Request{
+			Addr:  e.Map.DataPhys(lineAddr + uint64(bits.TrailingZeros64(m)*geo.SectorBytes)),
+			Write: true,
+			Bytes: geo.SectorBytes,
+			Class: mem.Writeback,
+		})
+	}
+}
+
+// WriteRedundancy writes the redundancy block at physical address addr
+// (class Redundancy).
+func (e *Env) WriteRedundancy(now sim.Cycle, addr uint64) {
+	e.DRAM.Submit(now, mem.Request{
+		Addr:  addr,
+		Write: true,
+		Bytes: e.Map.Geometry().RedBlockBytes,
+		Class: mem.Redundancy,
+	})
+}
+
 // joinArrival delivers one arrival (a0, the join) as an event.
 type joinArrival Env
 
@@ -175,12 +214,7 @@ type rmwWrite Env
 
 func (h *rmwWrite) OnEvent(at sim.Cycle, addr, _ uint64) {
 	e := (*Env)(h)
-	e.DRAM.Submit(at+e.DecodeLat, mem.Request{
-		Addr:  addr,
-		Write: true,
-		Bytes: e.Map.Geometry().RedBlockBytes,
-		Class: mem.Redundancy,
-	})
+	e.WriteRedundancy(at+e.DecodeLat, addr)
 }
 
 // errorAt deterministically decides whether the decode of the granule at
@@ -212,13 +246,7 @@ func (e *Env) FinishDecode(now sim.Cycle, lineAddr uint64, done func(sim.Cycle))
 		lat += penalty
 		e.counter(&e.stCorrected, "corrected_errors").Inc()
 		e.counter(&e.stScrubs, "scrub_writes").Inc()
-		geo := e.Map.Geometry()
-		e.DRAM.Submit(now, mem.Request{
-			Addr:  e.Map.DataPhys(e.Map.GranuleBase(lineAddr)),
-			Write: true,
-			Bytes: geo.SectorBytes,
-			Class: mem.Writeback,
-		})
+		e.WriteSectors(now, e.Map.GranuleBase(lineAddr), 1)
 	}
 	if lat == 0 {
 		// A zero-latency decode completes inline. Routing it through the
@@ -256,7 +284,12 @@ type Scheme interface {
 // Factory builds a scheme against a machine environment.
 type Factory func(env *Env) Scheme
 
+// lineMask selects every sector of a line.
+func lineMask(geo layout.Geometry) uint64 {
+	return uint64(1)<<geo.SectorsPerLine() - 1
+}
+
 // sectorCount reports how many in-line sectors mask selects.
 func sectorCount(geo layout.Geometry, mask uint64) int {
-	return bits.OnesCount64(mask & (uint64(1)<<geo.SectorsPerLine() - 1))
+	return bits.OnesCount64(mask & lineMask(geo))
 }

@@ -105,14 +105,14 @@ func TestEngineNestedScheduling(t *testing.T) {
 }
 
 func TestThrottledPortBandwidth(t *testing.T) {
-	p := NewThrottledPort("link", 32, 10)
-	// 64 bytes at 32 B/cycle = 2 cycles of link time + 10 latency.
-	if got := p.Transfer(0, 64); got != 12 {
-		t.Fatalf("delivery at %d, want 12", got)
+	p := NewThrottledPort(32)
+	// 64 bytes at 32 B/cycle = 2 cycles of link time.
+	if got := p.Transfer(0, 64); got != 2 {
+		t.Fatalf("delivery at %d, want 2", got)
 	}
 	// Second transfer queues behind the first.
-	if got := p.Transfer(0, 64); got != 14 {
-		t.Fatalf("second delivery at %d, want 14", got)
+	if got := p.Transfer(0, 64); got != 4 {
+		t.Fatalf("second delivery at %d, want 4", got)
 	}
 	if p.BusyBytes() != 128 {
 		t.Fatalf("busy = %d bytes, want 128", p.BusyBytes())
@@ -122,7 +122,7 @@ func TestThrottledPortBandwidth(t *testing.T) {
 func TestThrottledPortSubCycleSharing(t *testing.T) {
 	// Four 8-byte messages share one 32 B/cycle slot: all deliver by the
 	// end of cycle 1; a fifth spills into the next cycle.
-	p := NewThrottledPort("link", 32, 0)
+	p := NewThrottledPort(32)
 	for i := 0; i < 4; i++ {
 		if got := p.Transfer(0, 8); got != 1 {
 			t.Fatalf("message %d delivered at %d, want 1", i, got)
@@ -134,14 +134,14 @@ func TestThrottledPortSubCycleSharing(t *testing.T) {
 }
 
 func TestThrottledPortZeroByteTransferStillOccupies(t *testing.T) {
-	p := NewThrottledPort("link", 32, 0)
+	p := NewThrottledPort(32)
 	if got := p.Transfer(0, 0); got != 1 {
 		t.Fatalf("zero-byte transfer delivered at %d, want 1 (minimum byte)", got)
 	}
 }
 
 func TestBusyBytes(t *testing.T) {
-	p := NewThrottledPort("link", 32, 0)
+	p := NewThrottledPort(32)
 	p.Transfer(0, 64)
 	if b := p.BusyBytes(); b != 64 {
 		t.Fatalf("port busy bytes = %d, want 64", b)

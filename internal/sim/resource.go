@@ -1,38 +1,28 @@
 package sim
 
 // ThrottledPort models an interconnect port with byte-granular bandwidth
-// accounting and a fixed pipeline latency: a message occupies the port for
-// exactly bytes/bytesPerCycle cycles of capacity (fractional cycles
-// included, so small messages from different sources share a cycle) and is
-// delivered latency cycles after its last byte.
+// accounting: a message occupies the port for exactly bytes/bytesPerCycle
+// cycles of capacity (fractional cycles included, so small messages from
+// different sources share a cycle) and is delivered on the cycle its last
+// byte crosses. Fabric latency is the caller's to add.
 type ThrottledPort struct {
-	name       string
 	bytesPerCy int
-	latency    Cycle
 	// nextFree is the port's next free instant, measured in *bytes* of
 	// link time (cycle × bytesPerCy) to avoid per-message rounding.
 	nextFree  uint64
 	busyBytes uint64
 }
 
-// NewThrottledPort builds a port that moves bytesPerCycle bytes per cycle
-// and adds a fixed pipeline latency to every transfer.
-func NewThrottledPort(name string, bytesPerCycle int, latency Cycle) *ThrottledPort {
-	p := MakeThrottledPort(name, bytesPerCycle, latency)
+// NewThrottledPort builds a port that moves bytesPerCycle bytes per cycle.
+func NewThrottledPort(bytesPerCycle int) *ThrottledPort {
+	p := MakeThrottledPort(bytesPerCycle)
 	return &p
 }
 
 // MakeThrottledPort is the value-typed constructor, for callers that embed
 // ports in a contiguous slice instead of heap-allocating each one.
-func MakeThrottledPort(name string, bytesPerCycle int, latency Cycle) ThrottledPort {
-	if bytesPerCycle <= 0 {
-		bytesPerCycle = 1
-	}
-	return ThrottledPort{
-		name:       name,
-		bytesPerCy: bytesPerCycle,
-		latency:    latency,
-	}
+func MakeThrottledPort(bytesPerCycle int) ThrottledPort {
+	return ThrottledPort{bytesPerCy: max(bytesPerCycle, 1)}
 }
 
 // Transfer reserves the port for a message of size bytes arriving at cycle
@@ -49,9 +39,8 @@ func (p *ThrottledPort) Transfer(at Cycle, bytes int) Cycle {
 	end := start + uint64(bytes)
 	p.nextFree = end
 	p.busyBytes += uint64(bytes)
-	// Deliver on the cycle the last byte crosses, plus pipeline latency.
-	deliverAt := Cycle((end + uint64(p.bytesPerCy) - 1) / uint64(p.bytesPerCy))
-	return deliverAt + p.latency
+	// Deliver on the cycle the last byte crosses.
+	return Cycle((end + uint64(p.bytesPerCy) - 1) / uint64(p.bytesPerCy))
 }
 
 // BusyBytes reports the cumulative bytes moved.

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 )
 
 // This file implements trace recording and replay: any workload's access
@@ -25,23 +26,32 @@ import (
 
 var traceMagic = [8]byte{'C', 'C', 'T', 'R', 'A', 'C', 'E', '1'}
 
-// Bounds on a record's shape. A per-thread access is 1 to MaxAccessBytes
+// Bounds on an access's shape. A per-thread access is 1 to MaxAccessBytes
 // bytes wide (a 128-bit load; the built-in workloads use 4), and a compute
-// weight above MaxComputeWeight (the built-ins use at most 12) marks a
-// malformed record, not a workload.
+// weight outside 0 to MaxComputeWeight (the built-ins use at most 12)
+// marks a malformed access, not a workload.
 const (
 	MaxAccessBytes   = 16
 	MaxComputeWeight = 1 << 12
 )
 
-// checkShape rejects a record whose width or compute weight is out of
-// bounds.
-func checkShape(width, weight uint64) error {
+// CheckAccess rejects an access no machine can simulate: one with no
+// addresses or more than WarpSize, a width or compute weight out of
+// bounds, or a thread whose bytes reach past footprint. The replayer
+// checks every record with it, and the SM every access it issues.
+func CheckAccess(a Access, footprint uint64) error {
 	switch {
-	case width == 0 || width > MaxAccessBytes:
-		return fmt.Errorf("trace: access width %d outside 1-%d bytes", width, MaxAccessBytes)
-	case weight > MaxComputeWeight:
-		return fmt.Errorf("trace: compute weight %d exceeds %d", weight, MaxComputeWeight)
+	case len(a.Addrs) == 0 || len(a.Addrs) > WarpSize:
+		return fmt.Errorf("trace: access with %d addresses", len(a.Addrs))
+	case a.Bytes < 1 || a.Bytes > MaxAccessBytes:
+		return fmt.Errorf("trace: access width %d outside 1-%d bytes", a.Bytes, MaxAccessBytes)
+	case a.ComputeWeight < 0 || a.ComputeWeight > MaxComputeWeight:
+		return fmt.Errorf("trace: compute weight %d outside 0-%d", a.ComputeWeight, MaxComputeWeight)
+	}
+	for _, addr := range a.Addrs {
+		if addr >= footprint || footprint-addr < uint64(a.Bytes) {
+			return fmt.Errorf("trace: address %#x outside footprint %#x", addr, footprint)
+		}
 	}
 	return nil
 }
@@ -69,12 +79,9 @@ func (t *Writer) uvarint(v uint64) error {
 }
 
 // Write appends one access. It rejects an access a Replayer would reject
-// for its shape.
+// for its shape; a trace declares no footprint, so any address goes.
 func (t *Writer) Write(a Access) error {
-	if len(a.Addrs) == 0 || len(a.Addrs) > WarpSize {
-		return fmt.Errorf("trace: access with %d addresses", len(a.Addrs))
-	}
-	if err := checkShape(uint64(a.Bytes), uint64(a.ComputeWeight)); err != nil {
+	if err := CheckAccess(a, math.MaxUint64); err != nil {
 		return err
 	}
 	if err := t.uvarint(a.PC); err != nil {
@@ -192,10 +199,6 @@ func (t *Replayer) Next() (Access, bool) {
 		t.err = fmt.Errorf("trace: record with %d addresses", n)
 		return Access{}, false
 	}
-	if err := checkShape(width, weight); err != nil {
-		t.err = err
-		return Access{}, false
-	}
 	a := Access{
 		PC:            pc,
 		Write:         flags&1 != 0,
@@ -211,13 +214,12 @@ func (t *Replayer) Next() (Access, bool) {
 			t.err = fmt.Errorf("trace: reading address %d: %w", i, err)
 			return Access{}, false
 		}
-		addr := uint64(int64(prev) + unzigzag(du))
-		if addr >= t.footprint {
-			t.err = fmt.Errorf("trace: address %#x outside footprint %#x", addr, t.footprint)
-			return Access{}, false
-		}
-		a.Addrs[i] = addr
-		prev = addr
+		a.Addrs[i] = uint64(int64(prev) + unzigzag(du))
+		prev = a.Addrs[i]
+	}
+	if err := CheckAccess(a, t.footprint); err != nil {
+		t.err = err
+		return Access{}, false
 	}
 	return a, true
 }

@@ -69,7 +69,7 @@ func (x *Crossbar) Latency() sim.Cycle { return x.cfg.Latency }
 
 // New builds a crossbar. It panics on an invalid configuration (static
 // setup, not runtime input).
-func New(name string, cfg Config) *Crossbar {
+func New(cfg Config) *Crossbar {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
@@ -79,13 +79,13 @@ func New(name string, cfg Config) *Crossbar {
 		eject:  make([]sim.ThrottledPort, cfg.Destinations),
 	}
 	for i := range x.inject {
-		x.inject[i] = sim.MakeThrottledPort(fmt.Sprintf("%s-in%d", name, i), cfg.PortBytesPerCycle, 0)
+		x.inject[i] = sim.MakeThrottledPort(cfg.PortBytesPerCycle)
 	}
 	for i := range x.eject {
-		x.eject[i] = sim.MakeThrottledPort(fmt.Sprintf("%s-out%d", name, i), cfg.PortBytesPerCycle, 0)
+		x.eject[i] = sim.MakeThrottledPort(cfg.PortBytesPerCycle)
 	}
 	if cfg.BisectionBytesPerCycle > 0 {
-		x.bisection = sim.NewThrottledPort(name+"-bisect", cfg.BisectionBytesPerCycle, 0)
+		x.bisection = sim.NewThrottledPort(cfg.BisectionBytesPerCycle)
 	}
 	return x
 }

@@ -38,7 +38,7 @@ func TestValidate(t *testing.T) {
 }
 
 func TestSingleTransferLatency(t *testing.T) {
-	x := New("t", testConfig())
+	x := New(testConfig())
 	// 32B at 32B/cy: 1 cycle inject + 1 bisect... bisection continues from
 	// the same byte-time, so the message finishes its last hop at cycle 1
 	// and delivers at 1+latency.
@@ -51,7 +51,7 @@ func TestSingleTransferLatency(t *testing.T) {
 func TestHotDestinationSerializes(t *testing.T) {
 	cfg := testConfig()
 	cfg.BisectionBytesPerCycle = 0 // isolate the ejection port
-	x := New("t", cfg)
+	x := New(cfg)
 	// All four sources target destination 0 with 32B: the ejection port
 	// (32 B/cy) serializes them one per cycle.
 	var last sim.Cycle
@@ -70,7 +70,7 @@ func TestHotDestinationSerializes(t *testing.T) {
 func TestSpreadDestinationsRunParallel(t *testing.T) {
 	cfg := testConfig()
 	cfg.BisectionBytesPerCycle = 0
-	x := New("t", cfg)
+	x := New(cfg)
 	// Different sources to different destinations: all deliver at the
 	// single-message time.
 	for s := 0; s < 4; s++ {
@@ -85,7 +85,7 @@ func TestBisectionCapsAggregate(t *testing.T) {
 	cfg.PortBytesPerCycle = 1 << 20 // ports effectively infinite
 	cfg.BisectionBytesPerCycle = 64
 	cfg.Latency = 0
-	x := New("t", cfg)
+	x := New(cfg)
 	// 8 messages × 64B through a 64 B/cy fabric = 8 cycles of fabric time.
 	var last sim.Cycle
 	for i := 0; i < 8; i++ {
@@ -99,7 +99,7 @@ func TestBisectionCapsAggregate(t *testing.T) {
 func TestSingleSourceCannotExceedItsPort(t *testing.T) {
 	cfg := testConfig()
 	cfg.BisectionBytesPerCycle = 1 << 20
-	x := New("t", cfg)
+	x := New(cfg)
 	var last sim.Cycle
 	for i := 0; i < 4; i++ {
 		last = x.Transfer(0, 0, i*2, 32) // distinct destinations
@@ -111,7 +111,7 @@ func TestSingleSourceCannotExceedItsPort(t *testing.T) {
 }
 
 func TestPortTotals(t *testing.T) {
-	x := New("t", testConfig())
+	x := New(testConfig())
 	x.Transfer(0, 1, 2, 64)
 	if x.TotalBytes() != 64 {
 		t.Fatalf("total = %d", x.TotalBytes())
@@ -128,7 +128,7 @@ func TestPortTotals(t *testing.T) {
 }
 
 func TestOutOfRangePanics(t *testing.T) {
-	x := New("t", testConfig())
+	x := New(testConfig())
 	defer func() {
 		if recover() == nil {
 			t.Fatal("out-of-range endpoint must panic")

@@ -82,28 +82,53 @@ func rawRecord(width, weight, addr uint64) []byte {
 	return binary.AppendUvarint(b, addr<<1) // zig-zag of a positive delta
 }
 
-// TestRunCustomRejectsMalformedTraces: replaying a malformed record
-// returns an error promptly instead of hanging, failing to converge or
+// oneAccess is a Go-supplied workload that issues a single access.
+type oneAccess struct {
+	a         Access
+	footprint uint64
+	done      bool
+}
+
+func (w *oneAccess) Name() string      { return "one" }
+func (w *oneAccess) Footprint() uint64 { return w.footprint }
+func (w *oneAccess) Next() (Access, bool) {
+	if w.done {
+		return Access{}, false
+	}
+	w.done = true
+	return w.a, true
+}
+
+// TestRunCustomRejectsMalformedTraces: a malformed access, whether a
+// replayed record or one a Go workload returns, makes RunCustom return an
+// error promptly instead of hanging, panicking, failing to converge or
 // returning a short result with a nil error.
 func TestRunCustomRejectsMalformedTraces(t *testing.T) {
 	cfg := quickCfg()
 	good := rawRecord(4, 0, 64)
 	for _, tc := range []struct {
 		name, want string
-		record     []byte
+		record     []byte // a .cct record, or nil to issue access from Go
+		access     Access
 	}{
-		{"width 2^40", "width", rawRecord(1<<40, 0, 64)},
-		{"width 0", "width", rawRecord(0, 0, 64)},
-		{"width 17", "width", rawRecord(17, 0, 64)},
-		{"weight 2^63", "compute weight", rawRecord(4, 1<<63, 64)},
-		{"weight past the bound", "compute weight", rawRecord(4, 1<<12+1, 64)},
-		{"truncated record", "reading address", append(append([]byte{}, good...), good[:len(good)-1]...)},
-		{"address outside the footprint", "outside footprint", rawRecord(4, 0, cfg.FootprintBytes)},
+		{"width 2^40", "width", rawRecord(1<<40, 0, 64), Access{}},
+		{"width 0", "width", rawRecord(0, 0, 64), Access{}},
+		{"width 17", "width", rawRecord(17, 0, 64), Access{}},
+		{"weight 2^63", "compute weight", rawRecord(4, 1<<63, 64), Access{}},
+		{"weight past the bound", "compute weight", rawRecord(4, 1<<12+1, 64), Access{}},
+		{"truncated record", "reading address", append(append([]byte{}, good...), good[:len(good)-1]...), Access{}},
+		{"address outside the footprint", "outside footprint", rawRecord(4, 0, cfg.FootprintBytes), Access{}},
+		{"Go access width 2^40", "width", nil, Access{Addrs: []uint64{64}, Bytes: 1 << 40}},
+		{"Go access past the protected capacity", "outside footprint", nil, Access{Addrs: []uint64{cfg.MemoryBytes}, Bytes: 4}},
+		{"Go access weight -100", "compute weight", nil, Access{Addrs: []uint64{64}, Bytes: 4, ComputeWeight: -100}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			trace := append([]byte("CCTRACE1"), tc.record...)
 			start := time.Now()
 			res, err := RunCustom(cfg, "none", func(smID, numSMs int) (Workload, error) {
+				if tc.record == nil {
+					return &oneAccess{a: tc.access, footprint: cfg.FootprintBytes}, nil
+				}
 				return NewTraceReplayer("bad", bytes.NewReader(trace), cfg.FootprintBytes)
 			})
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
