@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"testing"
 
@@ -138,6 +139,22 @@ func TestTable3IsSimulationFree(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("table3 missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestTable3Allocations bounds the whole table's heap allocations: its 15
+// campaigns of 10k trials each allocate their buffers once, so a single
+// allocation per trial anywhere in the encode, inject and decode path
+// (here, with the injectors inlined into this package) adds 150k.
+func TestTable3Allocations(t *testing.T) {
+	r := NewRunner(quickBase())
+	allocs := testing.AllocsPerRun(1, func() {
+		if err := table3(r, quickBase(), io.Discard); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 1000 {
+		t.Fatalf("table3 made %.0f allocations, want at most 1000", allocs)
 	}
 }
 

@@ -229,6 +229,7 @@ func TestClusterSweepRejectsInvalidConfig(t *testing.T) {
 		{func(g *config.GPU) { g.XbarReqBytesPerCycle = -1 }, "bisection"},
 		{func(g *config.GPU) { g.DRAM.BanksPerChannel = 1 << 30 }, "banks"},
 		{func(g *config.GPU) { g.L2.SizeBytes = 1 << 40 }, "L2 size"},
+		{func(g *config.GPU) { g.Geometry.SectorBytes = 64 }, "sector/line sizes differ"},
 	} {
 		bad := quickBase()
 		tc.mut(&bad)

@@ -144,6 +144,13 @@ func (g GPU) Validate() error {
 		return fmt.Errorf("config: crossbar bisection bandwidth must not be negative")
 	case g.L2MSHRs <= 0:
 		return fmt.Errorf("config: L2MSHRs must be positive")
+	case g.L1.SectorBytes != g.Geometry.SectorBytes || g.L2.SectorBytes != g.Geometry.SectorBytes ||
+		g.L1.LineBytes != g.Geometry.LineBytes || g.L2.LineBytes != g.Geometry.LineBytes:
+		// The caches and the protection layout must agree on what a
+		// sector and a line are, or misses fetch the wrong sectors.
+		return fmt.Errorf("config: L1 %d/%dB, L2 %d/%dB and geometry %d/%dB sector/line sizes differ",
+			g.L1.SectorBytes, g.L1.LineBytes, g.L2.SectorBytes, g.L2.LineBytes,
+			g.Geometry.SectorBytes, g.Geometry.LineBytes)
 	}
 	if err := g.L1.Validate(); err != nil {
 		return err

@@ -42,6 +42,12 @@ func TestValidateCatchesBadFields(t *testing.T) {
 		{"too many L2 ways", func(g *GPU) { g.L2.Ways = 2 * cache.MaxWays }},
 		{"too deep a scheduler window", func(g *GPU) { g.DRAM.SchedulerWindow = 1 << 30 }},
 		{"bad geometry", func(g *GPU) { g.Geometry.GranuleBytes = 100 }},
+		{"geometry sector differs from caches", func(g *GPU) { g.Geometry.SectorBytes = 64 }},
+		{"geometry line differs from caches", func(g *GPU) { g.Geometry.LineBytes, g.Geometry.GranuleBytes = 256, 512 }},
+		{"L1 sector differs from geometry", func(g *GPU) { g.L1.SectorBytes = 64 }},
+		{"L2 sector differs from geometry", func(g *GPU) { g.L2.SectorBytes = 64 }},
+		{"L1 line differs from geometry", func(g *GPU) { g.L1.LineBytes = 256 }},
+		{"L2 line differs from geometry", func(g *GPU) { g.L2.LineBytes = 256 }},
 		{"zero L2 MSHRs", func(g *GPU) { g.L2MSHRs = 0 }},
 		{"negative L2 MSHRs", func(g *GPU) { g.L2MSHRs = -1 }},
 		{"negative xbar req bisection", func(g *GPU) { g.XbarReqBytesPerCycle = -1 }},

@@ -7,7 +7,8 @@ import (
 
 // TestEncodeDecodeIntoZeroAllocs pins the allocation-free codec contract:
 // EncodeInto with a pre-sized destination and DecodeInto on a clean
-// codeword must not allocate, for every sector codec.
+// codeword must not allocate, for every sector codec. The symbol codes
+// must not allocate to correct a codeword or to reject one either.
 func TestEncodeDecodeIntoZeroAllocs(t *testing.T) {
 	secded, err := NewSECDEDSector(32, 64)
 	if err != nil {
@@ -41,6 +42,44 @@ func TestEncodeDecodeIntoZeroAllocs(t *testing.T) {
 				t.Fatalf("EncodeInto+DecodeInto allocated %.1f times per op, want 0", allocs)
 			}
 		})
+	}
+	// Symbol errors, as (position, magnitude) pairs over the 36-symbol
+	// codeword: two are within RS(36,32)'s radius, three are beyond it.
+	cases := []struct {
+		name string
+		errs [][2]int
+		want Result
+	}{
+		{"correctable", [][2]int{{3, 0x5a}, {33, 0x81}}, Corrected},
+		{"uncorrectable", [][2]int{{0, 0x11}, {9, 0x22}, {20, 0x33}}, Detected},
+	}
+	for _, codec := range []SectorCodec{rs, chipkill} {
+		for _, c := range cases {
+			t.Run(codec.Name()+"/"+c.name, func(t *testing.T) {
+				golden := make([]byte, codec.SectorBytes())
+				rand.New(rand.NewSource(8)).Read(golden)
+				goldenRed := codec.Encode(golden)
+				sector := make([]byte, len(golden))
+				red := make([]byte, len(goldenRed))
+				allocs := testing.AllocsPerRun(200, func() {
+					copy(sector, golden)
+					copy(red, goldenRed)
+					for _, e := range c.errs {
+						if e[0] < len(sector) {
+							sector[e[0]] ^= byte(e[1])
+						} else {
+							red[e[0]-len(sector)] ^= byte(e[1])
+						}
+					}
+					if res := codec.DecodeInto(sector, red); res != c.want {
+						t.Fatalf("decode = %v, want %v", res, c.want)
+					}
+				})
+				if allocs != 0 {
+					t.Fatalf("DecodeInto allocated %.1f times per op, want 0", allocs)
+				}
+			})
+		}
 	}
 }
 

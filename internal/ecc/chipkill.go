@@ -81,7 +81,7 @@ func (c *Chipkill) Decode(sector, redundancy []byte) Result {
 }
 
 // DecodeInto is Decode under the allocation-free-decode naming shared by
-// all sector codecs; the no-error path performs no allocation.
+// all sector codecs; it performs no allocation.
 func (c *Chipkill) DecodeInto(sector, redundancy []byte) Result {
 	return c.rs.Decode(sector, redundancy)
 }

@@ -60,8 +60,8 @@ type SectorCodec interface {
 	// when possible.
 	Decode(sector, redundancy []byte) Result
 	// DecodeInto is the allocation-free decode implementation behind
-	// Decode: per-sector calls on clean (error-free) codewords allocate
-	// nothing; locating an actual error may allocate scratch.
+	// Decode: it allocates nothing, whether the codeword is clean,
+	// correctable or uncorrectable.
 	DecodeInto(sector, redundancy []byte) Result
 }
 

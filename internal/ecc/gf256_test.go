@@ -136,22 +136,3 @@ func TestPolyMulMatchesEval(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestPolyAscHelpers(t *testing.T) {
-	f := func(a, b [4]byte, x byte) bool {
-		prod := polyMulAsc(a[:], b[:])
-		return polyEvalAsc(prod, x) == gfMul(polyEvalAsc(a[:], x), polyEvalAsc(b[:], x))
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestTrimAsc(t *testing.T) {
-	if got := trimAsc([]byte{1, 2, 0, 0}); len(got) != 2 {
-		t.Fatalf("trim = %v", got)
-	}
-	if got := trimAsc([]byte{0, 0}); len(got) != 1 {
-		t.Fatalf("trim all-zero = %v, want constant term kept", got)
-	}
-}

@@ -1,6 +1,9 @@
 package ecc
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // SECDED is a parametric extended-Hamming code: single-error-correcting,
 // double-error-detecting over an arbitrary data width. The classic layout
@@ -119,15 +122,12 @@ func (c *SECDED) EncodeInto(dst, data []byte) []byte {
 	// Solve for check bits so the syndrome becomes zero: check bit i covers
 	// exactly the positions with bit i set, and sits at position 2^i which
 	// has only bit i set, so each check bit independently cancels one
-	// syndrome bit.
-	for i := 0; i < c.r; i++ {
-		if (syn>>i)&1 == 1 {
-			setBit(check, i, 1)
-			overall ^= 1
-		}
-	}
-	if overall == 1 {
-		setBit(check, c.r, 1)
+	// syndrome bit: the check bits are the syndrome itself. Each set check
+	// bit also flips the overall parity, stored in bit r.
+	overall ^= bits.OnesCount(uint(syn)) & 1
+	v := uint64(syn) | uint64(overall)<<c.r
+	for i := range check {
+		check[i] = byte(v >> (8 * i))
 	}
 	return dst
 }

@@ -12,17 +12,25 @@ import "fmt"
 // failure is a single symbol error.
 type RS struct {
 	n, k int
-	gen  []byte // generator polynomial, descending degree, monic
-	// encTbl[f*p : (f+1)*p] is gen[1:] scaled by field element f: the whole
-	// feedback step of the LFSR encoder for one data symbol, precomputed so
-	// Encode does one table row XOR per symbol instead of p multiplies.
-	encTbl []byte
+	// encTbl[j][f] is the generator's coefficient of x^(p-1-j) scaled by
+	// the feedback symbol f: one LFSR encoder step is a lookup per parity
+	// symbol instead of a multiply. encTbl[j][0] is zero.
+	encTbl [][256]byte
+	// synTbl[j][v] is v·alpha^j: one Horner step of syndrome j.
+	synTbl [][256]byte
+	// loc[i] is the error locator X_i = alpha^(n-1-i) of codeword position
+	// i, and locInv[i] its inverse, the point the Chien search tests.
+	loc, locInv []byte
 }
+
+// maxSymbols is the longest codeword over GF(2^8), and so also bounds the
+// parity count and every polynomial the decoder keeps on its stack.
+const maxSymbols = 255
 
 // NewRS constructs an (n,k) Reed–Solomon code. n must be at most 255 and
 // greater than k.
 func NewRS(n, k int) (*RS, error) {
-	if n > 255 || k <= 0 || k >= n {
+	if n > maxSymbols || k <= 0 || k >= n {
 		return nil, fmt.Errorf("ecc: invalid RS(%d,%d)", n, k)
 	}
 	// Generator g(x) = Π_{i=0}^{n-k-1} (x - alpha^i).
@@ -31,14 +39,19 @@ func NewRS(n, k int) (*RS, error) {
 		gen = polyMul(gen, []byte{1, gfAlpha(i)})
 	}
 	p := n - k
-	encTbl := make([]byte, 256*p)
-	for f := 1; f < 256; f++ {
-		row := encTbl[f*p : (f+1)*p]
-		for j := 0; j < p; j++ {
-			row[j] = gfMul(gen[j+1], byte(f))
+	r := &RS{n: n, k: k, encTbl: make([][256]byte, p), synTbl: make([][256]byte, p),
+		loc: make([]byte, n), locInv: make([]byte, n)}
+	for j := 0; j < p; j++ {
+		for f := 1; f < 256; f++ {
+			r.encTbl[j][f] = gfMul(gen[j+1], byte(f))
+			r.synTbl[j][f] = gfMul(byte(f), gfAlpha(j))
 		}
 	}
-	return &RS{n: n, k: k, gen: gen, encTbl: encTbl}, nil
+	for i := 0; i < n; i++ {
+		r.loc[i] = gfAlpha(n - 1 - i)
+		r.locInv[i] = gfAlpha(-(n - 1 - i))
+	}
+	return r, nil
 }
 
 // N reports the codeword length in symbols.
@@ -57,9 +70,6 @@ func (r *RS) T() int { return (r.n - r.k) / 2 }
 // Encode computes the parity symbols for data (len k) as the remainder of
 // data·x^(n-k) divided by the generator polynomial.
 func (r *RS) Encode(data []byte) []byte {
-	if len(data) != r.k {
-		panic(fmt.Sprintf("ecc: RS encode len %d, want %d", len(data), r.k))
-	}
 	return r.EncodeInto(make([]byte, 0, r.n-r.k), data)
 }
 
@@ -70,235 +80,228 @@ func (r *RS) EncodeInto(dst, data []byte) []byte {
 		panic(fmt.Sprintf("ecc: RS encode len %d, want %d", len(data), r.k))
 	}
 	base := len(dst)
-	p := r.n - r.k
-	for i := 0; i < p; i++ {
+	for i := 0; i < r.n-r.k; i++ {
 		dst = append(dst, 0)
 	}
-	rem := dst[base:]
-	r.encodeBody(rem, data, nil)
+	r.encodeBody(dst[base:], data, nil)
 	return dst
 }
 
 // encodeBody runs the LFSR division over segments a then b, accumulating
 // the remainder into rem (len n-k, zeroed by the caller). Two segments let
-// the tagged codec feed tag++data without concatenating.
+// the tagged codec feed tag++data without concatenating. Each step shifts
+// the remainder down a symbol while adding the feedback symbol's table
+// entries; the leading symbol, which sets the next feedback, stays in a
+// register.
 func (r *RS) encodeBody(rem []byte, a, b []byte) {
-	p := r.n - r.k
-	feed := func(data []byte) {
-		for _, d := range data {
-			factor := d ^ rem[0]
-			copy(rem, rem[1:])
-			rem[p-1] = 0
-			if factor != 0 {
-				row := r.encTbl[int(factor)*p:]
-				for j := 0; j < p; j++ {
-					rem[j] ^= row[j]
+	tbl := r.encTbl[:len(rem)]
+	last := len(rem) - 1
+	head := rem[0]
+	for _, seg := range [2][]byte{a, b} {
+		for _, d := range seg {
+			f := d ^ head
+			head = tbl[0][f]
+			if last > 0 {
+				head ^= rem[1]
+				for j := 1; j < last; j++ {
+					rem[j] = rem[j+1] ^ tbl[j][f]
 				}
+				rem[last] = tbl[last][f]
 			}
 		}
 	}
-	feed(a)
-	feed(b)
+	rem[0] = head
 }
 
-// Syndromes computes the n-k syndromes of the codeword (data ++ parity) and
-// reports whether any is nonzero. Symbol index i carries weight
-// alpha^{(n-1-i)·j} in syndrome j; a zero vector means a valid codeword.
-func (r *RS) Syndromes(data, parity []byte) ([]byte, bool) {
-	syn := make([]byte, r.n-r.k)
-	any := r.syndromesInto(syn, data, parity)
-	return syn, any
-}
-
-// syndromesInto evaluates the codeword data++parity at the first n-k
-// powers of alpha without materializing the concatenation, writing into
-// syn (len n-k) and reporting whether any syndrome is nonzero.
-func (r *RS) syndromesInto(syn []byte, data, parity []byte) bool {
-	any := false
-	for i := range syn {
-		x := gfAlpha(i)
+// syndromes evaluates the codeword data++parity at alpha^0..alpha^(p-1)
+// into syn (len p) and reports whether any syndrome is nonzero. Symbol
+// index i carries weight alpha^((n-1-i)·j) in syndrome j; a zero vector
+// means a valid codeword. Each syndrome is its own Horner chain of table
+// lookups, independent of the others.
+func (r *RS) syndromes(syn, data, parity []byte) bool {
+	var any byte
+	for j := range syn {
+		tbl := &r.synTbl[j]
 		var y byte
 		for _, c := range data {
-			y = gfMul(y, x) ^ c
+			y = tbl[y] ^ c
 		}
 		for _, c := range parity {
-			y = gfMul(y, x) ^ c
+			y = tbl[y] ^ c
 		}
-		syn[i] = y
-		if y != 0 {
-			any = true
-		}
+		syn[j] = y
+		any |= y
 	}
-	return any
+	return any != 0
 }
 
 // Decode verifies data (len k) against parity (len n-k), correcting up to T
-// symbol errors in place.
+// symbol errors in place. It does not allocate.
 func (r *RS) Decode(data, parity []byte) Result {
-	res, _ := r.DecodeErasures(data, parity, nil)
-	return res
+	return r.decode(data, parity, nil, nil)
 }
 
 // DecodeErasures decodes with known erasure positions (indices into the
 // full codeword: 0..k-1 are data symbols, k..n-1 parity symbols). It
 // corrects e errors and s erasures whenever 2e+s <= n-k and returns the
-// corrected symbol indices (erasure positions that needed no change are not
-// reported).
+// corrected symbol indices in ascending order (erasure positions that
+// needed no change are not reported).
 func (r *RS) DecodeErasures(data, parity []byte, erasures []int) (Result, []int) {
+	var corrected []int
+	res := r.decode(data, parity, erasures, &corrected)
+	return res, corrected
+}
+
+// decode is the one RS decode path behind Decode and DecodeErasures. When
+// corrected is not nil, a successful correction appends the changed
+// positions to it; nothing else allocates, because every polynomial lives
+// in a fixed array on the stack, never in the shared codec.
+func (r *RS) decode(data, parity []byte, erasures []int, corrected *[]int) Result {
 	if len(data) != r.k || len(parity) != r.n-r.k {
 		panic("ecc: RS decode buffer size mismatch")
 	}
 	p := r.n - r.k
-	// The syndrome buffer lives on the stack so the no-error path — the
-	// overwhelmingly common one — does not allocate at all.
-	var synBuf [255]byte
+	var synBuf [maxSymbols]byte
 	syn := synBuf[:p]
-	if !r.syndromesInto(syn, data, parity) {
-		return OK, nil
+	if !r.syndromes(syn, data, parity) {
+		return OK
 	}
 	if len(erasures) > p {
-		return Detected, nil
-	}
-	// From here on an error is being located; allocation is fine.
-	cw := make([]byte, 0, r.n)
-	cw = append(cw, data...)
-	cw = append(cw, parity...)
-
-	// Erasure locator Γ(x) = Π (1 + X_l·x) with X_l = alpha^{n-1-idx},
-	// ascending coefficient order, Γ[0] = 1.
-	gamma := []byte{1}
-	for _, idx := range erasures {
-		if idx < 0 || idx >= r.n {
-			return Detected, nil
-		}
-		x := gfAlpha(r.n - 1 - idx)
-		gamma = polyMulAsc(gamma, []byte{1, x})
+		return Detected
 	}
 
-	lambda := berlekampMassey(syn, gamma, len(erasures))
-	lambda = trimAsc(lambda)
-	nerrs := len(lambda) - 1 // total located positions incl. erasures
+	var lam [maxSymbols + 1]byte
+	nl, ok := r.locator(&lam, syn, erasures)
+	if !ok {
+		return Detected
+	}
+	for nl > 1 && lam[nl-1] == 0 {
+		nl--
+	}
+	nerrs := nl - 1 // total located positions incl. erasures
 	if nerrs == 0 || 2*(nerrs-len(erasures))+len(erasures) > p {
-		return Detected, nil
+		return Detected
 	}
 
-	// Chien search over all symbol indices.
-	positions := make([]int, 0, nerrs)
-	for i := 0; i < r.n; i++ {
-		xinv := gfAlpha(-(r.n - 1 - i))
-		if polyEvalAsc(lambda, xinv) == 0 {
-			positions = append(positions, i)
+	// Chien search: position i is in error when Λ(X_i⁻¹) = 0. Λ has degree
+	// nerrs, so once nerrs roots are found there are no more.
+	var pos [maxSymbols]uint8
+	found := 0
+	for i, xinv := range r.locInv {
+		if polyEvalAsc(lam[:nl], xinv) == 0 {
+			pos[found] = uint8(i)
+			if found++; found == nerrs {
+				break
+			}
 		}
 	}
-	if len(positions) != nerrs {
-		return Detected, nil
+	if found != nerrs {
+		return Detected
 	}
 
-	// Forney: Ω(x) = S(x)·Λ(x) mod x^p; e_l = X_l·Ω(X_l⁻¹)/Λ'(X_l⁻¹).
-	omega := polyMulAsc(syn[:p], lambda)
-	if len(omega) > p {
-		omega = omega[:p]
+	// Forney: Ω(x) = S(x)·Λ(x) mod x^p; e_l = X_l·Ω(X_l⁻¹)/Λ'(X_l⁻¹), where
+	// the formal derivative Λ' keeps only Λ's odd-power terms.
+	var omega [maxSymbols]byte
+	for i := range syn {
+		var o byte
+		for j := 0; j <= i && j < nl; j++ {
+			o ^= gfMul(lam[j], syn[i-j])
+		}
+		omega[i] = o
 	}
-	deriv := polyDerivAsc(lambda)
-	corrected := make([]int, 0, nerrs)
-	for _, pos := range positions {
-		x := gfAlpha(r.n - 1 - pos)
-		xinv := gfInv(x)
-		den := polyEvalAsc(deriv, xinv)
+	var mag [maxSymbols]byte
+	for l, at := range pos[:found] {
+		x, xinv := r.loc[at], r.locInv[at]
+		x2 := gfMul(xinv, xinv)
+		var den byte
+		for i := (nl - 2) | 1; i >= 1; i -= 2 {
+			den = gfMul(den, x2) ^ lam[i]
+		}
 		if den == 0 {
-			return Detected, nil
+			return Detected
 		}
-		mag := gfMul(x, gfDiv(polyEvalAsc(omega, xinv), den))
-		if mag != 0 {
-			cw[pos] ^= mag
-			corrected = append(corrected, pos)
+		mag[l] = gfMul(x, gfDiv(polyEvalAsc(omega[:p], xinv), den))
+		// Fold the correction into the syndromes: S_j(c ⊕ e) = S_j(c) ⊕
+		// e·X^j. If any stays nonzero the error exceeded the code and the
+		// "correction" would be a miscorrection.
+		xp := byte(1)
+		for j := range syn {
+			syn[j] ^= gfMul(mag[l], xp)
+			xp = gfMul(xp, x)
 		}
 	}
-
-	// Re-verify: if syndromes remain nonzero the error exceeded capability
-	// and the "correction" would have been a miscorrection.
-	if r.syndromesInto(syn, cw[:r.k], cw[r.k:]) {
-		return Detected, nil
+	for _, s := range syn {
+		if s != 0 {
+			return Detected
+		}
 	}
-	copy(data, cw[:r.k])
-	copy(parity, cw[r.k:])
-	return Corrected, corrected
+	for l, at := range pos[:found] {
+		if mag[l] == 0 {
+			continue
+		}
+		if int(at) < r.k {
+			data[at] ^= mag[l]
+		} else {
+			parity[int(at)-r.k] ^= mag[l]
+		}
+		if corrected != nil {
+			*corrected = append(*corrected, int(at))
+		}
+	}
+	return Corrected
 }
 
-// berlekampMassey runs the errors-and-erasures Berlekamp–Massey iteration:
-// it is seeded with the erasure locator gamma and processes syndromes
-// starting after the erasure count, returning the combined locator Λ(x) in
-// ascending order.
-func berlekampMassey(syn []byte, gamma []byte, nErasures int) []byte {
-	lambda := make([]byte, len(gamma))
-	copy(lambda, gamma)
-	prev := make([]byte, len(gamma))
-	copy(prev, gamma)
-	for k := nErasures; k < len(syn); k++ {
+// locator runs the errors-and-erasures Berlekamp–Massey iteration into
+// lam and returns the locator Λ(x)'s length, ascending coefficients,
+// trailing zeros included. The erasure locator Γ(x) = Π (1 + X_l·x) seeds
+// both Λ and the correction term B, and the iteration starts at the
+// syndrome after the erasure count. nl and nb are Λ's and B's lengths: the
+// swap decision compares lengths, not degrees. Coefficients past a length
+// are always zero. ok is false for an erasure outside the codeword.
+func (r *RS) locator(lam *[maxSymbols + 1]byte, syn []byte, erasures []int) (nl int, ok bool) {
+	lam[0] = 1
+	nl = 1
+	for _, idx := range erasures {
+		if idx < 0 || idx >= r.n {
+			return 0, false
+		}
+		x := r.loc[idx]
+		for i := nl; i > 0; i-- {
+			lam[i] ^= gfMul(lam[i-1], x)
+		}
+		nl++
+	}
+	b := *lam
+	nb := nl
+	for k := len(erasures); k < len(syn); k++ {
 		// Discrepancy Δ = Σ_j Λ_j · S_{k-j}.
 		delta := syn[k]
-		for j := 1; j < len(lambda) && j <= k; j++ {
-			delta ^= gfMul(lambda[j], syn[k-j])
+		for j := 1; j < nl && j <= k; j++ {
+			delta ^= gfMul(lam[j], syn[k-j])
 		}
-		// prev ← x·prev.
-		prev = append([]byte{0}, prev...)
+		// B ← x·B.
+		copy(b[1:nb+1], b[:nb])
+		b[0] = 0
+		nb++
 		if delta == 0 {
 			continue
 		}
-		if len(prev) > len(lambda) {
-			next := scaleAsc(prev, delta)
-			prev = scaleAsc(lambda, gfInv(delta))
-			lambda = next
-			// Fall through to add delta·prev (= old lambda) below.
-		}
-		lambda = addAsc(lambda, scaleAsc(prev, delta))
-	}
-	return lambda
-}
-
-func scaleAsc(p []byte, c byte) []byte {
-	out := make([]byte, len(p))
-	for i, v := range p {
-		out[i] = gfMul(v, c)
-	}
-	return out
-}
-
-func addAsc(a, b []byte) []byte {
-	size := len(a)
-	if len(b) > size {
-		size = len(b)
-	}
-	out := make([]byte, size)
-	copy(out, a)
-	for i, v := range b {
-		out[i] ^= v
-	}
-	return out
-}
-
-// trimAsc removes trailing zero coefficients (the high-degree end in
-// ascending order), keeping at least the constant term.
-func trimAsc(p []byte) []byte {
-	end := len(p)
-	for end > 1 && p[end-1] == 0 {
-		end--
-	}
-	return p[:end]
-}
-
-// polyMulAsc multiplies polynomials with ascending-order coefficients.
-func polyMulAsc(a, b []byte) []byte {
-	out := make([]byte, len(a)+len(b)-1)
-	for i, ca := range a {
-		if ca == 0 {
-			continue
-		}
-		for j, cb := range b {
-			out[i+j] ^= gfMul(ca, cb)
+		if nb > nl {
+			// Λ ← Λ + Δ·B and B ← Λ/Δ, swapping the lengths.
+			inv := gfInv(delta)
+			for i := 0; i < nb; i++ {
+				old := lam[i]
+				lam[i] = old ^ gfMul(delta, b[i])
+				b[i] = gfMul(old, inv)
+			}
+			nl, nb = nb, nl
+		} else {
+			for i := 0; i < nb; i++ {
+				lam[i] ^= gfMul(delta, b[i])
+			}
 		}
 	}
-	return out
+	return nl, true
 }
 
 // polyEvalAsc evaluates an ascending-order polynomial at x.
@@ -308,21 +311,6 @@ func polyEvalAsc(p []byte, x byte) byte {
 		y = gfMul(y, x) ^ p[i]
 	}
 	return y
-}
-
-// polyDerivAsc returns the formal derivative of an ascending-order
-// polynomial; in characteristic 2 the even-power terms vanish.
-func polyDerivAsc(p []byte) []byte {
-	if len(p) <= 1 {
-		return []byte{0}
-	}
-	out := make([]byte, len(p)-1)
-	for i := 1; i < len(p); i++ {
-		if i%2 == 1 {
-			out[i-1] = p[i]
-		}
-	}
-	return out
 }
 
 // RSSector adapts an RS code to the SectorCodec interface: the sector's
@@ -366,7 +354,7 @@ func (s *RSSector) Decode(sector, redundancy []byte) Result {
 }
 
 // DecodeInto is Decode under the allocation-free-decode naming shared by
-// all sector codecs; the no-error path performs no allocation.
+// all sector codecs; it performs no allocation.
 func (s *RSSector) DecodeInto(sector, redundancy []byte) Result {
 	return s.rs.Decode(sector, redundancy)
 }

@@ -2,7 +2,9 @@ package ecc
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -43,7 +45,7 @@ func TestRSSyndromesZeroForCodeword(t *testing.T) {
 		data[i] = byte(i * 7)
 	}
 	parity := rs.Encode(data)
-	if _, any := rs.Syndromes(data, parity); any {
+	if rs.syndromes(make([]byte, rs.ParitySymbols()), data, parity) {
 		t.Fatal("valid codeword has nonzero syndrome")
 	}
 }
@@ -319,5 +321,39 @@ func TestRSLargeCode(t *testing.T) {
 	}
 	if !bytes.Equal(d, data) {
 		t.Fatal("large code not restored")
+	}
+}
+
+// TestRSSharedAcrossGoroutines decodes through one codec from several
+// goroutines at once: the decoder keeps its scratch on each caller's
+// stack, so a shared codec needs no locking (run under -race).
+func TestRSSharedAcrossGoroutines(t *testing.T) {
+	rs := mustRS(t, 36, 32)
+	var wg sync.WaitGroup
+	errs := make(chan error, 4)
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			data := make([]byte, 32)
+			for trial := 0; trial < 300; trial++ {
+				rng.Read(data)
+				parity := rs.Encode(data)
+				d := append([]byte(nil), data...)
+				p := append([]byte(nil), parity...)
+				d[rng.Intn(32)] ^= byte(rng.Intn(255) + 1)
+				p[rng.Intn(4)] ^= byte(rng.Intn(255) + 1)
+				if res := rs.Decode(d, p); res != Corrected || !bytes.Equal(d, data) || !bytes.Equal(p, parity) {
+					errs <- fmt.Errorf("goroutine %d trial %d: %v", seed, trial, res)
+					return
+				}
+			}
+		}(int64(g))
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
 	}
 }

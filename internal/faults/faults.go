@@ -73,24 +73,27 @@ type Campaign struct {
 	Seed   int64
 }
 
-// Injector corrupts a (sector, redundancy) pair and reports how many bits
-// it flipped.
+// Injector corrupts a (sector, redundancy) pair in place.
 type Injector func(rng *rand.Rand, sector, redundancy []byte)
 
-// Run executes the campaign with the given fault model.
+// Run executes the campaign with the given fault model. Its buffers are
+// allocated once and reused by every trial, so its allocations do not grow
+// with Trials.
 func (c Campaign) Run(faultName string, inject Injector) Report {
 	rng := rand.New(rand.NewSource(c.Seed))
 	rep := Report{Codec: c.Codec.Name(), Fault: faultName, Trials: c.Trials}
 	n := c.Codec.SectorBytes()
+	golden := make([]byte, n)
+	sector := make([]byte, n)
+	red := make([]byte, 0, c.Codec.RedundancyBytes())
 	for trial := 0; trial < c.Trials; trial++ {
-		golden := make([]byte, n)
 		rng.Read(golden)
-		sector := append([]byte(nil), golden...)
-		red := c.Codec.Encode(sector)
+		copy(sector, golden)
+		red = c.Codec.EncodeInto(red[:0], sector)
 
 		inject(rng, sector, red)
 
-		res := c.Codec.Decode(sector, red)
+		res := c.Codec.DecodeInto(sector, red)
 		ok := bytes.Equal(sector, golden)
 		switch {
 		case res == ecc.Detected:
@@ -107,15 +110,25 @@ func (c Campaign) Run(faultName string, inject Injector) Report {
 }
 
 // BitFlips returns an injector flipping n distinct random bits across the
-// sector and redundancy.
+// sector and redundancy. It draws bits until n are distinct; up to eight
+// are tracked on the stack.
 func BitFlips(n int) Injector {
 	return func(rng *rand.Rand, sector, redundancy []byte) {
 		total := len(sector)*8 + len(redundancy)*8
-		seen := map[int]bool{}
-		for len(seen) < n {
-			seen[rng.Intn(total)] = true
-		}
-		for bit := range seen {
+		var buf [8]int
+		bits := buf[:0]
+	draw:
+		for len(bits) < n {
+			bit := rng.Intn(total)
+			// A plain loop, not slices.Contains: once this closure is
+			// inlined into another package, passing bits to the generic
+			// call moves buf to the heap.
+			for _, b := range bits {
+				if b == bit {
+					continue draw
+				}
+			}
+			bits = append(bits, bit)
 			flip(sector, redundancy, bit)
 		}
 	}

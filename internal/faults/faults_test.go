@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -118,6 +119,68 @@ func TestCampaignDeterminism(t *testing.T) {
 	b := Campaign{Codec: rs(t), Trials: 200, Seed: 7}.Run("3bit", BitFlips(3))
 	if a.Counts != b.Counts {
 		t.Fatalf("campaigns differ: %v vs %v", a.Counts, b.Counts)
+	}
+}
+
+// TestRunAllocsDoNotGrowWithTrials pins the campaign's buffer reuse: a
+// campaign allocates its generator and buffers once, so a hundred times
+// the trials must cost no more allocations, for every Table 3 codec and
+// fault model. A per-trial allocation would add about a thousand; the
+// slack of a few absorbs the runtime's own allocations, which the race
+// detector makes visible in longer runs.
+func TestRunAllocsDoNotGrowWithTrials(t *testing.T) {
+	rs34, err := ecc.NewRSSector(32, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	injectors := map[string]Injector{
+		"1bit": BitFlips(1), "2bit": BitFlips(2), "8bit": BitFlips(8), "burst4": Burst(4),
+		"chip": ChipError(), "2chip": DoubleChipError(),
+	}
+	for _, codec := range []ecc.SectorCodec{secded(t), rs(t), rs34} {
+		for name, inj := range injectors {
+			allocs := func(trials int) float64 {
+				return testing.AllocsPerRun(5, func() {
+					Campaign{Codec: codec, Trials: trials, Seed: 3}.Run(name, inj)
+				})
+			}
+			if few, many := allocs(10), allocs(1000); many > few+3 {
+				t.Errorf("%s/%s: %.0f allocations for 10 trials, %.0f for 1000", codec.Name(), name, few, many)
+			}
+		}
+	}
+}
+
+// TestBitFlipsDrawsLikeASet checks BitFlips against the set-based
+// injector it replaced: the same generator state must flip the same bits
+// and leave the generator in the same state, so reports stay identical.
+func TestBitFlipsDrawsLikeASet(t *testing.T) {
+	setFlips := func(n int) Injector {
+		return func(rng *rand.Rand, sector, redundancy []byte) {
+			total := len(sector)*8 + len(redundancy)*8
+			seen := map[int]bool{}
+			for len(seen) < n {
+				seen[rng.Intn(total)] = true
+			}
+			for bit := range seen {
+				flip(sector, redundancy, bit)
+			}
+		}
+	}
+	for _, n := range []int{1, 2, 3, 8, 20} {
+		got, want := rand.New(rand.NewSource(int64(n))), rand.New(rand.NewSource(int64(n)))
+		for trial := 0; trial < 500; trial++ {
+			gs, gr := make([]byte, 8), make([]byte, 1)
+			ws, wr := make([]byte, 8), make([]byte, 1)
+			BitFlips(n)(got, gs, gr)
+			setFlips(n)(want, ws, wr)
+			if !reflect.DeepEqual(gs, ws) || !reflect.DeepEqual(gr, wr) {
+				t.Fatalf("%d flips, trial %d: flipped %x %x, set-based %x %x", n, trial, gs, gr, ws, wr)
+			}
+		}
+		if got.Int63() != want.Int63() {
+			t.Fatalf("%d flips: generators diverged", n)
+		}
 	}
 }
 
