@@ -67,6 +67,12 @@ func (c *completions) OnEvent(now sim.Cycle, arg, _ uint64) {
 	c.at = append(c.at, now)
 }
 
+// fnEvent adapts a closure to sim.Handler, for tests that act at a
+// given cycle.
+type fnEvent func(now sim.Cycle)
+
+func (f fnEvent) OnEvent(now sim.Cycle, _, _ uint64) { f(now) }
+
 // last is the finish cycle of the latest completion (0 if none).
 func (c *completions) last() sim.Cycle {
 	if len(c.at) == 0 {

@@ -147,9 +147,9 @@ func TestRefreshStallsChannel(t *testing.T) {
 	d := New(eng, cfg)
 	var done completions
 	// Submit just after the first refresh boundary.
-	eng.At(501, func(now sim.Cycle) {
+	eng.Post(501, fnEvent(func(now sim.Cycle) {
 		d.SubmitPost(now, mem.Request{Addr: 0, Bytes: 32}, &done, 0)
-	})
+	}), 0, 0)
 	eng.Run(1 << 20)
 	// Refresh at 500 blocks until 800; then the cold access follows.
 	min := sim.Cycle(800)
@@ -172,9 +172,9 @@ func TestRefreshClosesRows(t *testing.T) {
 	d.Submit(0, mem.Request{Addr: 0, Bytes: 32})
 	eng.Run(1 << 20)
 	// Re-access the same row after a refresh boundary.
-	eng.At(1200, func(now sim.Cycle) {
+	eng.Post(1200, fnEvent(func(now sim.Cycle) {
 		d.Submit(now, mem.Request{Addr: 64, Bytes: 32})
-	})
+	}), 0, 0)
 	eng.Run(1 << 20)
 	if d.Stats.Get("row_hits") != 0 {
 		t.Fatalf("row hit across refresh: %d", d.Stats.Get("row_hits"))

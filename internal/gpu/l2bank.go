@@ -186,27 +186,6 @@ func (b *L2Bank) scheduleStore(now sim.Cycle, lineAddr uint64, mask, fullMask ui
 	b.m.eng.Post(now+b.m.cfg.L2Latency, (*bankOpHandler)(b), uint64(uint32(oi)), 0)
 }
 
-// HandleRead services a demand-read line request after the L2 tag latency.
-// respond may fire more than once, each time with a disjoint sector mask;
-// the masks union to the requested mask. It is the bank's public API (the
-// machine's SMs use the pooled token path directly).
-func (b *L2Bank) HandleRead(now sim.Cycle, lineAddr uint64, mask uint64,
-	respond func(now sim.Cycle, mask uint64)) {
-	ti := b.m.allocToken()
-	b.m.tokens[ti] = l2Token{lineAddr: lineAddr, remaining: mask, recIdx: -1, respond: respond}
-	b.scheduleRead(now, lineAddr, mask, ti)
-}
-
-// HandleStore services a store line request after the L2 tag latency.
-// fullMask marks sectors whose bytes the warp fully covers. respond may
-// fire more than once with disjoint acknowledged sector masks.
-func (b *L2Bank) HandleStore(now sim.Cycle, lineAddr uint64, mask, fullMask uint64,
-	respond func(now sim.Cycle, mask uint64)) {
-	ti := b.m.allocToken()
-	b.m.tokens[ti] = l2Token{lineAddr: lineAddr, remaining: mask, recIdx: -1, write: true, respond: respond}
-	b.scheduleStore(now, lineAddr, mask, fullMask, ti)
-}
-
 // mshrFull reports whether a new line entry cannot be allocated.
 func (b *L2Bank) mshrFull(lineAddr uint64) bool {
 	if b.mshr.Len() < b.m.cfg.L2MSHRs {

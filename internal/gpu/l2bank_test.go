@@ -1,22 +1,44 @@
 package gpu
 
 import (
+	"math/bits"
 	"testing"
 
+	"cachecraft/internal/config"
 	"cachecraft/internal/core"
 	"cachecraft/internal/protect"
-	"cachecraft/internal/sim"
+	"cachecraft/internal/trace"
 )
 
 // buildMachine wires a machine without running it, for bank-level tests.
+// Its SMs have no workload of their own: tests issue accesses by hand.
 func buildMachine(t *testing.T, scheme protect.Factory) *Machine {
 	t.Helper()
-	cfg := quickCfg()
-	m, err := New(cfg, "stream", scheme)
+	return buildMachineCfg(t, quickCfg(), scheme)
+}
+
+func buildMachineCfg(t *testing.T, cfg config.GPU, scheme protect.Factory) *Machine {
+	t.Helper()
+	m, err := NewFromSource(cfg, func(int, int) (trace.Workload, error) {
+		return &scripted{}, nil
+	}, scheme)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return m
+}
+
+// issueLine issues one warp access from SM sm at cycle 0 through the
+// production path (L1, request crossbar, L2 bank, response crossbar): one
+// thread per sector in mask of the line at lineAddr, each reading or
+// writing width bytes from the sector's start. A width of a whole sector
+// covers it fully.
+func issueLine(m *Machine, sm int, lineAddr, mask uint64, width int, write bool) {
+	var addrs []uint64
+	for b := mask; b != 0; b &= b - 1 {
+		addrs = append(addrs, lineAddr+uint64(bits.TrailingZeros64(b)*m.cfg.L1.SectorBytes))
+	}
+	m.sms[sm].issue(0, trace.Access{PC: 1, Write: write, Addrs: addrs, Bytes: width})
 }
 
 func TestBankReadHitRespondsWithoutController(t *testing.T) {
@@ -25,15 +47,15 @@ func TestBankReadHitRespondsWithoutController(t *testing.T) {
 	lineAddr := uint64(0) // line 0 routes to bank 0
 	b.fill(0, lineAddr, 0b1111, 0)
 
-	var gotMask uint64
-	b.HandleRead(0, lineAddr, 0b0011, func(now sim.Cycle, mask uint64) {
-		gotMask |= mask
-	})
+	issueLine(m, 0, lineAddr, 0b0011, 32, false)
 	m.eng.Run(1 << 20)
-	if gotMask != 0b0011 {
-		t.Fatalf("hit response mask = %#b", gotMask)
+	if got := m.sms[0].l1.ValidMask(lineAddr); got != 0b0011 {
+		t.Fatalf("hit response mask = %#b", got)
 	}
-	if m.envStats.Get("red_reads_dram") != 0 {
+	if m.sms[0].accessesDone != 1 {
+		t.Fatal("load did not retire")
+	}
+	if m.stats.Get("l2_hits") != 2 || m.dram.Stats.Get("bytes_read") != 0 {
 		t.Fatal("hit must not reach the controller")
 	}
 }
@@ -43,16 +65,22 @@ func TestBankMissSplitsHitAndMissBatches(t *testing.T) {
 	b := m.banks[0]
 	b.fill(0, 0, 0b0001, 0)
 
-	var batches []uint64
-	b.HandleRead(0, 0, 0b0011, func(now sim.Cycle, mask uint64) {
-		batches = append(batches, mask)
-	})
-	m.eng.Run(1 << 20)
-	if len(batches) != 2 {
-		t.Fatalf("batches = %v, want hit then miss", batches)
+	issueLine(m, 0, 0, 0b0011, 32, false)
+	l1 := m.sms[0].l1
+	// The first batch delivered to the SM carries the hit sector alone;
+	// the missed sector follows once the controller has filled it.
+	if !m.eng.RunUntil(1<<20, func() bool { return l1.ValidMask(0) != 0 }) {
+		t.Fatal("no response delivered")
 	}
-	if batches[0] != 0b0001 || batches[1] != 0b0010 {
-		t.Fatalf("batches = %#b,%#b", batches[0], batches[1])
+	if got := l1.ValidMask(0); got != 0b0001 {
+		t.Fatalf("first batch = %#b, want the hit sector 0b1", got)
+	}
+	m.eng.Run(1 << 20)
+	if got := l1.ValidMask(0); got != 0b0011 {
+		t.Fatalf("after the miss batch the L1 holds %#b, want 0b11", got)
+	}
+	if m.sms[0].accessesDone != 1 {
+		t.Fatal("load did not retire")
 	}
 	if b.cache.Probe(32) == 0 {
 		t.Fatal("missing sector not filled after controller response")
@@ -61,14 +89,19 @@ func TestBankMissSplitsHitAndMissBatches(t *testing.T) {
 
 func TestBankMergesConcurrentMisses(t *testing.T) {
 	m := buildMachine(t, protect.NewInlineNaive)
-	b := m.banks[0]
-	responses := 0
-	for i := 0; i < 3; i++ {
-		b.HandleRead(0, 0, 0b0001, func(sim.Cycle, uint64) { responses++ })
+	// One SM would merge the reads in its own L1 MSHRs; three SMs put
+	// three requests for the same sector into the bank.
+	for sm := 0; sm < 3; sm++ {
+		issueLine(m, sm, 0, 0b0001, 32, false)
 	}
 	m.eng.Run(1 << 20)
-	if responses != 3 {
-		t.Fatalf("responses = %d", responses)
+	for sm := 0; sm < 3; sm++ {
+		if m.sms[sm].accessesDone != 1 {
+			t.Fatalf("SM %d got no response", sm)
+		}
+	}
+	if got := m.stats.Get("l2_misses"); got != 3 {
+		t.Fatalf("L2 misses = %d, want 3 requests reaching the bank", got)
 	}
 	// One demand fetch, one redundancy fetch — the merges added nothing.
 	if got := m.dram.Stats.Get("bytes_demand"); got != 32 {
@@ -79,11 +112,10 @@ func TestBankMergesConcurrentMisses(t *testing.T) {
 func TestBankStoreFullCoverageAllocatesWithoutFetch(t *testing.T) {
 	m := buildMachine(t, protect.NewInlineNaive)
 	b := m.banks[0]
-	acked := uint64(0)
-	b.HandleStore(0, 0, 0b0001, 0b0001, func(now sim.Cycle, mask uint64) { acked |= mask })
+	issueLine(m, 0, 0, 0b0001, 32, true)
 	m.eng.Run(1 << 20)
-	if acked != 0b0001 {
-		t.Fatalf("ack mask = %#b", acked)
+	if m.sms[0].accessesDone != 1 {
+		t.Fatal("store not acknowledged")
 	}
 	if m.dram.Stats.Get("bytes_read") != 0 {
 		t.Fatal("full-coverage store must not read DRAM")
@@ -96,11 +128,10 @@ func TestBankStoreFullCoverageAllocatesWithoutFetch(t *testing.T) {
 func TestBankStorePartialCoverageFetchesUnderECC(t *testing.T) {
 	m := buildMachine(t, protect.NewInlineNaive)
 	b := m.banks[0]
-	acked := uint64(0)
-	b.HandleStore(0, 0, 0b0001, 0, func(now sim.Cycle, mask uint64) { acked |= mask })
+	issueLine(m, 0, 0, 0b0001, 4, true)
 	m.eng.Run(1 << 20)
-	if acked != 0b0001 {
-		t.Fatalf("ack mask = %#b", acked)
+	if m.sms[0].accessesDone != 1 {
+		t.Fatal("store not acknowledged")
 	}
 	if m.stats.Get("l2_rmw_fetches") != 1 {
 		t.Fatalf("rmw fetches = %d", m.stats.Get("l2_rmw_fetches"))
@@ -115,8 +146,7 @@ func TestBankStorePartialCoverageFetchesUnderECC(t *testing.T) {
 
 func TestBankStorePartialCoverageNoFetchUnprotected(t *testing.T) {
 	m := buildMachine(t, protect.NewNone)
-	b := m.banks[0]
-	b.HandleStore(0, 0, 0b0001, 0, func(sim.Cycle, uint64) {})
+	issueLine(m, 0, 0, 0b0001, 4, true)
 	m.eng.Run(1 << 20)
 	if m.dram.Stats.Get("bytes_read") != 0 {
 		t.Fatal("unprotected partial store must not read (byte-masked write)")
@@ -129,21 +159,16 @@ func TestBankStorePartialCoverageNoFetchUnprotected(t *testing.T) {
 func TestBankMSHRBackpressureParksAndReplays(t *testing.T) {
 	cfg := quickCfg()
 	cfg.L2MSHRs = 2
-	m, err := New(cfg, "stream", protect.NewInlineNaive)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := m.banks[0]
-	responded := 0
+	m := buildMachineCfg(t, cfg, protect.NewInlineNaive)
 	// Issue misses on more distinct lines than MSHR entries (lines that
 	// route to bank 0: line numbers ≡ 0 mod numBanks).
 	stride := uint64(cfg.L2.LineBytes * cfg.L2Banks)
 	for i := 0; i < 6; i++ {
-		b.HandleRead(0, uint64(i)*stride, 0b0001, func(sim.Cycle, uint64) { responded++ })
+		issueLine(m, 0, uint64(i)*stride, 0b0001, 32, false)
 	}
 	m.eng.Run(1 << 24)
-	if responded != 6 {
-		t.Fatalf("responded = %d of 6", responded)
+	if got := m.sms[0].accessesDone; got != 6 {
+		t.Fatalf("responded = %d of 6", got)
 	}
 	if m.stats.Get("l2_mshr_stalls") == 0 {
 		t.Fatal("no backpressure recorded despite tiny MSHR file")
@@ -171,7 +196,7 @@ func TestReconUseBeforeAgingCountsUsed(t *testing.T) {
 	m := buildMachine(t, core.NewFactory(core.DefaultOptions()))
 	b := m.banks[0]
 	b.InsertReconstructed(0, 32)
-	b.HandleRead(0, 0, 0b0010, func(sim.Cycle, uint64) {}) // sector 32 = bit 1
+	issueLine(m, 0, 0, 0b0010, 32, false) // sector 32 = bit 1
 	m.eng.Run(1 << 20)
 	if m.envStats.Get("reconstruct_used") != 1 {
 		t.Fatalf("used = %d, want 1", m.envStats.Get("reconstruct_used"))
@@ -186,8 +211,8 @@ func TestReconEvictionReportsUnusedSectors(t *testing.T) {
 	b := m.banks[0]
 	b.InsertReconstructed(0, 32)
 	b.InsertReconstructed(0, 64)
-	b.Insert(0, 96, false)                                 // a plain fill into the same line
-	b.HandleRead(0, 0, 0b0010, func(sim.Cycle, uint64) {}) // uses sector 32
+	b.Insert(0, 96, false)                // a plain fill into the same line
+	issueLine(m, 0, 0, 0b0010, 32, false) // uses sector 32
 	m.eng.Run(1 << 20)
 	stride := uint64(m.cfg.L2.LineBytes * m.cfg.L2Banks)
 	fills := uint64(0)

@@ -75,11 +75,12 @@ func Simulate(ctx context.Context, cfg config.GPU, workload, scheme string, fact
 // step hook, the DRAM scheduling hook and both crossbar hooks. The L2
 // banks and the token path call it directly, including around every
 // controller read and writeback, since they are the protection
-// controller's only callers. Subscribers only read simulator
-// state and never schedule engine events (see protect.Env.FinishDecode
-// for why that would perturb same-cycle ordering), so observing cannot
-// change simulated timing or results. Must be called before Run; with
-// neither Audit nor Probes set, or on a second call, it does nothing.
+// controller's only callers. Subscribers only read simulator state and
+// never schedule engine events (the zero-latency decode path in
+// protect.Env.finishDecode says why that would perturb same-cycle
+// ordering), so observing cannot change simulated timing or results. Must
+// be called before Run; with neither Audit nor Probes set, or on a second
+// call, it does nothing.
 func (m *Machine) Observe(o Observers) {
 	if m.obs != nil || (!o.Audit && o.Probes == nil) {
 		return

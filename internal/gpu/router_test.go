@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"cachecraft/internal/protect"
-	"cachecraft/internal/sim"
 )
 
 // TestBankRouterCacheSideContract exercises the machine's CacheSide
@@ -34,14 +33,8 @@ func TestBankRouterCacheSideContract(t *testing.T) {
 	if m.bankIndexFor(missLine) != 0 {
 		t.Fatalf("test address routes to bank %d", m.bankIndexFor(missLine))
 	}
-	ti := m.allocToken()
-	m.tokens[ti] = l2Token{lineAddr: missLine, remaining: 0b0001, recIdx: -1,
-		respond: func(sim.Cycle, uint64) {}}
-	m.banks[0].enqueueMiss(0, missLine, 0b0001, l2Target{
-		sectorMask: 0b0001,
-		tok:        ti,
-	})
-	if !side.Pending(missLine) {
+	issueLine(m, 0, missLine, 0b0001, 32, false)
+	if !m.eng.RunUntil(1<<24, func() bool { return side.Pending(missLine) }) {
 		t.Fatal("in-flight miss not visible as pending")
 	}
 	m.eng.Run(1 << 24)

@@ -18,12 +18,7 @@ type l2Token struct {
 	smID      int32
 	recIdx    int32 // owning smAccess slot for stores; -1 otherwise
 	write     bool
-	// respond, when set, bypasses the response network and delivery
-	// bookkeeping: it is the direct-callback path used by the public
-	// HandleRead/HandleStore bank API (unit tests drive banks in
-	// isolation, with no SMs attached).
-	respond func(now sim.Cycle, mask uint64)
-	next    int32
+	next      int32
 }
 
 func (m *Machine) allocToken() int32 {
@@ -40,27 +35,16 @@ func (m *Machine) allocToken() int32 {
 }
 
 func (m *Machine) freeToken(idx int32) {
-	t := &m.tokens[idx]
-	t.respond = nil
-	t.next = m.tokFree
+	m.tokens[idx].next = m.tokFree
 	m.tokFree = idx
 }
 
 // respondToken is the bank's response path: it charges the L2→SM data hop
-// and schedules the delivery, or invokes a direct-callback token in place.
-// Banks may respond more than once per token, each time with a disjoint
-// sector mask; the masks union to the requested mask.
+// and schedules the delivery. Banks may respond more than once per token,
+// each time with a disjoint sector mask; the masks union to the requested
+// mask.
 func (m *Machine) respondToken(at sim.Cycle, ti int32, got uint64) {
 	t := &m.tokens[ti]
-	if t.respond != nil {
-		respond := t.respond
-		t.remaining &^= got
-		if t.remaining == 0 {
-			m.freeToken(ti)
-		}
-		respond(at, got)
-		return
-	}
 	bankIdx := m.bankIndexFor(t.lineAddr)
 	bytes := 8 // store ack
 	if !t.write {

@@ -107,8 +107,9 @@ type joinSlot struct {
 }
 
 // NewJoin returns a join that runs done once n parts have arrived — or,
-// when decode is set, hands done to FinishDecode for lineAddr then. With
-// n zero the join completes at now, through the event queue.
+// when decode is set, once the ECC decode of lineAddr's granule has
+// finished after that (see finishDecode). With n zero the join completes
+// at now, through the event queue.
 func (e *Env) NewJoin(now sim.Cycle, n int, lineAddr uint64, decode bool, done func(sim.Cycle)) Join {
 	slot := e.joins.Get()
 	*e.joins.At(slot) = joinSlot{remaining: max(n, 1), lineAddr: lineAddr, decode: decode, done: done}
@@ -129,13 +130,19 @@ func (e *Env) arrive(at sim.Cycle, j Join) {
 	if js.remaining > 0 {
 		return
 	}
-	lineAddr, decode, done := js.lineAddr, js.decode, js.done
-	js.done = nil
-	e.joins.Put(int32(j))
-	if decode {
-		e.FinishDecode(at, lineAddr, done)
+	if js.decode {
+		e.finishDecode(at, j)
 		return
 	}
+	e.complete(at, j)
+}
+
+// complete frees j's slot and runs its completion.
+func (e *Env) complete(at sim.Cycle, j Join) {
+	js := e.joins.At(int32(j))
+	done := js.done
+	js.done = nil
+	e.joins.Put(int32(j))
 	done(at)
 }
 
@@ -233,10 +240,12 @@ func (e *Env) errorAt(lineAddr uint64) bool {
 	return h%1_000_000 < uint64(e.ErrorRatePPM)
 }
 
-// FinishDecode schedules done after the ECC decode of lineAddr's granule:
-// the base decode latency, plus — when error injection marks this granule
-// — a correction penalty and a scrub write of the corrected sector.
-func (e *Env) FinishDecode(now sim.Cycle, lineAddr uint64, done func(sim.Cycle)) {
+// finishDecode completes the decoding join j after the ECC decode of its
+// line's granule: the base decode latency, plus — when error injection
+// marks this granule — a correction penalty and a scrub write of the
+// corrected sector. j keeps its slot until the decode finishes.
+func (e *Env) finishDecode(now sim.Cycle, j Join) {
+	lineAddr := e.joins.At(int32(j)).lineAddr
 	lat := e.DecodeLat
 	if e.errorAt(lineAddr) {
 		penalty := e.ErrorPenalty
@@ -254,10 +263,17 @@ func (e *Env) FinishDecode(now sim.Cycle, lineAddr uint64, done func(sim.Cycle))
 		// completion behind other events already scheduled for this cycle,
 		// perturbing DRAM arbitration — a zero-cost decode must be a true
 		// no-op, indistinguishable from no decode stage at all.
-		done(now)
+		e.complete(now, j)
 		return
 	}
-	e.Eng.At(now+lat, done)
+	e.Eng.Post(now+lat, (*decodeDone)(e), uint64(uint32(j)), 0)
+}
+
+// decodeDone completes a decoding join (a0) when its decode finishes.
+type decodeDone Env
+
+func (h *decodeDone) OnEvent(at sim.Cycle, a0, _ uint64) {
+	(*Env)(h).complete(at, Join(int32(uint32(a0))))
 }
 
 // Scheme is a memory-protection controller. Line addresses are logical

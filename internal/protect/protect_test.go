@@ -357,7 +357,7 @@ func TestFinishDecodeAddsPenaltyAndScrub(t *testing.T) {
 	env.ErrorRatePPM = 1_000_000 // every granule errors
 	env.ErrorPenalty = 100
 	var doneAt sim.Cycle
-	env.FinishDecode(10, 0, func(at sim.Cycle) { doneAt = at })
+	env.NewJoin(10, 0, 0, true, func(at sim.Cycle) { doneAt = at })
 	drain(eng)
 	if doneAt != 10+env.DecodeLat+100 {
 		t.Fatalf("done at %d, want %d", doneAt, 10+env.DecodeLat+100)
@@ -373,7 +373,7 @@ func TestFinishDecodeAddsPenaltyAndScrub(t *testing.T) {
 func TestFinishDecodeCleanPath(t *testing.T) {
 	env, eng, _ := testEnv(t)
 	var doneAt sim.Cycle
-	env.FinishDecode(10, 0, func(at sim.Cycle) { doneAt = at })
+	env.NewJoin(10, 0, 0, true, func(at sim.Cycle) { doneAt = at })
 	drain(eng)
 	if doneAt != 10+env.DecodeLat {
 		t.Fatalf("done at %d", doneAt)

@@ -81,18 +81,19 @@ func TestDepthProbeZeroAllocs(t *testing.T) {
 	})
 }
 
-// TestAtReusesRecords checks the closure path also recycles its event
-// records (the closure itself may allocate; the queue must not add to it).
-func TestAtReusesRecords(t *testing.T) {
+// TestPostReusesRecords checks that steady-state scheduling recycles
+// event records instead of growing the slab.
+func TestPostReusesRecords(t *testing.T) {
 	e := NewEngine()
+	h := &countHandler{}
 	for i := 0; i < 32; i++ {
-		e.At(e.Now()+1, func(Cycle) {})
+		e.Post(e.Now()+1, h, 0, 0)
 	}
 	for e.Step() {
 	}
 	slabLen := len(e.slab)
 	for i := 0; i < 10000; i++ {
-		e.At(e.Now()+1, func(Cycle) {})
+		e.Post(e.Now()+1, h, 0, 0)
 		e.Step()
 	}
 	if len(e.slab) != slabLen {

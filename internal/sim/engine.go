@@ -2,6 +2,10 @@
 // timing model in the repository: an event queue ordered by (cycle, sequence
 // number), bandwidth-limited resources, and simple latency pipes.
 //
+// Every event is a Handler plus two integer arguments, scheduled with
+// Engine.Post; there is no closure form, so an event record holds no
+// captured state and scheduling allocates nothing.
+//
 // All timing models in this repository are cycle-approximate and
 // deterministic: two runs with identical inputs schedule identical event
 // sequences. Determinism is guaranteed by breaking ties in event time with a
@@ -27,15 +31,13 @@ import "math/bits"
 // Cycle is a point in simulated time, measured in core clock cycles.
 type Cycle uint64
 
-// Event is a callback scheduled to run at a fixed cycle.
-type Event func(now Cycle)
-
-// Handler is the closure-free way to schedule work: Post stores the handler
-// interface plus two integer arguments in a pooled event record, so hot
-// paths (token delivery, bank wakeups, issue loops) schedule without
-// allocating a closure per event. Implementations are typically defined on
-// a named pointer type of an existing struct, so posting reuses the
-// struct's existing allocation.
+// Handler is the engine's one form of scheduled work: Post stores the
+// handler interface plus two integer arguments in a pooled event record, so
+// every event (token delivery, bank wakeups, issue loops, decode
+// completions) schedules without allocating a closure. Implementations are
+// typically defined on a named pointer type of an existing struct, so
+// posting reuses the struct's existing allocation, and the arguments carry
+// the per-event state (an address, a pooled slot index).
 type Handler interface {
 	// OnEvent runs at the scheduled cycle with the arguments given to Post.
 	OnEvent(now Cycle, a0, a1 uint64)
@@ -63,14 +65,12 @@ type record struct {
 	seq  uint64
 	a0   uint64
 	a1   uint64
-	fn   Event
 	h    Handler
 	next int32
 }
 
-// Engine owns simulated time. Components schedule callbacks with At/After
-// (closures) or Post (pooled handler records) and the engine runs
-// them in deterministic (cycle, seq) order.
+// Engine owns simulated time. Components schedule handlers with Post and
+// the engine runs them in deterministic (cycle, seq) order.
 type Engine struct {
 	now     Cycle
 	seq     uint64
@@ -127,23 +127,10 @@ func (e *Engine) alloc() int32 {
 	return idx
 }
 
-// At schedules fn to run at cycle at. Scheduling in the past is treated as
-// scheduling for the current cycle (the event still runs after all events
-// already queued for that cycle, preserving causality).
-func (e *Engine) At(at Cycle, fn Event) {
-	if at < e.now {
-		at = e.now
-	}
-	e.seq++
-	idx := e.alloc()
-	r := &e.slab[idx]
-	r.at, r.seq, r.fn, r.h = at, e.seq, fn, nil
-	e.enqueue(idx, at)
-}
-
 // Post schedules h.OnEvent(at, a0, a1) without allocating: the handler and
-// its arguments are stored in a pooled record. Past cycles clamp to now,
-// exactly as in At.
+// its arguments are stored in a pooled record. Scheduling in the past is
+// treated as scheduling for the current cycle (the event still runs after
+// all events already queued for that cycle, preserving causality).
 func (e *Engine) Post(at Cycle, h Handler, a0, a1 uint64) {
 	if at < e.now {
 		at = e.now
@@ -151,7 +138,7 @@ func (e *Engine) Post(at Cycle, h Handler, a0, a1 uint64) {
 	e.seq++
 	idx := e.alloc()
 	r := &e.slab[idx]
-	r.at, r.seq, r.a0, r.a1, r.fn, r.h = at, e.seq, a0, a1, nil, h
+	r.at, r.seq, r.a0, r.a1, r.h = at, e.seq, a0, a1, h
 	e.enqueue(idx, at)
 }
 
@@ -245,8 +232,8 @@ func (e *Engine) Step() bool {
 		e.bucketTail[slot] = 0
 		e.occ[slot>>6] &^= 1 << uint(slot&63)
 	}
-	at, fn, h, a0, a1 := r.at, r.fn, r.h, r.a0, r.a1
-	r.fn, r.h = nil, nil
+	at, h, a0, a1 := r.at, r.h, r.a0, r.a1
+	r.h = nil
 	r.next = e.free
 	e.free = idx
 	e.pending--
@@ -254,11 +241,7 @@ func (e *Engine) Step() bool {
 		e.stepHook(at)
 	}
 	e.now = at
-	if h != nil {
-		h.OnEvent(at, a0, a1)
-	} else {
-		fn(at)
-	}
+	h.OnEvent(at, a0, a1)
 	return true
 }
 

@@ -5,12 +5,21 @@ import (
 	"testing/quick"
 )
 
+// fn adapts a closure to Handler, so tests can schedule ad-hoc work through
+// Post, the engine's one scheduling form.
+type fn func(now Cycle)
+
+func (f fn) OnEvent(now Cycle, _, _ uint64) { f(now) }
+
+// postFn schedules f at cycle at.
+func postFn(e *Engine, at Cycle, f func(Cycle)) { e.Post(at, fn(f), 0, 0) }
+
 func TestEngineRunsEventsInTimeOrder(t *testing.T) {
 	e := NewEngine()
 	var order []int
-	e.At(30, func(Cycle) { order = append(order, 3) })
-	e.At(10, func(Cycle) { order = append(order, 1) })
-	e.At(20, func(Cycle) { order = append(order, 2) })
+	postFn(e, 30, func(Cycle) { order = append(order, 3) })
+	postFn(e, 10, func(Cycle) { order = append(order, 1) })
+	postFn(e, 20, func(Cycle) { order = append(order, 2) })
 	e.Run(100)
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Fatalf("events ran out of order: %v", order)
@@ -25,7 +34,7 @@ func TestEngineBreaksTiesInScheduleOrder(t *testing.T) {
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
-		e.At(5, func(Cycle) { order = append(order, i) })
+		postFn(e, 5, func(Cycle) { order = append(order, i) })
 	}
 	e.Run(10)
 	for i, v := range order {
@@ -38,8 +47,8 @@ func TestEngineBreaksTiesInScheduleOrder(t *testing.T) {
 func TestEnginePastSchedulingClampsToNow(t *testing.T) {
 	e := NewEngine()
 	var ranAt Cycle
-	e.At(50, func(now Cycle) {
-		e.At(1, func(now Cycle) { ranAt = now }) // "1" is in the past
+	postFn(e, 50, func(now Cycle) {
+		postFn(e, 1, func(now Cycle) { ranAt = now }) // "1" is in the past
 	})
 	e.Run(100)
 	if ranAt != 50 {
@@ -50,7 +59,7 @@ func TestEnginePastSchedulingClampsToNow(t *testing.T) {
 func TestEngineRunHonorsLimit(t *testing.T) {
 	e := NewEngine()
 	ran := false
-	e.At(1000, func(Cycle) { ran = true })
+	postFn(e, 1000, func(Cycle) { ran = true })
 	e.Run(100)
 	if ran {
 		t.Fatal("event beyond the limit must not run")
@@ -67,7 +76,7 @@ func TestEngineRunUntil(t *testing.T) {
 	e := NewEngine()
 	count := 0
 	for i := 1; i <= 5; i++ {
-		e.At(Cycle(i*10), func(Cycle) { count++ })
+		postFn(e, Cycle(i*10), func(Cycle) { count++ })
 	}
 	ok := e.RunUntil(1000, func() bool { return count >= 3 })
 	if !ok {
@@ -91,10 +100,10 @@ func TestEngineNestedScheduling(t *testing.T) {
 	recurse = func(now Cycle) {
 		depth++
 		if depth < 5 {
-			e.At(e.Now()+7, recurse)
+			postFn(e, e.Now()+7, recurse)
 		}
 	}
-	e.At(0, recurse)
+	postFn(e, 0, recurse)
 	e.Run(1000)
 	if depth != 5 {
 		t.Fatalf("depth = %d, want 5", depth)
@@ -153,7 +162,7 @@ func TestStepAndPending(t *testing.T) {
 	if e.Step() {
 		t.Fatal("Step on empty queue must report false")
 	}
-	e.At(e.Now()+5, func(Cycle) {})
+	postFn(e, e.Now()+5, func(Cycle) {})
 	if e.Pending() != 1 {
 		t.Fatalf("pending = %d", e.Pending())
 	}
@@ -177,7 +186,7 @@ func TestEventOrderingProperty(t *testing.T) {
 		var ran []stamp
 		for i, tm := range times {
 			i, tm := i, tm
-			e.At(Cycle(tm), func(now Cycle) {
+			postFn(e, Cycle(tm), func(now Cycle) {
 				ran = append(ran, stamp{at: now, seq: i})
 			})
 		}
@@ -209,8 +218,8 @@ func TestEventOrderingProperty(t *testing.T) {
 func TestEngineRunSemantics(t *testing.T) {
 	// Park: an event beyond the limit leaves now == limit.
 	e := NewEngine()
-	e.At(30, func(Cycle) {})
-	e.At(500, func(Cycle) {})
+	postFn(e, 30, func(Cycle) {})
+	postFn(e, 500, func(Cycle) {})
 	if got := e.Run(100); got != 100 {
 		t.Fatalf("parked Run returned %d, want limit 100", got)
 	}

@@ -12,7 +12,7 @@ import (
 type refEvent struct {
 	at  Cycle
 	seq uint64
-	fn  Event
+	fn  func(Cycle)
 }
 
 type refHeap []refEvent
@@ -34,7 +34,7 @@ type refEngine struct {
 	events refHeap
 }
 
-func (e *refEngine) At(at Cycle, fn Event) {
+func (e *refEngine) schedule(at Cycle, fn func(Cycle)) {
 	if at < e.now {
 		at = e.now
 	}
@@ -103,16 +103,15 @@ func mixRef(x uint64) uint64 {
 	return x
 }
 
-// postLogger exercises the Handler/Post path on the wheel engine: a0 is the
-// event id, and the handler spawns that id's plan just like the closures.
+// postLogger is the wheel engine's event handler: a0 is the event id, and
+// the handler spawns that id's plan just like the reference's closures.
 type postLogger struct {
 	t *wheelDriver
 }
 
 func (p *postLogger) OnEvent(now Cycle, a0, _ uint64) { p.t.ran(now, a0) }
 
-// wheelDriver runs a scenario on the timing-wheel engine, alternating the
-// closure (At) and pooled (Post) scheduling paths by event-id parity.
+// wheelDriver runs a scenario on the timing-wheel engine.
 type wheelDriver struct {
 	eng    *Engine
 	seed   uint64
@@ -122,11 +121,7 @@ type wheelDriver struct {
 }
 
 func (d *wheelDriver) schedule(at Cycle, id uint64) {
-	if id%2 == 0 {
-		d.eng.Post(at, d.ph, id, 0)
-		return
-	}
-	d.eng.At(at, func(now Cycle) { d.ran(now, id) })
+	d.eng.Post(at, d.ph, id, 0)
 }
 
 func (d *wheelDriver) ran(now Cycle, id uint64) {
@@ -146,7 +141,7 @@ type refDriver struct {
 }
 
 func (d *refDriver) schedule(at Cycle, id uint64) {
-	d.eng.At(at, func(now Cycle) { d.ran(now, id) })
+	d.eng.schedule(at, func(now Cycle) { d.ran(now, id) })
 }
 
 func (d *refDriver) ran(now Cycle, id uint64) {
@@ -160,8 +155,7 @@ func (d *refDriver) ran(now Cycle, id uint64) {
 // TestQueueOrderMatchesReferenceHeap drives randomized self-expanding
 // schedules — same-cycle ties, past-cycle clamps, wheel-window inserts, and
 // far-future overflow events — through both queues and requires identical
-// execution order. The wheel engine additionally mixes the Post path in, so
-// closure and pooled events are checked against each other too.
+// execution order.
 func TestQueueOrderMatchesReferenceHeap(t *testing.T) {
 	for seed := uint64(1); seed <= 40; seed++ {
 		wd := &wheelDriver{eng: NewEngine(), seed: seed}
@@ -206,8 +200,8 @@ func TestQueueOrderAcrossRunPark(t *testing.T) {
 	for i := uint64(0); i < 200; i++ {
 		at := Cycle((i * 7919) % (5 * wheelSize))
 		id := i
-		e.At(at, func(now Cycle) { elog = append(elog, execRecord{now, id}) })
-		r.At(at, func(now Cycle) { rlog = append(rlog, execRecord{now, id}) })
+		postFn(e, at, func(now Cycle) { elog = append(elog, execRecord{now, id}) })
+		r.schedule(at, func(now Cycle) { rlog = append(rlog, execRecord{now, id}) })
 	}
 	// Park repeatedly at limits that land between, on, and past events.
 	for _, limit := range []Cycle{100, 101, wheelSize, wheelSize + 1, 3 * wheelSize, 10 * wheelSize} {
@@ -217,9 +211,9 @@ func TestQueueOrderAcrossRunPark(t *testing.T) {
 		}
 		// Schedule more work relative to the parked position.
 		id := uint64(1000) + uint64(limit)
-		e.At(e.Now()+5, func(now Cycle) { elog = append(elog, execRecord{now, id}) })
+		postFn(e, e.Now()+5, func(now Cycle) { elog = append(elog, execRecord{now, id}) })
 		r.now = e.Now()
-		r.At(r.now+5, func(now Cycle) { rlog = append(rlog, execRecord{now, id}) })
+		r.schedule(r.now+5, func(now Cycle) { rlog = append(rlog, execRecord{now, id}) })
 	}
 	e.Run(1 << 40)
 	for r.Step() {

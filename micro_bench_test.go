@@ -36,20 +36,6 @@ func BenchmarkEngineSchedulePost(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineScheduleClosure measures the legacy closure path (At) for
-// comparison; the closure itself allocates even though the queue record is
-// pooled.
-func BenchmarkEngineScheduleClosure(b *testing.B) {
-	eng := sim.NewEngine()
-	var n uint64
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eng.At(eng.Now()+sim.Cycle(i%5), func(sim.Cycle) { n++ })
-		eng.Step()
-	}
-}
-
 func BenchmarkCacheAccessHit(b *testing.B) {
 	c := cache.New(cache.Config{
 		Name: "bench", SizeBytes: 1 << 20, Ways: 16,
