@@ -95,29 +95,40 @@ func TestChipkillRecoversAnyDeadDevice(t *testing.T) {
 
 func TestChipkillBlindDecodeDetectsDeadDevice(t *testing.T) {
 	// Without the device identity, 4 symbol errors exceed t=2: the decode
-	// must never silently succeed with wrong data.
+	// must never silently succeed with wrong data, and it can essentially
+	// never recover the data either (that takes the erasure decode).
 	c := mustChipkill(t)
 	rng := rand.New(rand.NewSource(32))
 	golden := make([]byte, 32)
 	rng.Read(golden)
 	parity := c.Encode(golden)
 
-	silent := 0
-	for trial := 0; trial < 500; trial++ {
+	const trials = 500
+	silent, corrected, detected := 0, 0, 0
+	for trial := 0; trial < trials; trial++ {
 		sector := append([]byte(nil), golden...)
 		red := append([]byte(nil), parity...)
 		killDevice(c, rng, sector, red, rng.Intn(9))
 		res := c.Decode(sector, red)
-		if res == OK {
-			silent++
-		}
-		if res == Corrected && !bytes.Equal(sector, golden) {
-			// Miscorrection is possible beyond distance but must be rare.
+		switch {
+		case res == Detected:
+			detected++
+		case res == Corrected && bytes.Equal(sector, golden):
+			corrected++
+		default:
+			// OK on corrupted data, or a miscorrection: possible beyond
+			// the code's distance but must be rare.
 			silent++
 		}
 	}
-	if silent > 5 {
-		t.Fatalf("%d/500 dead devices slipped past blind decode", silent)
+	if silent > trials/100 {
+		t.Fatalf("%d/%d dead devices slipped past blind decode", silent, trials)
+	}
+	if corrected > trials/100 {
+		t.Fatalf("blind decode corrected %d/%d dead devices", corrected, trials)
+	}
+	if detected == 0 {
+		t.Fatal("blind decode never detected a dead device")
 	}
 }
 

@@ -181,63 +181,3 @@ func flip(sector, redundancy []byte, bit int) {
 		redundancy[bit/8] ^= 1 << (bit % 8)
 	}
 }
-
-// ChipkillReport compares blind decoding against identified-dead-device
-// erasure decoding for a device-striped organization.
-type ChipkillReport struct {
-	Trials   int
-	Blind    [numOutcomes]int
-	Informed [numOutcomes]int
-}
-
-// ChipkillCampaign kills one random device per trial and decodes twice:
-// once blind, once with the failed device identified (erasure decoding).
-func ChipkillCampaign(c *ecc.Chipkill, trials int, seed int64) ChipkillReport {
-	rng := rand.New(rand.NewSource(seed))
-	rep := ChipkillReport{Trials: trials}
-	n := c.SectorBytes()
-	for trial := 0; trial < trials; trial++ {
-		golden := make([]byte, n)
-		rng.Read(golden)
-		parity := c.Encode(golden)
-		dev := rng.Intn(c.Devices())
-
-		corrupt := func() (sector, red []byte) {
-			sector = append([]byte(nil), golden...)
-			red = append([]byte(nil), parity...)
-			for _, p := range c.DeviceSymbols(dev) {
-				var b *byte
-				if p < n {
-					b = &sector[p]
-				} else {
-					b = &red[p-n]
-				}
-				old := *b
-				for *b == old {
-					*b = byte(rng.Intn(256))
-				}
-			}
-			return sector, red
-		}
-
-		classify := func(res ecc.Result, sector []byte) Outcome {
-			ok := bytes.Equal(sector, golden)
-			switch {
-			case res == ecc.Detected:
-				return Detected
-			case ok && (res == ecc.OK || res == ecc.Corrected):
-				return Corrected
-			case res == ecc.Corrected:
-				return Miscorrected
-			default:
-				return SilentBad
-			}
-		}
-
-		s1, r1 := corrupt()
-		rep.Blind[classify(c.Decode(s1, r1), s1)]++
-		s2, r2 := corrupt()
-		rep.Informed[classify(c.DecodeWithDeadDevice(s2, r2, dev), s2)]++
-	}
-	return rep
-}

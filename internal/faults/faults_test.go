@@ -297,21 +297,3 @@ func TestSingleBitNeverSDC(t *testing.T) {
 		}
 	}
 }
-
-func TestChipkillCampaignInformedAlwaysCorrects(t *testing.T) {
-	c, err := ecc.NewChipkill(32, 4, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep := ChipkillCampaign(c, 1000, 8)
-	if rep.Informed[Corrected] != rep.Trials {
-		t.Fatalf("informed decode: %+v", rep.Informed)
-	}
-	// Blind decoding of a dead device must essentially never correct.
-	if rep.Blind[Corrected] > rep.Trials/100 {
-		t.Fatalf("blind decode corrected %d/%d dead devices", rep.Blind[Corrected], rep.Trials)
-	}
-	if rep.Blind[Detected] == 0 {
-		t.Fatal("blind decode never detected")
-	}
-}
