@@ -2,6 +2,9 @@ package cluster
 
 import (
 	"context"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -475,5 +478,52 @@ func TestMetricsRegistered(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q", want)
 		}
+	}
+}
+
+// TestOversizeBodiesRejected: every coordinator endpoint that reads a
+// body refuses one past MaxBodyBytes with 413, even when its prefix is a
+// valid request, so it submits no cell, grants no lease and completes
+// nothing.
+func TestOversizeBodiesRejected(t *testing.T) {
+	c := newTestCoordinator(t, Options{LeaseTTL: time.Minute})
+	mux := http.NewServeMux()
+	c.Register(mux)
+	leased, queued := testCell("none"), testCell("inline-naive")
+	for _, cell := range []Cell{leased, queued} {
+		if err := c.Submit(cell); err != nil {
+			t.Fatal(err)
+		}
+	}
+	grant := c.Lease("w0", 1)
+	if grant == nil || len(grant.Cells) != 1 {
+		t.Fatalf("lease = %+v, want one cell", grant)
+	}
+	complete, err := json.Marshal(CompleteRequest{LeaseID: grant.LeaseID, Worker: "w0",
+		Results: []CellResult{resultFor(grant.Cells[0])}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Each body is a valid request whose closing brace follows a padding
+	// field that takes it past the bound.
+	pad := `,"pad":"` + strings.Repeat("x", MaxBodyBytes) + `"}`
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/cluster/sweep", `{"workloads":["gemm"],"schemes":["none"]` + pad},
+		{"/v1/cluster/lease", `{"worker":"w1","max":4` + pad},
+		{"/v1/cluster/complete", strings.TrimSuffix(string(complete), "}") + pad},
+		{"/v1/cluster/heartbeat", `{"lease_id":"` + grant.LeaseID + `","worker":"w0"` + pad},
+	} {
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, tc.path, strings.NewReader(tc.body)).WithContext(ctx))
+		cancel()
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: status %d, want 413", tc.path, rec.Code)
+		}
+	}
+	st := c.Status()
+	if st.PendingCells != 1 || st.LeasedCells != 1 || st.DoneCells != 0 || st.ActiveLeases != 1 {
+		t.Fatalf("after oversize requests: %d pending, %d leased, %d done, %d leases; want 1, 1, 0, 1",
+			st.PendingCells, st.LeasedCells, st.DoneCells, st.ActiveLeases)
 	}
 }

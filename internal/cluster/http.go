@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"sync"
@@ -29,6 +30,26 @@ func httpError(w http.ResponseWriter, code int, format string, args ...any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
+}
+
+// MaxBodyBytes bounds every JSON request body the coordinator and the
+// serving layer read, and every journal line replay reads. It is one
+// value because a complete push carries records the journal then holds.
+const MaxBodyBytes = 8 << 20
+
+// DecodeBody decodes r's JSON body into v, reading at most MaxBodyBytes.
+// On failure it answers 413 (body too large) or 400 and reports false.
+func DecodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	code := http.StatusBadRequest
+	if tooLarge := new(http.MaxBytesError); errors.As(err, &tooLarge) {
+		code = http.StatusRequestEntityTooLarge
+	}
+	httpError(w, code, "bad request body: %v", err)
+	return false
 }
 
 // sweepError is the NDJSON line for a cell that terminally failed.
@@ -133,8 +154,7 @@ func StreamSweep(ctx context.Context, w http.ResponseWriter, cells []Cell,
 // grid ran locally or across a fleet.
 func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req SweepRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !DecodeBody(w, r, &req) {
 		return
 	}
 	cells, err := req.Cells(c.opt.Base)
@@ -167,8 +187,7 @@ const leaseHold = time.Second
 // coordinator closes; it ends when the worker hangs up.
 func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	var req LeaseRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !DecodeBody(w, r, &req) {
 		return
 	}
 	if req.Worker == "" {
@@ -216,8 +235,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 
 func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	var req CompleteRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !DecodeBody(w, r, &req) {
 		return
 	}
 	resp := c.Complete(req)
@@ -227,8 +245,7 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	var req HeartbeatRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !DecodeBody(w, r, &req) {
 		return
 	}
 	// Report before resolving the lease: a worker whose lease just

@@ -92,14 +92,14 @@ func OpenJournal(path string) (*Journal, error) {
 	// Scan with a generous line cap: a done entry embeds a full record
 	// body, but records are small (counters and floats, no traces).
 	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 8*1024*1024)
-	lines := 0
+	sc.Buffer(make([]byte, 0, 64*1024), MaxBodyBytes)
+	lines := 0 // non-blank lines read
 	for sc.Scan() {
-		lines++
 		line := bytes.TrimSpace(sc.Bytes())
 		if len(line) == 0 {
 			continue
 		}
+		lines++
 		var jl journalLine
 		if err := json.Unmarshal(line, &jl); err != nil {
 			break
@@ -120,7 +120,9 @@ func OpenJournal(path string) (*Journal, error) {
 	// Count the line that broke the loop plus everything after it.
 	j.skipped = lines - len(j.replayed)
 	for sc.Scan() {
-		j.skipped++
+		if len(bytes.TrimSpace(sc.Bytes())) > 0 {
+			j.skipped++
+		}
 	}
 	if err := sc.Err(); err != nil {
 		f.Close()
@@ -138,8 +140,8 @@ func OpenJournal(path string) (*Journal, error) {
 // mutate it.
 func (j *Journal) Replayed() []JournalEntry { return j.replayed }
 
-// Skipped reports how many trailing lines replay dropped as torn or
-// corrupt.
+// Skipped reports how many trailing non-blank lines replay dropped as
+// torn or corrupt.
 func (j *Journal) Skipped() int { return j.skipped }
 
 // Path reports the journal's file path.

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"os"
 	"path/filepath"
@@ -372,4 +373,59 @@ func TestReportedErrorsDoNotQuarantine(t *testing.T) {
 	if !strings.Contains(out.Err, "after 3 attempts") || !strings.Contains(out.Err, "bad math") {
 		t.Fatalf("outcome = %+v", out)
 	}
+}
+
+// FuzzOpenJournal replays arbitrary bytes as a journal file. Opening must
+// not panic, replay must account for every non-blank line as either
+// replayed or skipped, and every replayed entry must carry a fingerprint.
+func FuzzOpenJournal(f *testing.F) {
+	seed := filepath.Join(f.TempDir(), "seed.journal")
+	j, err := OpenJournal(seed)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := j.Append(
+		JournalEntry{Op: JournalDone, Fingerprint: "fp1", Sim: version.String(), Sum: "abc", Body: []byte(`{"k":1}`)},
+		JournalEntry{Op: JournalFailed, Fingerprint: "fp2", Sim: version.String(), Error: "boom"},
+	); err != nil {
+		f.Fatal(err)
+	}
+	j.Close()
+	valid, err := os.ReadFile(seed)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
+	f.Add([]byte(strings.Replace(string(valid), "\n", "\n \n\r\n", 1))) // blank lines between entries
+	f.Add(valid[:len(valid)-7])                                         // torn tail
+	f.Add([]byte(strings.Replace(string(valid), "fp1", "fpX", 1)))      // checksum mismatch
+	f.Add([]byte("{}\nnot json\n"))
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "fuzz.journal")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		j, err := OpenJournal(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer j.Close()
+		lines := 0
+		for _, l := range bytes.Split(data, []byte("\n")) {
+			if len(bytes.TrimSpace(l)) > 0 {
+				lines++
+			}
+		}
+		if got := len(j.Replayed()) + j.Skipped(); got != lines {
+			t.Fatalf("replayed %d + skipped %d = %d, want %d non-blank lines",
+				len(j.Replayed()), j.Skipped(), got, lines)
+		}
+		for i, e := range j.Replayed() {
+			if e.Fingerprint == "" {
+				t.Fatalf("replayed entry %d has no fingerprint: %+v", i, e)
+			}
+		}
+	})
 }

@@ -270,8 +270,7 @@ func (s *Server) writeRecord(w http.ResponseWriter, r *http.Request, body []byte
 
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	var req SimulateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !cluster.DecodeBody(w, r, &req) {
 		return
 	}
 	fp, ok := s.fps[cell{req.Workload, req.Scheme}]
@@ -345,8 +344,7 @@ func encodeRecord(fp, workload, scheme string, res gpu.Result) ([]byte, string, 
 // streams each cell's record the moment it completes.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req cluster.SweepRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !cluster.DecodeBody(w, r, &req) {
 		return
 	}
 	// Each distinct configuration would become a runner config id kept

@@ -465,3 +465,25 @@ func TestHealthz(t *testing.T) {
 		t.Fatalf("healthz: %d %q", resp.StatusCode, body)
 	}
 }
+
+// TestOversizeBodiesRejected: a body past cluster.MaxBodyBytes is refused
+// with 413 before it can start a simulation, even when its prefix is a
+// valid request.
+func TestOversizeBodiesRejected(t *testing.T) {
+	srv, ts := newTestServer(t, nil, 2, 2)
+	pad := `,"pad":"` + strings.Repeat("x", cluster.MaxBodyBytes) + `"}`
+	for _, c := range []struct{ path, body string }{
+		{"/v1/simulate", `{"workload":"stream","scheme":"none"` + pad},
+		{"/v1/sweep", `{"workloads":["stream"],"schemes":["none"]` + pad},
+	} {
+		resp := postJSON(t, ts.URL+c.path, c.body, nil)
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: status %d, want 413", c.path, resp.StatusCode)
+		}
+	}
+	if s := srv.runner.Stats(); s.Started != 0 {
+		t.Fatalf("oversize requests started %d cells", s.Started)
+	}
+}
