@@ -172,13 +172,15 @@ func walkOf(c *Cache) []string {
 
 // TestTagStoreMatchesReference drives the packed tag store and the naive
 // per-set model with the same random streams of Access, AccessLine,
-// FillInto, MarkDirty and CleanSector, over LRU and SRRIP
-// with and without hashed sets, and compares every outcome, eviction,
-// mask, counter (values and first-touch order) and the final Walk.
+// FillInto, MarkDirty and CleanSector, over LRU and SRRIP with and
+// without hashed sets, at way counts up to the 16 that the L2 banks and
+// the RC use (12 is the non-power-of-two case), and compares every
+// outcome, eviction, mask, counter (values and first-touch order) and
+// the final Walk.
 func TestTagStoreMatchesReference(t *testing.T) {
 	for _, repl := range []Policy{LRU, SRRIP} {
 		for _, hashed := range []bool{false, true} {
-			for _, ways := range []int{1, 4, 8} {
+			for _, ways := range []int{1, 4, 8, 12, 16} {
 				cfg := Config{Name: "ref", SizeBytes: 8 * ways * 128, Ways: ways,
 					LineBytes: 128, SectorBytes: 32, Repl: repl, HashSets: hashed}
 				t.Run(fmt.Sprintf("%v/hashed=%v/ways=%d", repl, hashed, ways), func(t *testing.T) {

@@ -7,6 +7,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"sync"
 )
@@ -80,59 +81,80 @@ type Journal struct {
 
 // OpenJournal opens (creating if absent) the journal at path, replays
 // every intact entry already on disk, and positions the file for
-// appends. Replay stops at the first corrupt or torn line — everything
-// before it is trustworthy, everything after it is not — and reports
-// the dropped remainder via Skipped.
+// appends. Replay stops at the first corrupt, torn or oversize line —
+// everything before it is trustworthy, everything after it is not — and
+// reports the dropped remainder via Skipped.
 func OpenJournal(path string) (*Journal, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: journal: %w", err)
 	}
 	j := &Journal{path: path, f: f}
-	// Scan with a generous line cap: a done entry embeds a full record
-	// body, but records are small (counters and floats, no traces).
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), MaxBodyBytes)
-	lines := 0 // non-blank lines read
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
+	rd := bufio.NewReader(f)
+	var buf []byte
+	for {
+		// A done entry embeds a full record body, but records are small
+		// (counters and floats, no traces), so MaxBodyBytes is generous.
+		line, oversize, err := readLine(rd, buf[:0], MaxBodyBytes)
+		buf = line
+		if line = bytes.TrimSpace(line); len(line) > 0 || oversize {
+			e, ok := JournalEntry{}, false
+			if j.skipped == 0 && !oversize {
+				e, ok = replayLine(line)
+			}
+			if ok {
+				j.replayed = append(j.replayed, e)
+			} else {
+				j.skipped++
+			}
 		}
-		lines++
-		var jl journalLine
-		if err := json.Unmarshal(line, &jl); err != nil {
+		if err == io.EOF {
 			break
 		}
-		h := sha256.Sum256(jl.Body)
-		if hex.EncodeToString(h[:]) != jl.Sum {
-			break
+		if err != nil {
+			f.Close()
+			return nil, fmt.Errorf("cluster: journal %s: %w", path, err)
 		}
-		var e JournalEntry
-		if err := json.Unmarshal(jl.Body, &e); err != nil {
-			break
-		}
-		if e.Fingerprint == "" {
-			break
-		}
-		j.replayed = append(j.replayed, e)
-	}
-	// Count the line that broke the loop plus everything after it.
-	j.skipped = lines - len(j.replayed)
-	for sc.Scan() {
-		if len(bytes.TrimSpace(sc.Bytes())) > 0 {
-			j.skipped++
-		}
-	}
-	if err := sc.Err(); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("cluster: journal %s: %w", path, err)
 	}
 	if _, err := f.Seek(0, 2); err != nil {
 		f.Close()
 		return nil, fmt.Errorf("cluster: journal %s: %w", path, err)
 	}
 	return j, nil
+}
+
+// readLine appends the next line of rd, newline included, to buf. A line
+// longer than limit bytes is read to its end but not kept: readLine
+// reports it as oversize, so one runaway line costs at most limit bytes.
+func readLine(rd *bufio.Reader, buf []byte, limit int) (line []byte, oversize bool, err error) {
+	n := 0
+	for {
+		frag, err := rd.ReadSlice('\n')
+		if n += len(frag); n <= limit {
+			buf = append(buf, frag...)
+		}
+		if err != bufio.ErrBufferFull {
+			return buf, n > limit, err
+		}
+	}
+}
+
+// replayLine decodes one journal line, reporting false unless it is an
+// intact entry: valid framing, a matching checksum, and a fingerprint.
+func replayLine(line []byte) (JournalEntry, bool) {
+	var jl journalLine
+	if err := json.Unmarshal(line, &jl); err != nil {
+		return JournalEntry{}, false
+	}
+	h := sha256.Sum256(jl.Body)
+	if hex.EncodeToString(h[:]) != jl.Sum {
+		return JournalEntry{}, false
+	}
+	var e JournalEntry
+	if err := json.Unmarshal(jl.Body, &e); err != nil || e.Fingerprint == "" {
+		return JournalEntry{}, false
+	}
+	return e, true
 }
 
 // Replayed returns the entries recovered when the journal was opened,

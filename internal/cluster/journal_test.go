@@ -115,6 +115,49 @@ func TestJournalTornTailIsDropped(t *testing.T) {
 	}
 }
 
+// TestJournalOversizeLineIsSkipped: a line longer than MaxBodyBytes
+// between intact entries is dropped like any corrupt line, not fatal.
+// Replay keeps the entries before it, skips it and every non-blank line
+// after it, and the journal still opens for appends.
+func TestJournalOversizeLineIsSkipped(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "sweep.journal")
+	entry := func(fp string) []byte {
+		j := openTestJournal(t, filepath.Join(t.TempDir(), fp+".journal"))
+		if err := j.Append(JournalEntry{Op: JournalDone, Fingerprint: fp, Sim: version.String()}); err != nil {
+			t.Fatal(err)
+		}
+		j.Close()
+		line, err := os.ReadFile(j.Path())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return line
+	}
+	var data []byte
+	data = append(data, entry("fp1")...)
+	data = append(data, entry("fp2")...)
+	data = append(data, bytes.Repeat([]byte("x"), MaxBodyBytes+1)...)
+	data = append(data, "\n\n"...)
+	data = append(data, entry("fp3")...)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j, err := OpenJournal(path)
+	if err != nil {
+		t.Fatalf("OpenJournal: %v", err)
+	}
+	defer j.Close()
+	if got := j.Replayed(); len(got) != 2 || got[0].Fingerprint != "fp1" || got[1].Fingerprint != "fp2" {
+		t.Fatalf("replayed %+v, want fp1 and fp2", got)
+	}
+	if j.Skipped() != 2 {
+		t.Fatalf("skipped %d, want 2 (the oversize line and fp3)", j.Skipped())
+	}
+	if err := j.Append(JournalEntry{Op: JournalDone, Fingerprint: "fp4", Sim: version.String()}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestCoordinatorResumesFromJournal is the tentpole's in-process pin: a
 // coordinator completes and fails cells, dies (Close), and its successor
 // — same journal, fresh process state — answers the re-submitted grid

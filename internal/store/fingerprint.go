@@ -36,6 +36,25 @@ func Fingerprinter(cfg config.GPU) func(workload, scheme string) string {
 	return newPayloadPrefix(version.String(), cfg).sum
 }
 
+// fingerprint is Fingerprint through the handle's one-entry prefix: a
+// run of calls on one configuration encodes it once. A caller with a
+// different configuration replaces the entry; concurrent callers that
+// race on it at worst encode their configuration again.
+func (s *Store) fingerprint(cfg config.GPU, workload, scheme string) string {
+	last := s.last.Load()
+	if last == nil || last.cfg != cfg {
+		last = &cfgPrefix{cfg: cfg, prefix: newPayloadPrefix(version.String(), cfg)}
+		s.last.Store(last)
+	}
+	return last.prefix.sum(workload, scheme)
+}
+
+// cfgPrefix pairs a configuration with its fingerprint payload prefix.
+type cfgPrefix struct {
+	cfg    config.GPU
+	prefix payloadPrefix
+}
+
 // payloadPrefix is the hashed payload up to the workload value. The
 // payload is the JSON object {"sim":…,"config":…,"workload":…,"scheme":…},
 // each value encoded as encoding/json encodes it; config.GPU is a tree of

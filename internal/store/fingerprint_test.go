@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"regexp"
+	"sync"
 	"testing"
 
 	"cachecraft/internal/config"
@@ -113,6 +114,38 @@ func BenchmarkFingerprintTable(b *testing.B) {
 		fp := Fingerprinter(cfg)
 		for j := 0; j < 40; j++ {
 			sinkFingerprint = fp("random", "cachecraft")
+		}
+	}
+}
+
+// TestStorePrefixFollowsConfig: the handle's one-entry prefix cache never
+// serves another configuration's address, whether callers alternate
+// configurations or race on the entry.
+func TestStorePrefixFollowsConfig(t *testing.T) {
+	s := mustOpen(t)
+	cfgs := []config.GPU{config.Quick(), config.Default(), config.Quick()}
+	cfgs[2].Seed++
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 30; i++ {
+				cfg := cfgs[(g+i)%len(cfgs)]
+				if got, want := s.fingerprint(cfg, "stream", "none"), Fingerprint(cfg, "stream", "none"); got != want {
+					t.Errorf("goroutine %d call %d: address %s, want %s", g, i, got, want)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if err := s.Save(cfgs[0], "stream", "none", testResult(1)); err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []bool{true, false, true, false} {
+		if _, ok := s.Lookup(cfgs[i%2], "stream", "none"); ok != want {
+			t.Fatalf("lookup %d on config %d: hit=%v, want %v", i, i%2, ok, want)
 		}
 	}
 }

@@ -110,7 +110,8 @@ func TestPutMatchesPreviousWriter(t *testing.T) {
 
 // FuzzStoreRecord writes arbitrary bytes where a record lives. Get and
 // GetRaw must not panic, must agree on hit or miss, and a hit's body must
-// hash to its sum and decode to the requested fingerprint.
+// hash to its sum and decode under json.Unmarshal to exactly Get's
+// record, which carries the requested fingerprint.
 func FuzzStoreRecord(f *testing.F) {
 	s, err := Open(f.TempDir())
 	if err != nil {
@@ -150,8 +151,8 @@ func FuzzStoreRecord(f *testing.F) {
 			t.Fatalf("GetRaw body does not hash to its sum %s", sum)
 		}
 		var back Record
-		if err := json.Unmarshal(body, &back); err != nil || back.Fingerprint != fp {
-			t.Fatalf("GetRaw body decodes to %q (err %v), want %q", back.Fingerprint, err, fp)
+		if err := json.Unmarshal(body, &back); err != nil || !reflect.DeepEqual(back, rec) {
+			t.Fatalf("GetRaw body decodes to %+v (err %v), Get served %+v", back, err, rec)
 		}
 	})
 }
@@ -160,6 +161,37 @@ var (
 	sinkBody   []byte
 	sinkResult gpu.Result
 )
+
+// raceDetector is set when the tests are built with -race (race_test.go).
+var raceDetector bool
+
+// TestStoreHitAllocs pins the allocations of one GetRaw and one Lookup hit
+// on the record the benchmarks below read, so a reflective decode or a
+// per-call configuration encoding cannot come back unnoticed. Nearly all
+// that remain are the counter sets' keys and the record's strings. The
+// race detector adds allocations of its own, so the pin holds only
+// without it.
+func TestStoreHitAllocs(t *testing.T) {
+	if raceDetector {
+		t.Skip("allocation counts differ under -race")
+	}
+	const maxGetRaw, maxLookup = 72, 75
+	s := mustOpen(t)
+	rec := simulatedRecord(t, "random", "cachecraft")
+	if err := s.Put(rec); err != nil {
+		t.Fatal(err)
+	}
+	cfg := gridConfig()
+	if _, ok := s.Lookup(cfg, "random", "cachecraft"); !ok {
+		t.Fatal("miss")
+	}
+	if n := testing.AllocsPerRun(100, func() { sinkBody, _, _ = s.GetRaw(rec.Fingerprint) }); n > maxGetRaw {
+		t.Errorf("GetRaw hit allocates %.0f times, want at most %d", n, maxGetRaw)
+	}
+	if n := testing.AllocsPerRun(100, func() { sinkResult, _ = s.Lookup(cfg, "random", "cachecraft") }); n > maxLookup {
+		t.Errorf("Lookup hit allocates %.0f times, want at most %d", n, maxLookup)
+	}
+}
 
 // BenchmarkGetRaw and BenchmarkLookup time a store hit on a real
 // CacheCraft record (four populated counter sets): the read, framing,

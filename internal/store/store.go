@@ -14,10 +14,15 @@
 // checks, in order, the framing (any other shape, even equivalent JSON,
 // is a miss; the trailing newline is optional), the checksum, the
 // identity prefix the body must open with (its fingerprint and simulator
-// revision), and then decodes the body once. Any failure — a missing or
-// unreadable file, truncation, bit flips, foreign files, a record at the
-// wrong address or from another revision — is a cache miss, never an
-// error, because the simulator can always regenerate the record.
+// revision), and then decodes the body once, without reflection: the
+// decoder accepts exactly the layout EncodeRecord writes (keys in order,
+// no whitespace, JSON-grammar numbers that fit their fields, null only
+// for DRAMBytes and the counter sets), and everything it accepts
+// json.Unmarshal decodes to the same record. Any failure — a missing or
+// unreadable file, truncation, bit flips, foreign files, any
+// non-canonical shape, a record at the wrong address or from another
+// revision — is a cache miss, never an error, because the simulator can
+// always regenerate the record.
 package store
 
 import (
@@ -30,6 +35,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 
 	"cachecraft/internal/chaos"
 	"cachecraft/internal/config"
@@ -66,13 +72,16 @@ const (
 var identityTail = `","sim":"` + version.String() + `",`
 
 // Store is a handle on one store directory. The zero value is not usable;
-// call Open. Beyond the path a Store carries only optional resilience
-// hooks (SetBreaker, SetChaos) that are configured once at setup, so
-// handles are safe for concurrent use and cheap to recreate.
+// call Open. Beyond the path a Store carries optional resilience hooks
+// (SetBreaker, SetChaos) that are configured once at setup, and a
+// one-entry cache of the last configuration's fingerprint prefix, which
+// Lookup and Save share. Handles are safe for concurrent use and cheap to
+// recreate: a new handle only encodes its first configuration again.
 type Store struct {
-	dir string
-	brk *breaker        // nil = no circuit breaking
-	inj *chaos.Injector // nil = chaos off
+	dir  string
+	brk  *breaker        // nil = no circuit breaking
+	inj  *chaos.Injector // nil = chaos off
+	last atomic.Pointer[cfgPrefix]
 }
 
 // Open creates (if needed) and returns the store rooted at dir.
@@ -210,11 +219,12 @@ func syncDir(dir string) error {
 }
 
 // get loads, checks, and decodes the record for fp. Any failure —
-// missing file, non-canonical framing, checksum mismatch, a record that
-// does not belong at this address, or one from a different simulator
-// revision — is a miss. Disk health feeds the breaker: a missing file is
-// a healthy answer, a read error (EIO, injected chaos) counts toward
-// tripping, and an open breaker misses without touching the disk at all.
+// missing file, non-canonical framing, checksum mismatch, a body that
+// decodeRecord rejects, a record that does not belong at this address,
+// or one from a different simulator revision — is a miss. Disk health
+// feeds the breaker: a missing file is a healthy answer, a read error
+// (EIO, injected chaos) counts toward tripping, and an open breaker
+// misses without touching the disk at all.
 func (s *Store) get(fp string) (Record, []byte, string, bool) {
 	if s.brk != nil && !s.brk.allow() {
 		return Record{}, nil, "", false
@@ -247,13 +257,8 @@ func (s *Store) get(fp string) (Record, []byte, string, bool) {
 	if !bytes.Equal(sum, want[:]) || !hasIdentity(body, fp) {
 		return Record{}, nil, "", false
 	}
-	var rec Record
-	if err := json.Unmarshal(body, &rec); err != nil {
-		return Record{}, nil, "", false
-	}
-	// The prefix check cannot see a key repeated later in the body, so the
-	// decoded identity is what finally decides.
-	if rec.Fingerprint != fp || rec.Sim != version.String() {
+	rec, ok := decodeRecord(body)
+	if !ok || rec.Fingerprint != fp || rec.Sim != version.String() {
 		return Record{}, nil, "", false
 	}
 	return rec, body, string(sum), true
@@ -306,7 +311,7 @@ func (s *Store) GetRaw(fp string) (body []byte, sum string, ok bool) {
 // Lookup implements the bench.ResultStore read side: it addresses the
 // store by the simulation's canonical fingerprint.
 func (s *Store) Lookup(cfg config.GPU, workload, scheme string) (gpu.Result, bool) {
-	rec, ok := s.Get(Fingerprint(cfg, workload, scheme))
+	rec, ok := s.Get(s.fingerprint(cfg, workload, scheme))
 	if !ok {
 		return gpu.Result{}, false
 	}
@@ -316,7 +321,7 @@ func (s *Store) Lookup(cfg config.GPU, workload, scheme string) (gpu.Result, boo
 // Save implements the bench.ResultStore write side.
 func (s *Store) Save(cfg config.GPU, workload, scheme string, res gpu.Result) error {
 	return s.Put(Record{
-		Fingerprint: Fingerprint(cfg, workload, scheme),
+		Fingerprint: s.fingerprint(cfg, workload, scheme),
 		Sim:         version.String(),
 		Workload:    workload,
 		Scheme:      scheme,
