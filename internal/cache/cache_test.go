@@ -36,6 +36,9 @@ func TestConfigValidate(t *testing.T) {
 		{Name: "f", SizeBytes: 2 * MaxSizeBytes, Ways: 4, LineBytes: 128, SectorBytes: 32},
 		{Name: "g", SizeBytes: 1 << 20, Ways: 2 * MaxWays, LineBytes: 128, SectorBytes: 32},
 		{Name: "h", SizeBytes: 32768, Ways: 4, LineBytes: 1 << 62, SectorBytes: 1 << 61}, // line × ways overflows
+		{Name: "i", SizeBytes: 17 * 128 * 8, Ways: 17, LineBytes: 128, SectorBytes: 32},  // past one recency word
+		{Name: "j", SizeBytes: 96 * 4 * 32, Ways: 4, LineBytes: 96, SectorBytes: 32},     // 32 sets, but a 96B line
+		{Name: "k", SizeBytes: 16384, Ways: 4, LineBytes: 128, SectorBytes: 24},
 	}
 	for _, cfg := range bads {
 		if err := cfg.Validate(); err == nil {
@@ -311,6 +314,81 @@ func TestMarksFollowTheLine(t *testing.T) {
 		}
 		if ev.MarkMask != want {
 			t.Fatalf("eviction of %#x carries marks %#b, want %#b", ev.LineAddr, ev.MarkMask, want)
+		}
+	}
+	if err := c.CheckConsistency(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestLRUVictimSequence walks a single 4-way set and a single 16-way set
+// through known touch sequences and checks the victim of every fill
+// against the order worked out by hand.
+func TestLRUVictimSequence(t *testing.T) {
+	single := func(ways int) *Cache {
+		return New(Config{Name: "seq", SizeBytes: ways * 128, Ways: ways, LineBytes: 128, SectorBytes: 32})
+	}
+	// victimOf fills line n and returns the evicted line's number, or -1.
+	victimOf := func(c *Cache, n uint64, mask uint64) int {
+		var ev Eviction
+		if !c.FillInto(n*128, mask, 0, &ev) {
+			return -1
+		}
+		return int(ev.LineAddr / 128)
+	}
+
+	c := single(4)
+	for n := uint64(0); n < 4; n++ {
+		if v := victimOf(c, n, 0b0001); v != -1 {
+			t.Fatalf("4-way: filling free way for line %d evicted %d", n, v)
+		}
+	} // most recent first: 3 2 1 0
+	c.Access(1*128, false)      // hit: 1 3 2 0
+	c.Access(0*128+32, false)   // sector miss, no reorder
+	c.AccessLine(2*128, 0b0011) // sector 0 hits: 2 1 3 0
+	victimOf(c, 3, 0b0010)      // fill into a present line: 3 2 1 0
+	for _, step := range []struct {
+		touch, fill uint64
+		want        int
+	}{
+		{fill: 4, want: 0},           // 4 3 2 1
+		{touch: 1, fill: 5, want: 2}, // 1 4 3 2, then 5 1 4 3
+		{fill: 6, want: 3},           // 6 5 1 4
+		{fill: 7, want: 4},           // 7 6 5 1
+		{fill: 8, want: 1},
+	} {
+		if step.touch != 0 && c.Access(step.touch*128, false) != Hit {
+			t.Fatalf("4-way: line %d not present", step.touch)
+		}
+		if v := victimOf(c, step.fill, 0b0001); v != step.want {
+			t.Fatalf("4-way: filling line %d evicted %d, want %d", step.fill, v, step.want)
+		}
+	}
+
+	// 16 ways: fill lines 0..15, touch the even ones in ascending order;
+	// the next 32 fills evict the odd lines, then the even lines, then
+	// the first 16 new lines, each group in the order it was touched.
+	c = single(16)
+	for n := uint64(0); n < 16; n++ {
+		victimOf(c, n, 0b1111)
+	}
+	for n := uint64(0); n < 16; n += 2 {
+		c.AccessLine(n*128, 0b1111)
+	}
+	var want []int
+	for n := 1; n < 16; n += 2 {
+		want = append(want, n)
+	}
+	for n := 0; n < 16; n += 2 {
+		want = append(want, n)
+	}
+	for n := 16; n < 32; n++ {
+		want = append(want, n)
+	}
+	for i, w := range want {
+		n := uint64(16 + i)
+		if v := victimOf(c, n, 0b1111); v != w {
+			t.Fatalf("16-way: filling line %d evicted %d, want %d", n, v, w)
 		}
 	}
 	if err := c.CheckConsistency(); err != nil {

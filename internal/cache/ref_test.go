@@ -193,6 +193,25 @@ func TestTagStoreMatchesReference(t *testing.T) {
 	}
 }
 
+// FuzzTagStore runs checkAgainstRef on fuzzed configurations: a seed for
+// the op stream, 1 to 16 ways over 8 sets, either policy, and plain or
+// hashed sets.
+func FuzzTagStore(f *testing.F) {
+	f.Add(int64(1), uint8(15), false, false)
+	f.Add(int64(2), uint8(3), false, true)
+	f.Add(int64(3), uint8(11), true, false)
+	f.Add(int64(4), uint8(0), true, true)
+	f.Fuzz(func(t *testing.T, seed int64, ways uint8, srrip, hashed bool) {
+		w := 1 + int(ways)%MaxWays
+		cfg := Config{Name: "fuzz", SizeBytes: 8 * w * 128, Ways: w,
+			LineBytes: 128, SectorBytes: 32, HashSets: hashed}
+		if srrip {
+			cfg.Repl = SRRIP
+		}
+		checkAgainstRef(t, cfg, seed)
+	})
+}
+
 func checkAgainstRef(t *testing.T, cfg Config, seed int64) {
 	t.Helper()
 	c, r := New(cfg), newRefCache(cfg)

@@ -230,6 +230,7 @@ func TestClusterSweepRejectsInvalidConfig(t *testing.T) {
 		{func(g *config.GPU) { g.DRAM.BanksPerChannel = 1 << 30 }, "banks"},
 		{func(g *config.GPU) { g.L2.SizeBytes = 1 << 40 }, "L2 size"},
 		{func(g *config.GPU) { g.Geometry.SectorBytes = 64 }, "sector/line sizes differ"},
+		{func(g *config.GPU) { g.L2.Ways = 32 }, "ways exceeds"},
 	} {
 		bad := quickBase()
 		tc.mut(&bad)

@@ -40,6 +40,8 @@ func TestValidateCatchesBadFields(t *testing.T) {
 		{"L1s too large together", func(g *GPU) { g.NumSMs, g.L1.SizeBytes = MaxNumSMs, 1<<20 }},
 		{"too many L2 MSHRs", func(g *GPU) { g.L2MSHRs = MaxMSHRs + 1 }},
 		{"too many L2 ways", func(g *GPU) { g.L2.Ways = 2 * cache.MaxWays }},
+		{"32 L2 ways", func(g *GPU) { g.L2.Ways = 32 }},
+		{"96B L1 line", func(g *GPU) { g.L1.LineBytes = 96 }},
 		{"too deep a scheduler window", func(g *GPU) { g.DRAM.SchedulerWindow = 1 << 30 }},
 		{"bad geometry", func(g *GPU) { g.Geometry.GranuleBytes = 100 }},
 		{"geometry sector differs from caches", func(g *GPU) { g.Geometry.SectorBytes = 64 }},

@@ -4,6 +4,8 @@
 package gpu
 
 import (
+	"math/bits"
+
 	"cachecraft/internal/trace"
 )
 
@@ -88,11 +90,14 @@ func groupByLine(reqs []SectorReq, lineBytes, sectorBytes int) []lineGroup {
 
 // groupByLineInto is groupByLine appending into a reused buffer (pass
 // dst[:0]). Address-sorted requests put each line's sectors in one
-// contiguous run, so grouping is a single linear pass.
+// contiguous run, so grouping is a single linear pass. Both sizes are
+// powers of two, as cache.Config.Validate requires.
 func groupByLineInto(dst []lineGroup, reqs []SectorReq, lineBytes, sectorBytes int) []lineGroup {
+	offMask := uint64(lineBytes - 1)
+	sectorShift := uint(bits.TrailingZeros(uint(sectorBytes)))
 	for _, r := range reqs {
-		la := r.Addr - r.Addr%uint64(lineBytes)
-		idx := (r.Addr % uint64(lineBytes)) / uint64(sectorBytes)
+		la := r.Addr &^ offMask
+		idx := r.Addr & offMask >> sectorShift
 		if n := len(dst); n == 0 || dst[n-1].lineAddr != la {
 			dst = append(dst, lineGroup{lineAddr: la})
 		}

@@ -42,6 +42,8 @@ type Machine struct {
 	tokens  []l2Token
 	tokFree int32
 
+	lineShift uint // log2 of the L2 line size, a power of two
+
 	// Pre-resolved machine-counter handles for the per-sector hot path;
 	// lazy resolution keeps the counter set's first-touch creation order.
 	stSectorReqs  stats.Handle
@@ -120,10 +122,11 @@ func NewFromSource(cfg config.GPU, src WorkloadSource, factory protect.Factory) 
 	}
 
 	m := &Machine{
-		cfg:    cfg,
-		eng:    sim.NewEngine(),
-		mapper: mapper,
-		stats:  stats.NewCounters(),
+		cfg:       cfg,
+		lineShift: uint(bits.TrailingZeros(uint(cfg.L2.LineBytes))),
+		eng:       sim.NewEngine(),
+		mapper:    mapper,
+		stats:     stats.NewCounters(),
 	}
 	m.stSectorReqs = m.stats.Handle("sector_requests")
 	m.stL1Hits = m.stats.Handle("l1_hits")
@@ -212,7 +215,7 @@ func (r *bankRouter) MarkDirty(addr uint64) { r.bank(addr).MarkDirty(addr) }
 // bankIndexFor selects the bank index for an address (RedTag stripped
 // first so redundancy spreads the same way data does).
 func (m *Machine) bankIndexFor(addr uint64) int {
-	lineNum := (addr &^ protect.RedTag) / uint64(m.cfg.L2.LineBytes)
+	lineNum := (addr &^ protect.RedTag) >> m.lineShift
 	return int(lineNum % uint64(len(m.banks)))
 }
 
