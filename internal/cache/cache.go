@@ -64,6 +64,8 @@ const (
 // Validate checks the configuration for consistency.
 func (c Config) Validate() error {
 	switch {
+	case c.Repl != LRU && c.Repl != SRRIP:
+		return fmt.Errorf("cache %q: unknown replacement policy %v", c.Name, c.Repl)
 	case c.SizeBytes <= 0 || c.Ways <= 0 || c.LineBytes <= 0 || c.SectorBytes <= 0:
 		return fmt.Errorf("cache %q: sizes must be positive", c.Name)
 	case c.LineBytes&(c.LineBytes-1) != 0 || c.SectorBytes&(c.SectorBytes-1) != 0:

@@ -39,6 +39,7 @@ func TestConfigValidate(t *testing.T) {
 		{Name: "i", SizeBytes: 17 * 128 * 8, Ways: 17, LineBytes: 128, SectorBytes: 32},  // past one recency word
 		{Name: "j", SizeBytes: 96 * 4 * 32, Ways: 4, LineBytes: 96, SectorBytes: 32},     // 32 sets, but a 96B line
 		{Name: "k", SizeBytes: 16384, Ways: 4, LineBytes: 128, SectorBytes: 24},
+		{Name: "l", SizeBytes: 16384, Ways: 4, LineBytes: 128, SectorBytes: 32, Repl: 7}, // no such policy
 	}
 	for _, cfg := range bads {
 		if err := cfg.Validate(); err == nil {

@@ -150,26 +150,37 @@ func Burst(n int) Injector {
 // random different value — the chipkill case for symbol-grain codes.
 func ChipError() Injector {
 	return func(rng *rand.Rand, sector, redundancy []byte) {
-		pos := rng.Intn(len(sector) + len(redundancy))
-		var b *byte
-		if pos < len(sector) {
-			b = &sector[pos]
-		} else {
-			b = &redundancy[pos-len(sector)]
-		}
-		old := *b
-		for *b == old {
-			*b = byte(rng.Intn(256))
-		}
+		corruptByte(rng, sector, redundancy, rng.Intn(len(sector)+len(redundancy)))
 	}
 }
 
-// DoubleChipError corrupts two distinct bytes.
+// DoubleChipError corrupts two distinct bytes: the second position is
+// drawn from the positions other than the first.
 func DoubleChipError() Injector {
-	single := ChipError()
 	return func(rng *rand.Rand, sector, redundancy []byte) {
-		single(rng, sector, redundancy)
-		single(rng, sector, redundancy)
+		n := len(sector) + len(redundancy)
+		first := rng.Intn(n)
+		corruptByte(rng, sector, redundancy, first)
+		second := rng.Intn(n - 1)
+		if second >= first {
+			second++
+		}
+		corruptByte(rng, sector, redundancy, second)
+	}
+}
+
+// corruptByte sets byte pos of sector‖redundancy to a random different
+// value.
+func corruptByte(rng *rand.Rand, sector, redundancy []byte, pos int) {
+	var b *byte
+	if pos < len(sector) {
+		b = &sector[pos]
+	} else {
+		b = &redundancy[pos-len(sector)]
+	}
+	old := *b
+	for *b == old {
+		*b = byte(rng.Intn(256))
 	}
 }
 

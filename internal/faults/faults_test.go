@@ -184,6 +184,25 @@ func TestBitFlipsDrawsLikeASet(t *testing.T) {
 	}
 }
 
+// TestDoubleChipErrorHitsTwoBytes: every trial changes exactly two
+// bytes, never one byte twice.
+func TestDoubleChipErrorHitsTwoBytes(t *testing.T) {
+	inject, rng := DoubleChipError(), rand.New(rand.NewSource(1))
+	for trial := 0; trial < 5000; trial++ {
+		sector, redundancy := make([]byte, 32), make([]byte, 2)
+		inject(rng, sector, redundancy)
+		changed := 0
+		for _, b := range append(sector, redundancy...) {
+			if b != 0 {
+				changed++
+			}
+		}
+		if changed != 2 {
+			t.Fatalf("trial %d changed %d bytes: %x %x", trial, changed, sector, redundancy)
+		}
+	}
+}
+
 // taggedCodec adapts *ecc.Tagged (whose API takes an asserted tag per
 // call) to the SectorCodec interface by pinning one tag value, so the
 // tagged code can sit in the same injection matrix as the plain sector

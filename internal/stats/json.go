@@ -41,47 +41,67 @@ func (c *Counters) MarshalJSON() ([]byte, error) {
 // or null (which stores 0); JSON whitespace between tokens; and any bytes
 // after the closing brace, which are not read.
 func (c *Counters) UnmarshalJSON(data []byte) error {
+	_, err := ScanCountersJSON(data, c)
+	return err
+}
+
+// ScanCountersJSON reads the counters object that opens data, after any
+// JSON whitespace, with UnmarshalJSON's grammar, and returns the length
+// of data up to and including the object's closing brace. It stores each
+// member in c, or, with c nil, only checks the object: every key and
+// value is then discarded, and a valid object costs no allocation.
+func ScanCountersJSON(data []byte, c *Counters) (int, error) {
 	p := countersParser{data: data}
 	p.skipSpace()
 	if !p.consume('{') {
-		return p.fail("counters must be a JSON object")
+		return 0, p.fail("counters must be a JSON object")
 	}
-	// Every member has a colon, so counting them bounds the member count.
-	n := bytes.Count(data[p.pos:], []byte(":"))
-	c.index = make(map[string]int32, n)
-	c.vals = slices.Grow(c.vals[:0], n)
-	c.order = slices.Grow(c.order[:0], n)
+	if c != nil {
+		// Every member has a colon, so counting them up to the first
+		// brace bounds the member count of most objects; it is only a
+		// capacity hint.
+		rest := data[p.pos:]
+		if end := bytes.IndexByte(rest, '}'); end >= 0 {
+			rest = rest[:end]
+		}
+		n := bytes.Count(rest, []byte(":"))
+		c.index = make(map[string]int32, n)
+		c.vals = slices.Grow(c.vals[:0], n)
+		c.order = slices.Grow(c.order[:0], n)
+	}
 	p.skipSpace()
 	if p.consume('}') {
-		return nil
+		return p.pos, nil
 	}
 	for {
 		p.skipSpace()
-		key, err := p.key()
+		key, err := p.key(c != nil)
 		if err != nil {
-			return err
+			return 0, err
 		}
 		p.skipSpace()
 		if !p.consume(':') {
-			return p.fail("expected ':' after counter key")
+			return 0, p.fail("expected ':' after counter key")
 		}
 		p.skipSpace()
 		v, err := p.value()
 		if err != nil {
-			return err
+			return 0, err
 		}
-		c.Set(key, v)
+		if c != nil {
+			c.Set(key, v)
+		}
 		p.skipSpace()
 		if p.consume('}') {
-			return nil
+			return p.pos, nil
 		}
 		if !p.consume(',') {
-			return p.fail("expected ',' or '}' after counter value")
+			return 0, p.fail("expected ',' or '}' after counter value")
 		}
 	}
 }
 
-// countersParser is UnmarshalJSON's cursor over one counters object.
+// countersParser is ScanCountersJSON's cursor over one counters object.
 type countersParser struct {
 	data []byte
 	pos  int
@@ -114,10 +134,12 @@ func (p *countersParser) fail(what string) error {
 	return fmt.Errorf("stats: %s, got %q at offset %d", what, p.data[p.pos], p.pos)
 }
 
-// key reads a JSON string. Plain printable ASCII keys (every counter name
-// the simulator creates) are sliced out directly; a key with escapes or
-// other bytes is unquoted by encoding/json, which validates it.
-func (p *countersParser) key() (string, error) {
+// key reads a JSON string and, with keep, returns its value. Plain
+// printable ASCII keys (every counter name the simulator creates) are
+// sliced out directly; a key with escapes or other bytes is unquoted by
+// encoding/json, which validates it, or only validated when the value is
+// not kept.
+func (p *countersParser) key(keep bool) (string, error) {
 	if !p.consume('"') {
 		return "", p.fail("counter key must be a string")
 	}
@@ -128,10 +150,20 @@ func (p *countersParser) key() (string, error) {
 		case b == '"':
 			p.pos = i + 1
 			if plain {
+				if !keep {
+					return "", nil
+				}
 				return string(p.data[start:i]), nil
 			}
+			tok := p.data[start-1 : p.pos]
+			if !keep {
+				if !json.Valid(tok) {
+					return "", fmt.Errorf("stats: counter key at offset %d is not a valid JSON string", start-1)
+				}
+				return "", nil
+			}
 			var key string
-			if err := json.Unmarshal(p.data[start-1:p.pos], &key); err != nil {
+			if err := json.Unmarshal(tok, &key); err != nil {
 				return "", fmt.Errorf("stats: counter key: %w", err)
 			}
 			return key, nil

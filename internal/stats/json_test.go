@@ -89,6 +89,20 @@ func TestCountersJSONIntoZeroValue(t *testing.T) {
 	}
 }
 
+// TestScanCountersJSONCheckAllocs: checking a counter set builds
+// nothing, escaped keys included, and reports where the object ends.
+func TestScanCountersJSONCheckAllocs(t *testing.T) {
+	obj := `{"sector_requests":57160,"l1_misses":54624,"l2\"hits":null}`
+	data := []byte(obj + `,"next":{}`)
+	if n := testing.AllocsPerRun(100, func() {
+		if n, err := ScanCountersJSON(data, nil); err != nil || n != len(obj) {
+			t.Fatalf("ScanCountersJSON = %d, %v; want %d, nil", n, err, len(obj))
+		}
+	}); n != 0 {
+		t.Fatalf("ScanCountersJSON(nil) allocates %.0f times, want 0", n)
+	}
+}
+
 // decoderUnmarshal is the json.Decoder implementation UnmarshalJSON
 // replaced, kept as the oracle for FuzzCountersUnmarshal.
 func decoderUnmarshal(c *Counters, data []byte) error {
@@ -127,6 +141,8 @@ func decoderUnmarshal(c *Counters, data []byte) error {
 // FuzzCountersUnmarshal checks UnmarshalJSON against the json.Decoder
 // oracle on arbitrary input: the same accept/reject outcome and, on
 // acceptance, the same names in the same order with the same values.
+// ScanCountersJSON with no counter set must accept exactly what
+// UnmarshalJSON accepts, and end at the object's closing brace.
 func FuzzCountersUnmarshal(f *testing.F) {
 	for _, seed := range []string{
 		`{}`, ` { } `, `{"zeta":3,"alpha":1}`, `{"a":1,"b":2,"a":3}`,
@@ -147,6 +163,13 @@ func FuzzCountersUnmarshal(f *testing.F) {
 		werr := decoderUnmarshal(want, data)
 		if (gerr == nil) != (werr == nil) {
 			t.Fatalf("%q: UnmarshalJSON err = %v, decoder err = %v", data, gerr, werr)
+		}
+		n, cerr := ScanCountersJSON(data, nil)
+		if (cerr == nil) != (gerr == nil) {
+			t.Fatalf("%q: ScanCountersJSON(nil) err = %v, UnmarshalJSON err = %v", data, cerr, gerr)
+		}
+		if cerr == nil && (n == 0 || data[n-1] != '}' || !json.Valid(data[:n])) {
+			t.Fatalf("%q: ScanCountersJSON(nil) ends the object at byte %d", data, n)
 		}
 		if gerr != nil {
 			return

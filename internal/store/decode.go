@@ -12,13 +12,31 @@ import (
 // writes it: the Record keys, then the gpu.Result keys in declaration
 // order, each once, with no whitespace between tokens. It reports false
 // for any other shape, so every body it accepts is one json.Unmarshal
-// decodes to the same Record. The counter sets go through
-// stats.Counters.UnmarshalJSON, as they do under json.Unmarshal.
+// decodes to the same Record. The counter sets go through the scanner
+// behind stats.Counters.UnmarshalJSON, as they do under json.Unmarshal.
 func decodeRecord(body []byte) (Record, bool) {
-	d := recordDecoder{data: body}
 	var rec Record
+	d := recordDecoder{data: body}
+	if !d.record(&rec) {
+		return Record{}, false
+	}
+	return rec, true
+}
+
+// checkRecord reports whether decodeRecord accepts body, without building
+// the record: it walks the same fields with the same checks but stores
+// nothing, so a valid body costs no allocation.
+func checkRecord(body []byte) bool {
+	var discard Record // check mode never writes it
+	d := recordDecoder{data: body, check: true}
+	return d.record(&discard)
+}
+
+// record walks one body in EncodeRecord's layout, the one field sequence
+// both decodeRecord and checkRecord follow.
+func (d *recordDecoder) record(rec *Record) bool {
 	r := &rec.Result
-	ok := d.lit(`{"fingerprint":`) && d.str(&rec.Fingerprint) &&
+	return d.lit(`{"fingerprint":`) && d.str(&rec.Fingerprint) &&
 		d.lit(`,"sim":`) && d.str(&rec.Sim) &&
 		d.lit(`,"workload":`) && d.str(&rec.Workload) &&
 		d.lit(`,"scheme":`) && d.str(&rec.Scheme) &&
@@ -40,17 +58,16 @@ func decodeRecord(body []byte) (Record, bool) {
 		d.lit(`,"DRAMStats":`) && d.counters(&r.DRAMStats) &&
 		d.lit(`,"BusUtilization":`) && d.float(&r.BusUtilization) &&
 		d.lit(`}}`) && d.pos == len(d.data)
-	if !ok {
-		return Record{}, false
-	}
-	return rec, true
 }
 
-// recordDecoder is decodeRecord's cursor. Each method consumes one token
-// or value and reports false, leaving the cursor anywhere, on a mismatch.
+// recordDecoder is the record walk's cursor. Each method consumes one
+// token or value and reports false, leaving the cursor anywhere, on a
+// mismatch. In check mode the methods validate exactly as they would
+// decode but never write through their destination pointers.
 type recordDecoder struct {
-	data []byte
-	pos  int
+	data  []byte
+	pos   int
+	check bool
 }
 
 // lit consumes s verbatim.
@@ -83,20 +100,28 @@ func stringEnd(data []byte, i int) (end int, plain bool) {
 }
 
 // str decodes a string. A plain one is sliced out directly; any other is
-// unquoted by encoding/json, which validates its escapes.
+// unquoted by encoding/json, which validates its escapes (json.Valid
+// alone in check mode: it accepts exactly the string tokens
+// json.Unmarshal does).
 func (d *recordDecoder) str(dst *string) bool {
 	if d.pos >= len(d.data) || d.data[d.pos] != '"' {
 		return false
 	}
 	end, plain := stringEnd(d.data, d.pos)
-	switch {
-	case end < 0:
+	if end < 0 {
 		return false
+	}
+	tok := d.data[d.pos:end]
+	switch {
+	case d.check:
+		if !plain && !json.Valid(tok) {
+			return false
+		}
 	case plain:
-		*dst = string(d.data[d.pos+1 : end-1])
+		*dst = string(tok[1 : len(tok)-1])
 	default:
 		var v string // declared here so only this path pays its escape
-		if json.Unmarshal(d.data[d.pos:end], &v) != nil {
+		if json.Unmarshal(tok, &v) != nil {
 			return false
 		}
 		*dst = v
@@ -148,40 +173,59 @@ func (d *recordDecoder) number() (lit []byte, unsigned, ok bool) {
 	return lit, integer && !neg, true
 }
 
+// maxUint64 is the largest value a uint64 field takes, in decimal.
+const maxUint64 = "18446744073709551615"
+
 // uint decodes an unsigned integer that fits in 64 bits, which is what
-// json.Unmarshal accepts for a uint64 field.
+// json.Unmarshal accepts for a uint64 field. Check mode compares the
+// digits with maxUint64 instead of parsing them: the literal has no
+// leading zero, so fewer digits always fit and as many fit when they
+// are not greater lexically.
 func (d *recordDecoder) uint(dst *uint64) bool {
 	lit, unsigned, ok := d.number()
-	if !ok || !unsigned {
+	switch {
+	case !ok || !unsigned:
 		return false
+	case d.check:
+		return len(lit) < len(maxUint64) || len(lit) == len(maxUint64) && string(lit) <= maxUint64
 	}
 	v, err := strconv.ParseUint(string(lit), 10, 64)
 	*dst = v
 	return err == nil
 }
 
-// float decodes a number that fits in a float64.
+// float decodes a number that fits in a float64. Check mode skips the
+// parse for a literal with no exponent and at most 308 bytes: its
+// magnitude is below 1e308, so it always fits.
 func (d *recordDecoder) float(dst *float64) bool {
 	lit, _, ok := d.number()
-	if !ok {
+	switch {
+	case !ok:
 		return false
+	case d.check && len(lit) <= 308 && !bytes.ContainsAny(lit, "eE"):
+		return true
 	}
 	v, err := strconv.ParseFloat(string(lit), 64)
-	*dst = v
+	if !d.check {
+		*dst = v
+	}
 	return err == nil
 }
 
-// byteMap decodes null or an object of unsigned integers.
+// byteMap decodes null, which leaves *dst nil, or an object of unsigned
+// integers.
 func (d *recordDecoder) byteMap(dst *map[string]uint64) bool {
 	if d.lit("null") {
-		*dst = nil
 		return true
 	}
 	if !d.lit("{") {
 		return false
 	}
-	m := map[string]uint64{}
-	*dst = m
+	var m map[string]uint64
+	if !d.check {
+		m = map[string]uint64{}
+		*dst = m
+	}
 	if d.lit("}") {
 		return true
 	}
@@ -191,7 +235,9 @@ func (d *recordDecoder) byteMap(dst *map[string]uint64) bool {
 		if !d.str(&k) || !d.lit(":") || !d.uint(&v) {
 			return false
 		}
-		m[k] = v
+		if !d.check {
+			m[k] = v
+		}
 		if d.lit("}") {
 			return true
 		}
@@ -201,37 +247,27 @@ func (d *recordDecoder) byteMap(dst *map[string]uint64) bool {
 	}
 }
 
-// counters decodes null or a counter set. It finds the object's closing
-// brace with a string-aware scan and hands exactly that object to
-// stats.Counters.UnmarshalJSON, which ignores bytes after the brace it
-// stops at; its keys are strings scanned the same way and its values
-// contain no braces or quotes, so a successful parse ends at this brace.
+// counters decodes null, which leaves *dst nil, or a counter set with
+// stats.ScanCountersJSON, the scanner behind
+// stats.Counters.UnmarshalJSON, which also reports where the object ends.
 func (d *recordDecoder) counters(dst **stats.Counters) bool {
 	if d.lit("null") {
-		*dst = nil
 		return true
 	}
 	if d.pos >= len(d.data) || d.data[d.pos] != '{' {
 		return false
 	}
-	end := d.pos + 1
-	for end < len(d.data) && d.data[end] != '}' {
-		if d.data[end] == '"' {
-			if end, _ = stringEnd(d.data, end); end < 0 {
-				return false
-			}
-			continue
-		}
-		end++
+	var c *stats.Counters
+	if !d.check {
+		c = new(stats.Counters)
 	}
-	if end == len(d.data) {
+	n, err := stats.ScanCountersJSON(d.data[d.pos:], c)
+	if err != nil {
 		return false
 	}
-	end++ // past the brace
-	c := new(stats.Counters)
-	if c.UnmarshalJSON(d.data[d.pos:end]) != nil {
-		return false
+	if !d.check {
+		*dst = c
 	}
-	*dst, d.pos = c, end
+	d.pos += n
 	return true
 }

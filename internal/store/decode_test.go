@@ -1,20 +1,26 @@
 package store
 
 import (
+	"bytes"
 	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
 
 	"cachecraft/internal/config"
+	"cachecraft/internal/version"
 )
 
-// checkDecode asserts decodeRecord's contract on one body: whenever it
-// accepts, json.Unmarshal accepts too and yields an identical record. With
+// checkDecode asserts decodeRecord's contract on one body: checkRecord
+// accepts it exactly when decodeRecord does, and whenever they accept,
+// json.Unmarshal accepts too and yields an identical record. With
 // mustAccept the body is an EncodeRecord output and must be accepted.
 func checkDecode(t *testing.T, body []byte, mustAccept bool) {
 	t.Helper()
 	got, ok := decodeRecord(body)
+	if checked := checkRecord(body); checked != ok {
+		t.Fatalf("checkRecord = %v, decodeRecord = %v:\n%s", checked, ok, body)
+	}
 	if !ok {
 		if mustAccept {
 			t.Fatalf("canonical body rejected:\n%s", body)
@@ -64,6 +70,7 @@ func TestDecodeRecordShapes(t *testing.T) {
 		"null counters":     edit(`"Machine":{"zeta":7,"alpha":8}`, `"Machine":null`),
 		"exponent float":    edit(`"IPC":0.1`, `"IPC":-1.5E-300`),
 		"large uint":        edit(`"Cycles":42007`, `"Cycles":18446744073709551615`),
+		"20-digit uint":     edit(`"Cycles":42007`, `"Cycles":10000000000000000000`),
 	}
 	for name, body := range accept {
 		t.Run("accept/"+name, func(t *testing.T) { checkDecode(t, []byte(body), true) })
@@ -82,6 +89,8 @@ func TestDecodeRecordShapes(t *testing.T) {
 		"bare point":         edit(`"IPC":0.1`, `"IPC":.1`),
 		"float overflow":     edit(`"IPC":0.1`, `"IPC":1e400`),
 		"uint overflow":      edit(`"Cycles":42007`, `"Cycles":18446744073709551616`),
+		"uint 21 digits":     edit(`"Cycles":42007`, `"Cycles":100000000000000000000`),
+		"map uint overflow":  edit(`"demand":448`, `"demand":99999999999999999999`),
 		"negative uint":      edit(`"Cycles":42007`, `"Cycles":-1`),
 		"fractional uint":    edit(`"Cycles":42007`, `"Cycles":42007.0`),
 		"null float":         edit(`"IPC":0.1`, `"IPC":null`),
@@ -102,6 +111,9 @@ func TestDecodeRecordShapes(t *testing.T) {
 			if _, ok := decodeRecord([]byte(body)); ok {
 				t.Fatalf("accepted:\n%s", body)
 			}
+			if checkRecord([]byte(body)) {
+				t.Fatalf("checkRecord accepted:\n%s", body)
+			}
 		})
 	}
 }
@@ -109,7 +121,11 @@ func TestDecodeRecordShapes(t *testing.T) {
 // FuzzDecodeRecord checks the hand-written decoder against encoding/json:
 // any body it accepts must decode under json.Unmarshal to the identical
 // record, and the canonical re-encoding of anything json.Unmarshal reads
-// as a record must be accepted.
+// as a record must be accepted. checkRecord must accept exactly the
+// bodies decodeRecord does, and a body whose raw identity prefix names a
+// fingerprint must pass hasIdentity for it exactly when it decodes to
+// that fingerprint and this revision, which is what lets Get and GetRaw
+// skip comparing the decoded identity.
 func FuzzDecodeRecord(f *testing.F) {
 	for _, cell := range [][2]string{{"random", "cachecraft"}, {"stream", "none"}, {"spmv", "inline-naive"}} {
 		f.Add([]byte(canonicalBody(f, simulatedRecord(f, cell[0], cell[1]))))
@@ -119,8 +135,11 @@ func FuzzDecodeRecord(f *testing.F) {
 	f.Add([]byte(strings.Replace(base, `"workload":"stream"`, `"workload":"stream<"`, 1)))
 	f.Add([]byte(strings.Replace(base, `"zeta":7`, `"z\"}":7 `, 1)))
 	f.Add([]byte(strings.Replace(base, `"IPC":0.1`, `"IPC":1e-7`, 1)))
+	f.Add([]byte(strings.Replace(base, `"fingerprint":"`, `"fingerprint":"\\\\`, 1)))
+	f.Add([]byte(strings.Replace(base, `"fingerprint":"`, `"fingerprint":"é`, 1)))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		checkDecode(t, body, false)
+		checkIdentity(t, body)
 		var rec Record
 		if json.Unmarshal(body, &rec) != nil {
 			return
@@ -131,4 +150,27 @@ func FuzzDecodeRecord(f *testing.F) {
 		}
 		checkDecode(t, canon, true)
 	})
+}
+
+// checkIdentity takes the fingerprint a body's raw identity prefix names
+// and asserts that, on a body decodeRecord accepts, hasIdentity holds for
+// it exactly when the raw prefix matches and the body decodes to that
+// fingerprint and this revision.
+func checkIdentity(t *testing.T, body []byte) {
+	t.Helper()
+	const head = `{"fingerprint":"`
+	rest, found := bytes.CutPrefix(body, []byte(head))
+	i := bytes.Index(rest, []byte(identityTail))
+	if !found || i < 0 {
+		return
+	}
+	fp := string(rest[:i])
+	rec, ok := decodeRecord(body)
+	if !ok {
+		return
+	}
+	want := rec.Fingerprint == fp && rec.Sim == version.String()
+	if got := hasIdentity(body, fp); got != want {
+		t.Fatalf("hasIdentity(%q) = %v, decoded fingerprint %q sim %q:\n%s", fp, got, rec.Fingerprint, rec.Sim, body)
+	}
 }
