@@ -8,6 +8,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -18,6 +20,7 @@ import (
 	"cachecraft/internal/schemes"
 	"cachecraft/internal/store"
 	"cachecraft/internal/trace"
+	"cachecraft/internal/version"
 )
 
 // sweepLine decodes any line of a sweep stream: a record, an error line
@@ -209,6 +212,38 @@ func TestResultsUnknownFingerprint(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("status %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestResultsPathTraversal: an escaped "../" in a requested fingerprint
+// does not reach a record file outside the store directory, even one
+// that is valid for that fingerprint.
+func TestResultsPathTraversal(t *testing.T) {
+	dir := t.TempDir()
+	st, err := store.Open(filepath.Join(dir, "a", "store"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// With the store's two-byte sharding, "../outside" would resolve to
+	// dir/outside.json.
+	body, sum, err := store.EncodeRecord(store.Record{Fingerprint: "../outside", Sim: version.String()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := `{"sum":"` + sum + `","body":` + string(body) + "}\n"
+	if err := os.WriteFile(filepath.Join(dir, "outside.json"), []byte(data), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServer(t, st, 2, 2)
+	for _, fp := range []string{"..%2Foutside", "%2E%2E%2Foutside"} {
+		resp, err := http.Get(ts.URL + "/v1/results/" + fp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("GET /v1/results/%s: status %d, want 404", fp, resp.StatusCode)
+		}
 	}
 }
 
