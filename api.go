@@ -174,16 +174,13 @@ func RunAll(cfg Config, workloads, schemes []string) ([]Result, error) {
 			specs = append(specs, bench.Spec{CfgID: "base", Workload: wl, Variant: s})
 		}
 	}
-	if err := r.Prefetch(context.Background(), specs); err != nil {
+	cells, err := r.Prefetch(context.Background(), specs)
+	if err != nil {
 		return nil, err
 	}
 	out := make([]Result, len(specs))
 	for i, s := range specs {
-		res, err := r.Result(s)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = res
+		out[i] = cells[s]
 	}
 	return out, nil
 }

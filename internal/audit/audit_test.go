@@ -288,7 +288,7 @@ func TestAuditQuickGridAllSchemes(t *testing.T) {
 			specs = append(specs, bench.Spec{CfgID: "base", Workload: wl, Variant: s})
 		}
 	}
-	if err := r.Prefetch(context.Background(), specs); err != nil {
+	if _, err := r.Prefetch(context.Background(), specs); err != nil {
 		t.Fatalf("audited grid failed: %v", err)
 	}
 	if st := r.Stats(); st.Runs != len(specs) {

@@ -12,6 +12,7 @@ import (
 	"cachecraft/internal/energy"
 	"cachecraft/internal/faults"
 	"cachecraft/internal/layout"
+	"cachecraft/internal/schemes"
 	"cachecraft/internal/stats"
 	"cachecraft/internal/trace"
 )
@@ -59,7 +60,8 @@ func All() []Experiment {
 
 // specGrid builds the cross product of configs × workloads × variants in
 // deterministic (row-major) order, for fanning out through
-// Runner.Prefetch before an experiment collects its rows serially.
+// Runner.Prefetch before an experiment collects its rows serially from
+// the returned results.
 func specGrid(cfgIDs, workloads, variants []string) []Spec {
 	out := make([]Spec, 0, len(cfgIDs)*len(workloads)*len(variants))
 	for _, c := range cfgIDs {
@@ -70,17 +72,6 @@ func specGrid(cfgIDs, workloads, variants []string) []Spec {
 		}
 	}
 	return out
-}
-
-// prefetch fans an experiment's full spec set out across the runner's
-// worker pool; the experiment's subsequent Result calls are then memo
-// hits, so its rendered output is independent of execution order.
-func prefetch(r *Runner, specs ...[]Spec) error {
-	var all []Spec
-	for _, s := range specs {
-		all = append(all, s...)
-	}
-	return r.Prefetch(context.Background(), all)
 }
 
 // ByID finds an experiment.
@@ -122,14 +113,12 @@ func table1(r *Runner, base config.GPU, w io.Writer) error {
 func table2(r *Runner, base config.GPU, w io.Writer) error {
 	t := stats.NewTable("Table 2: workload characterization (unprotected baseline)",
 		"workload", "IPC", "L1 hit", "L2 hit", "row hit", "DRAM MB", "rd:wr")
-	if err := prefetch(r, specGrid([]string{"base"}, trace.Names(), []string{"none"})); err != nil {
+	cells, err := r.Prefetch(context.Background(), specGrid([]string{"base"}, trace.Names(), []string{"none"}))
+	if err != nil {
 		return err
 	}
 	for _, wl := range trace.Names() {
-		res, err := r.Result(Spec{CfgID: "base", Workload: wl, Variant: "none"})
-		if err != nil {
-			return err
-		}
+		res := cells[Spec{CfgID: "base", Workload: wl, Variant: "none"}]
 		rowTotal := res.DRAMRowHits + res.DRAMRowMisses + res.DRAMRowConfl
 		rowHit := 0.0
 		if rowTotal > 0 {
@@ -158,21 +147,16 @@ func table2(r *Runner, base config.GPU, w io.Writer) error {
 func fig4(r *Runner, base config.GPU, w io.Writer) error {
 	t := stats.NewTable("Fig. 4: performance normalized to no-ECC (higher is better)",
 		"workload", "none", "inline-naive", "ecc-cache", "cachecraft")
-	if err := prefetch(r, specGrid([]string{"base"}, trace.Names(), StandardSchemes())); err != nil {
+	cells, err := r.Prefetch(context.Background(), specGrid([]string{"base"}, trace.Names(), schemes.All()))
+	if err != nil {
 		return err
 	}
 	gm := map[string][]float64{}
 	for _, wl := range trace.Names() {
-		baseRes, err := r.Result(Spec{CfgID: "base", Workload: wl, Variant: "none"})
-		if err != nil {
-			return err
-		}
+		baseRes := cells[Spec{CfgID: "base", Workload: wl, Variant: "none"}]
 		row := []string{wl}
-		for _, s := range StandardSchemes() {
-			res, err := r.Result(Spec{CfgID: "base", Workload: wl, Variant: s})
-			if err != nil {
-				return err
-			}
+		for _, s := range schemes.All() {
+			res := cells[Spec{CfgID: "base", Workload: wl, Variant: s}]
 			sp := float64(baseRes.Cycles) / float64(res.Cycles)
 			gm[s] = append(gm[s], sp)
 			row = append(row, fmt.Sprintf("%.3f", sp))
@@ -180,7 +164,7 @@ func fig4(r *Runner, base config.GPU, w io.Writer) error {
 		t.AddRow(row...)
 	}
 	row := []string{"geomean"}
-	for _, s := range StandardSchemes() {
+	for _, s := range schemes.All() {
 		row = append(row, fmt.Sprintf("%.3f", stats.Geomean(gm[s])))
 	}
 	t.AddRow(row...)
@@ -193,23 +177,18 @@ func fig4(r *Runner, base config.GPU, w io.Writer) error {
 func fig5(r *Runner, base config.GPU, w io.Writer) error {
 	t := stats.NewTable("Fig. 5: DRAM traffic by class, normalized to the no-ECC total",
 		"workload", "scheme", "demand", "redundancy", "writeback", "rmw", "reconstruct", "total")
-	if err := prefetch(r, specGrid([]string{"base"}, trace.Names(), StandardSchemes())); err != nil {
+	cells, err := r.Prefetch(context.Background(), specGrid([]string{"base"}, trace.Names(), schemes.All()))
+	if err != nil {
 		return err
 	}
 	for _, wl := range trace.Names() {
-		baseRes, err := r.Result(Spec{CfgID: "base", Workload: wl, Variant: "none"})
-		if err != nil {
-			return err
-		}
+		baseRes := cells[Spec{CfgID: "base", Workload: wl, Variant: "none"}]
 		norm := float64(TotalDRAMBytes(baseRes))
 		if norm == 0 {
 			norm = 1
 		}
-		for _, s := range StandardSchemes() {
-			res, err := r.Result(Spec{CfgID: "base", Workload: wl, Variant: s})
-			if err != nil {
-				return err
-			}
+		for _, s := range schemes.All() {
+			res := cells[Spec{CfgID: "base", Workload: wl, Variant: s}]
 			row := []string{wl, s}
 			for _, class := range []string{"demand", "redundancy", "writeback", "rmw", "reconstruct"} {
 				row = append(row, fmt.Sprintf("%.3f", float64(res.DRAMBytes[class])/norm))
@@ -227,14 +206,12 @@ func fig5(r *Runner, base config.GPU, w io.Writer) error {
 func fig6(r *Runner, base config.GPU, w io.Writer) error {
 	t := stats.NewTable("Fig. 6: where CacheCraft redundancy lookups are served",
 		"workload", "RC hit", "wbuf fwd", "merged in-flight", "DRAM", "lookups")
-	if err := prefetch(r, specGrid([]string{"base"}, trace.Names(), []string{"cachecraft"})); err != nil {
+	cells, err := r.Prefetch(context.Background(), specGrid([]string{"base"}, trace.Names(), []string{"cachecraft"}))
+	if err != nil {
 		return err
 	}
 	for _, wl := range trace.Names() {
-		res, err := r.Result(Spec{CfgID: "base", Workload: wl, Variant: "cachecraft"})
-		if err != nil {
-			return err
-		}
+		res := cells[Spec{CfgID: "base", Workload: wl, Variant: "cachecraft"}]
 		cs := res.ControllerSt
 		rc := cs.Get("red_rc_hits")
 		fwd := cs.Get("red_wbuf_fwd")
@@ -258,14 +235,12 @@ func fig6(r *Runner, base config.GPU, w io.Writer) error {
 func fig7(r *Runner, base config.GPU, w io.Writer) error {
 	t := stats.NewTable("Fig. 7: reconstruction usefulness (fractions of reconstructed sectors)",
 		"workload", "issued", "merged w/ demand", "used later", "wasted", "useful frac")
-	if err := prefetch(r, specGrid([]string{"base"}, trace.Names(), []string{"cachecraft"})); err != nil {
+	cells, err := r.Prefetch(context.Background(), specGrid([]string{"base"}, trace.Names(), []string{"cachecraft"}))
+	if err != nil {
 		return err
 	}
 	for _, wl := range trace.Names() {
-		res, err := r.Result(Spec{CfgID: "base", Workload: wl, Variant: "cachecraft"})
-		if err != nil {
-			return err
-		}
+		res := cells[Spec{CfgID: "base", Workload: wl, Variant: "cachecraft"}]
 		cs := res.ControllerSt
 		issued := cs.Get("reconstruct_sectors")
 		merged := cs.Get("reconstruct_merged")
@@ -299,23 +274,17 @@ func fig8(r *Runner, base config.GPU, w io.Writer) error {
 		r.AddCacheCraftVariant(name, opt)
 		rcVariants = append(rcVariants, name)
 	}
-	if err := prefetch(r, specGrid([]string{"base"}, RepWorkloads(), rcVariants)); err != nil {
+	cells, err := r.Prefetch(context.Background(), specGrid([]string{"base"}, RepWorkloads(), rcVariants))
+	if err != nil {
 		return err
 	}
 	t := stats.NewTable("Fig. 8a: CacheCraft speedup vs no-ECC, RC capacity sweep",
 		"workload", "RC 16K", "RC 64K", "RC 256K")
 	for _, wl := range RepWorkloads() {
-		baseRes, err := r.Result(Spec{CfgID: "base", Workload: wl, Variant: "none"})
-		if err != nil {
-			return err
-		}
+		baseRes := cells[Spec{CfgID: "base", Workload: wl, Variant: "none"}]
 		row := []string{wl}
 		for _, sz := range rcSizes {
-			res, err := r.Result(Spec{CfgID: "base", Workload: wl,
-				Variant: fmt.Sprintf("cc-rc%dk", sz>>10)})
-			if err != nil {
-				return err
-			}
+			res := cells[Spec{CfgID: "base", Workload: wl, Variant: fmt.Sprintf("cc-rc%dk", sz>>10)}]
 			row = append(row, fmt.Sprintf("%.3f", float64(baseRes.Cycles)/float64(res.Cycles)))
 		}
 		t.AddRow(row...)
@@ -332,7 +301,8 @@ func fig8(r *Runner, base config.GPU, w io.Writer) error {
 		r.AddConfig(id, cfg)
 		l2IDs = append(l2IDs, id)
 	}
-	if err := prefetch(r, specGrid(l2IDs, RepWorkloads(), []string{"none", "cachecraft"})); err != nil {
+	cells, err = r.Prefetch(context.Background(), specGrid(l2IDs, RepWorkloads(), []string{"none", "cachecraft"}))
+	if err != nil {
 		return err
 	}
 	t2 := stats.NewTable("Fig. 8b: CacheCraft speedup vs no-ECC, L2 capacity sweep",
@@ -344,14 +314,8 @@ func fig8(r *Runner, base config.GPU, w io.Writer) error {
 		row := []string{wl}
 		for _, sz := range l2Sizes {
 			id := fmt.Sprintf("l2-%dm", sz>>20)
-			baseRes, err := r.Result(Spec{CfgID: id, Workload: wl, Variant: "none"})
-			if err != nil {
-				return err
-			}
-			res, err := r.Result(Spec{CfgID: id, Workload: wl, Variant: "cachecraft"})
-			if err != nil {
-				return err
-			}
+			baseRes := cells[Spec{CfgID: id, Workload: wl, Variant: "none"}]
+			res := cells[Spec{CfgID: id, Workload: wl, Variant: "cachecraft"}]
 			row = append(row, fmt.Sprintf("%.3f", float64(baseRes.Cycles)/float64(res.Cycles)))
 		}
 		t2.AddRow(row...)
@@ -388,24 +352,19 @@ func fig9(r *Runner, base config.GPU, w io.Writer) error {
 		r.AddCacheCraftVariant(name, opt)
 	}
 	order := append([]string{"cachecraft"}, sortedKeys(variants)...)
-	if err := prefetch(r,
-		specGrid([]string{"base"}, AblationWorkloads(), append([]string{"none"}, order...))); err != nil {
+	cells, err := r.Prefetch(context.Background(),
+		specGrid([]string{"base"}, AblationWorkloads(), append([]string{"none"}, order...)))
+	if err != nil {
 		return err
 	}
 	t := stats.NewTable("Fig. 9: ablation — speedup vs no-ECC with one mechanism disabled",
 		append([]string{"workload"}, order...)...)
 	gm := map[string][]float64{}
 	for _, wl := range AblationWorkloads() {
-		baseRes, err := r.Result(Spec{CfgID: "base", Workload: wl, Variant: "none"})
-		if err != nil {
-			return err
-		}
+		baseRes := cells[Spec{CfgID: "base", Workload: wl, Variant: "none"}]
 		row := []string{wl}
 		for _, v := range order {
-			res, err := r.Result(Spec{CfgID: "base", Workload: wl, Variant: v})
-			if err != nil {
-				return err
-			}
+			res := cells[Spec{CfgID: "base", Workload: wl, Variant: v}]
 			sp := float64(baseRes.Cycles) / float64(res.Cycles)
 			gm[v] = append(gm[v], sp)
 			row = append(row, fmt.Sprintf("%.3f", sp))
@@ -427,21 +386,16 @@ func fig10(r *Runner, base config.GPU, w io.Writer) error {
 	model := energy.Default()
 	t := stats.NewTable("Fig. 10: memory-system dynamic energy normalized to no-ECC",
 		"workload", "none", "inline-naive", "ecc-cache", "cachecraft")
-	if err := prefetch(r, specGrid([]string{"base"}, trace.Names(), StandardSchemes())); err != nil {
+	cells, err := r.Prefetch(context.Background(), specGrid([]string{"base"}, trace.Names(), schemes.All()))
+	if err != nil {
 		return err
 	}
 	for _, wl := range trace.Names() {
-		baseRes, err := r.Result(Spec{CfgID: "base", Workload: wl, Variant: "none"})
-		if err != nil {
-			return err
-		}
+		baseRes := cells[Spec{CfgID: "base", Workload: wl, Variant: "none"}]
 		norm := model.Evaluate(baseRes).Total()
 		row := []string{wl}
-		for _, s := range StandardSchemes() {
-			res, err := r.Result(Spec{CfgID: "base", Workload: wl, Variant: s})
-			if err != nil {
-				return err
-			}
+		for _, s := range schemes.All() {
+			res := cells[Spec{CfgID: "base", Workload: wl, Variant: s}]
 			row = append(row, fmt.Sprintf("%.3f", model.Evaluate(res).Total()/norm))
 		}
 		t.AddRow(row...)
@@ -473,7 +427,8 @@ func fig11(r *Runner, base config.GPU, w io.Writer) error {
 		r.AddConfig(c.id, cfg)
 		geoIDs = append(geoIDs, c.id)
 	}
-	if err := prefetch(r, specGrid(geoIDs, RepWorkloads(), []string{"none", "cachecraft"})); err != nil {
+	cells, err := r.Prefetch(context.Background(), specGrid(geoIDs, RepWorkloads(), []string{"none", "cachecraft"}))
+	if err != nil {
 		return err
 	}
 	t := stats.NewTable("Fig. 11: protection geometry/layout sweep — CacheCraft speedup vs no-ECC (same geometry)",
@@ -481,14 +436,8 @@ func fig11(r *Runner, base config.GPU, w io.Writer) error {
 	for _, wl := range RepWorkloads() {
 		row := []string{wl}
 		for _, c := range cases {
-			baseRes, err := r.Result(Spec{CfgID: c.id, Workload: wl, Variant: "none"})
-			if err != nil {
-				return err
-			}
-			res, err := r.Result(Spec{CfgID: c.id, Workload: wl, Variant: "cachecraft"})
-			if err != nil {
-				return err
-			}
+			baseRes := cells[Spec{CfgID: c.id, Workload: wl, Variant: "none"}]
+			res := cells[Spec{CfgID: c.id, Workload: wl, Variant: "cachecraft"}]
 			row = append(row, fmt.Sprintf("%.3f", float64(baseRes.Cycles)/float64(res.Cycles)))
 		}
 		t.AddRow(row...)
@@ -502,8 +451,9 @@ func fig11(r *Runner, base config.GPU, w io.Writer) error {
 func fig12(r *Runner, base config.GPU, w io.Writer) error {
 	r.AddCacheCraftVariant("cc-noW", AblationVariants()["cc-noW"])
 	writeHeavy := []string{"scan", "histogram", "transpose", "stencil"}
-	if err := prefetch(r, specGrid([]string{"base"}, writeHeavy,
-		[]string{"inline-naive", "ecc-cache", "cc-noW", "cachecraft"})); err != nil {
+	cells, err := r.Prefetch(context.Background(), specGrid([]string{"base"}, writeHeavy,
+		[]string{"inline-naive", "ecc-cache", "cc-noW", "cachecraft"}))
+	if err != nil {
 		return err
 	}
 	t := stats.NewTable("Fig. 12: redundancy read-modify-writes per 1k data writebacks",
@@ -512,10 +462,7 @@ func fig12(r *Runner, base config.GPU, w io.Writer) error {
 		row := []string{wl}
 		var ccBlind uint64
 		for _, v := range []string{"inline-naive", "ecc-cache", "cc-noW", "cachecraft"} {
-			res, err := r.Result(Spec{CfgID: "base", Workload: wl, Variant: v})
-			if err != nil {
-				return err
-			}
+			res := cells[Spec{CfgID: "base", Workload: wl, Variant: v}]
 			wbBytes := res.DRAMBytes["writeback"]
 			wbEvents := wbBytes / 32
 			// Count RMW reads from traffic bytes so deferred RMWs (the
@@ -583,8 +530,9 @@ func fig13(r *Runner, base config.GPU, w io.Writer) error {
 	srrip := base
 	srrip.L2.Repl = cache.SRRIP
 	r.AddConfig("l2-srrip", srrip)
-	if err := prefetch(r, specGrid([]string{"base", "l2-srrip"}, RepWorkloads(),
-		[]string{"none", "cachecraft"})); err != nil {
+	cells, err := r.Prefetch(context.Background(), specGrid([]string{"base", "l2-srrip"}, RepWorkloads(),
+		[]string{"none", "cachecraft"}))
+	if err != nil {
 		return err
 	}
 	t := stats.NewTable("Fig. 13 (extension): L2 replacement policy — speedup vs no-ECC at same policy",
@@ -592,14 +540,8 @@ func fig13(r *Runner, base config.GPU, w io.Writer) error {
 	for _, wl := range RepWorkloads() {
 		row := []string{wl}
 		for _, cfgID := range []string{"base", "l2-srrip"} {
-			baseRes, err := r.Result(Spec{CfgID: cfgID, Workload: wl, Variant: "none"})
-			if err != nil {
-				return err
-			}
-			ccRes, err := r.Result(Spec{CfgID: cfgID, Workload: wl, Variant: "cachecraft"})
-			if err != nil {
-				return err
-			}
+			baseRes := cells[Spec{CfgID: cfgID, Workload: wl, Variant: "none"}]
+			ccRes := cells[Spec{CfgID: cfgID, Workload: wl, Variant: "cachecraft"}]
 			row = append(row, "1.000",
 				fmt.Sprintf("%.3f", float64(baseRes.Cycles)/float64(ccRes.Cycles)))
 		}
@@ -628,8 +570,9 @@ func fig14(r *Runner, base config.GPU, w io.Writer) error {
 	for _, seed := range seeds {
 		seedIDs = append(seedIDs, cfgID(seed))
 	}
-	if err := prefetch(r, specGrid(seedIDs, []string{"stream", "bfs", "histogram"},
-		[]string{"none", "cachecraft"})); err != nil {
+	cells, err := r.Prefetch(context.Background(), specGrid(seedIDs, []string{"stream", "bfs", "histogram"},
+		[]string{"none", "cachecraft"}))
+	if err != nil {
 		return err
 	}
 	t := stats.NewTable("Fig. 14 (extension): CacheCraft speedup vs no-ECC across workload seeds",
@@ -639,14 +582,8 @@ func fig14(r *Runner, base config.GPU, w io.Writer) error {
 		lo, hi := 0.0, 0.0
 		for i, seed := range seeds {
 			id := cfgID(seed)
-			baseRes, err := r.Result(Spec{CfgID: id, Workload: wl, Variant: "none"})
-			if err != nil {
-				return err
-			}
-			ccRes, err := r.Result(Spec{CfgID: id, Workload: wl, Variant: "cachecraft"})
-			if err != nil {
-				return err
-			}
+			baseRes := cells[Spec{CfgID: id, Workload: wl, Variant: "none"}]
+			ccRes := cells[Spec{CfgID: id, Workload: wl, Variant: "cachecraft"}]
 			sp := float64(baseRes.Cycles) / float64(ccRes.Cycles)
 			if i == 0 || sp < lo {
 				lo = sp
@@ -682,25 +619,20 @@ func fig15(r *Runner, base config.GPU, w io.Writer) error {
 	for _, ppm := range rates {
 		errIDs = append(errIDs, cfgID(ppm))
 	}
-	if err := prefetch(r,
+	cells, err := r.Prefetch(context.Background(), append(
 		specGrid([]string{"base"}, RepWorkloads(), []string{"none"}),
-		specGrid(errIDs, RepWorkloads(), []string{"cachecraft"})); err != nil {
+		specGrid(errIDs, RepWorkloads(), []string{"cachecraft"})...))
+	if err != nil {
 		return err
 	}
 	t := stats.NewTable("Fig. 15 (extension): CacheCraft speedup vs error-free no-ECC under correctable-error storms",
 		"workload", "0 ppm", "1k ppm", "10k ppm", "100k ppm", "scrubs @100k")
 	for _, wl := range RepWorkloads() {
-		baseRes, err := r.Result(Spec{CfgID: "base", Workload: wl, Variant: "none"})
-		if err != nil {
-			return err
-		}
+		baseRes := cells[Spec{CfgID: "base", Workload: wl, Variant: "none"}]
 		row := []string{wl}
 		var scrubs uint64
 		for _, ppm := range rates {
-			res, err := r.Result(Spec{CfgID: cfgID(ppm), Workload: wl, Variant: "cachecraft"})
-			if err != nil {
-				return err
-			}
+			res := cells[Spec{CfgID: cfgID(ppm), Workload: wl, Variant: "cachecraft"}]
 			row = append(row, fmt.Sprintf("%.3f", float64(baseRes.Cycles)/float64(res.Cycles)))
 			if ppm == rates[len(rates)-1] {
 				scrubs = res.ControllerSt.Get("scrub_writes")
@@ -718,23 +650,15 @@ func fig15(r *Runner, base config.GPU, w io.Writer) error {
 func fig16(r *Runner, base config.GPU, w io.Writer) error {
 	t := stats.NewTable("Fig. 16 (extension): speedup vs no-ECC — CacheCraft against the free-redundancy bound",
 		"workload", "cachecraft", "ideal", "headroom left", "floor cost (1-ideal)")
-	if err := prefetch(r, specGrid([]string{"base"}, trace.Names(),
-		[]string{"none", "cachecraft", "ideal"})); err != nil {
+	cells, err := r.Prefetch(context.Background(), specGrid([]string{"base"}, trace.Names(),
+		[]string{"none", "cachecraft", "ideal"}))
+	if err != nil {
 		return err
 	}
 	for _, wl := range trace.Names() {
-		baseRes, err := r.Result(Spec{CfgID: "base", Workload: wl, Variant: "none"})
-		if err != nil {
-			return err
-		}
-		cc, err := r.Result(Spec{CfgID: "base", Workload: wl, Variant: "cachecraft"})
-		if err != nil {
-			return err
-		}
-		id, err := r.Result(Spec{CfgID: "base", Workload: wl, Variant: "ideal"})
-		if err != nil {
-			return err
-		}
+		baseRes := cells[Spec{CfgID: "base", Workload: wl, Variant: "none"}]
+		cc := cells[Spec{CfgID: "base", Workload: wl, Variant: "cachecraft"}]
+		id := cells[Spec{CfgID: "base", Workload: wl, Variant: "ideal"}]
 		ccSp := float64(baseRes.Cycles) / float64(cc.Cycles)
 		idSp := float64(baseRes.Cycles) / float64(id.Cycles)
 		t.AddRow(wl,

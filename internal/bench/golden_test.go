@@ -79,17 +79,14 @@ func TestCellDigestsMatchGolden(t *testing.T) {
 			}
 		}
 	}
-	if err := r.Prefetch(context.Background(), specs); err != nil {
+	cells, err := r.Prefetch(context.Background(), specs)
+	if err != nil {
 		t.Fatal(err)
 	}
 	var b strings.Builder
 	b.WriteString("# config workload scheme sha256(json(gpu.Result))\n")
 	for _, s := range specs {
-		res, err := r.Result(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		body, err := json.Marshal(res)
+		body, err := json.Marshal(cells[s])
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -524,13 +524,13 @@ func (r *Runner) finish(s Spec, c *call, res gpu.Result, err error, ran bool) {
 	close(c.done)
 }
 
-// Prefetch fans the given specs out across the worker pool and blocks
-// until every one has completed. Duplicate specs (and specs another
-// caller is already running) collapse onto a single simulation. The
-// first failure cancels the batch's still-queued work and is returned;
-// completed results stay memoized either way, so subsequent Result calls
-// for the survivors are cache hits.
-func (r *Runner) Prefetch(ctx context.Context, specs []Spec) error {
+// Prefetch fans the given specs out across the worker pool, blocks
+// until every one has completed, and returns their results keyed by
+// spec. Duplicate specs (and specs another caller is already running)
+// collapse onto a single simulation. The first failure cancels the
+// batch's still-queued work and is returned with a nil map; completed
+// results stay memoized either way.
+func (r *Runner) Prefetch(ctx context.Context, specs []Spec) (map[Spec]gpu.Result, error) {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var (
@@ -538,27 +538,34 @@ func (r *Runner) Prefetch(ctx context.Context, specs []Spec) error {
 		errOnce  sync.Once
 		firstErr error
 	)
-	for _, s := range specs {
+	results := make([]gpu.Result, len(specs))
+	for i, s := range specs {
 		wg.Add(1)
-		go func(s Spec) {
+		go func(i int, s Spec) {
 			defer wg.Done()
-			if _, err := r.ResultCtx(ctx, s); err != nil && !errors.Is(err, context.Canceled) {
+			res, err := r.ResultCtx(ctx, s)
+			if err != nil && !errors.Is(err, context.Canceled) {
 				errOnce.Do(func() {
 					firstErr = err
 					cancel()
 				})
 			}
-		}(s)
+			results[i] = res
+		}(i, s)
 	}
 	wg.Wait()
 	if firstErr == nil && ctx.Err() != nil {
 		firstErr = ctx.Err()
 	}
-	return firstErr
+	if firstErr != nil {
+		return nil, firstErr
+	}
+	out := make(map[Spec]gpu.Result, len(specs))
+	for i, s := range specs {
+		out[s] = results[i]
+	}
+	return out, nil
 }
-
-// StandardSchemes lists the four evaluation schemes in order.
-func StandardSchemes() []string { return schemes.All() }
 
 // TotalDRAMBytes sums a result's traffic classes.
 func TotalDRAMBytes(res gpu.Result) uint64 {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -51,20 +52,35 @@ func TestConcurrentSameSpecSingleflight(t *testing.T) {
 }
 
 // TestPrefetchFansOutAndMemoizes: a Prefetch batch (with duplicates) runs
-// each distinct spec once; subsequent Result calls are memo hits.
+// each distinct spec once and returns one result per distinct spec, the
+// same one Result returns; subsequent Result calls are memo hits.
 func TestPrefetchFansOutAndMemoizes(t *testing.T) {
 	r := NewRunner(quickBase())
 	r.SetWorkers(4)
 	specs := specGrid([]string{"base"}, []string{"stream", "scan"}, []string{"none", "cachecraft"})
 	specs = append(specs, specs...) // duplicates must collapse
-	if err := r.Prefetch(context.Background(), specs); err != nil {
+	cells, err := r.Prefetch(context.Background(), specs)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if r.Stats().Runs != 4 {
 		t.Fatalf("runs = %d, want 4 distinct simulations", r.Stats().Runs)
 	}
-	if _, err := r.Result(specs[0]); err != nil {
-		t.Fatal(err)
+	if len(cells) != 4 {
+		t.Fatalf("Prefetch returned %d results, want 4 distinct specs", len(cells))
+	}
+	for _, s := range specs[:4] {
+		res, err := r.Result(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, ok := cells[s]
+		if !ok {
+			t.Fatalf("Prefetch result missing %+v", s)
+		}
+		if !reflect.DeepEqual(got, res) {
+			t.Fatalf("Prefetch result for %+v differs from Result's", s)
+		}
 	}
 	if r.Stats().Runs != 4 {
 		t.Fatalf("Result after Prefetch re-ran a simulation: runs = %d", r.Stats().Runs)
@@ -72,15 +88,20 @@ func TestPrefetchFansOutAndMemoizes(t *testing.T) {
 }
 
 // TestPrefetchPropagatesFirstError: a bad spec in the batch surfaces as an
-// error instead of being swallowed, and good specs stay retrievable.
+// error with no results instead of being swallowed, and good specs stay
+// retrievable.
 func TestPrefetchPropagatesFirstError(t *testing.T) {
 	r := NewRunner(quickBase())
 	specs := []Spec{
 		{CfgID: "base", Workload: "stream", Variant: "none"},
 		{CfgID: "base", Workload: "no-such-workload", Variant: "none"},
 	}
-	if err := r.Prefetch(context.Background(), specs); err == nil {
+	cells, err := r.Prefetch(context.Background(), specs)
+	if err == nil {
 		t.Fatal("Prefetch with an unknown workload reported no error")
+	}
+	if cells != nil {
+		t.Fatalf("failed Prefetch returned results: %v", cells)
 	}
 	if _, err := r.Result(specs[0]); err != nil {
 		t.Fatalf("good spec unavailable after failed batch: %v", err)

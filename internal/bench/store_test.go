@@ -26,7 +26,7 @@ func TestWarmStoreRerunPerformsZeroSimulations(t *testing.T) {
 
 	cold := NewRunner(quickBase())
 	cold.SetStore(st)
-	if err := cold.Prefetch(context.Background(), specs); err != nil {
+	if _, err := cold.Prefetch(context.Background(), specs); err != nil {
 		t.Fatal(err)
 	}
 	cs := cold.Stats()
@@ -39,7 +39,7 @@ func TestWarmStoreRerunPerformsZeroSimulations(t *testing.T) {
 
 	warm := NewRunner(quickBase())
 	warm.SetStore(st)
-	if err := warm.Prefetch(context.Background(), specs); err != nil {
+	if _, err := warm.Prefetch(context.Background(), specs); err != nil {
 		t.Fatal(err)
 	}
 	ws := warm.Stats()
@@ -222,7 +222,7 @@ func TestStoreHitSkipsWorkerSlots(t *testing.T) {
 	warmup := NewRunner(quickBase())
 	warmup.SetStore(seed)
 	specs := specGrid([]string{"base"}, []string{"stream", "scan"}, []string{"none"})
-	if err := warmup.Prefetch(context.Background(), specs); err != nil {
+	if _, err := warmup.Prefetch(context.Background(), specs); err != nil {
 		t.Fatal(err)
 	}
 	savesAfterWarmup := seed.saves
@@ -230,7 +230,7 @@ func TestStoreHitSkipsWorkerSlots(t *testing.T) {
 	r := NewRunner(quickBase())
 	r.SetStore(seed)
 	r.SetWorkers(1)
-	if err := r.Prefetch(context.Background(), specs); err != nil {
+	if _, err := r.Prefetch(context.Background(), specs); err != nil {
 		t.Fatal(err)
 	}
 	got := r.Stats()

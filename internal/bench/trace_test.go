@@ -164,7 +164,7 @@ func TestMemoHitEmitsNoSpans(t *testing.T) {
 func TestStartedFinishedAccounting(t *testing.T) {
 	r := NewRunner(quickBase())
 	specs := specGrid([]string{"base"}, []string{"stream", "scan"}, []string{"none"})
-	if err := r.Prefetch(context.Background(), specs); err != nil {
+	if _, err := r.Prefetch(context.Background(), specs); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := r.Result(specs[0]); err != nil { // memo hit

@@ -5,11 +5,11 @@ import (
 	"testing"
 )
 
-// TestEncodeDecodeIntoZeroAllocs pins the allocation-free codec contract:
-// EncodeInto with a pre-sized destination and DecodeInto on a clean
+// TestEncodeDecodeZeroAllocs pins the allocation-free codec contract:
+// EncodeInto with a pre-sized destination and Decode on a clean
 // codeword must not allocate, for every sector codec. The symbol codes
 // must not allocate to correct a codeword or to reject one either.
-func TestEncodeDecodeIntoZeroAllocs(t *testing.T) {
+func TestEncodeDecodeZeroAllocs(t *testing.T) {
 	secded, err := NewSECDEDSector(32, 64)
 	if err != nil {
 		t.Fatal(err)
@@ -34,12 +34,12 @@ func TestEncodeDecodeIntoZeroAllocs(t *testing.T) {
 			dst := make([]byte, 0, codec.RedundancyBytes())
 			allocs := testing.AllocsPerRun(200, func() {
 				dst = codec.EncodeInto(dst[:0], sector)
-				if res := codec.DecodeInto(sector, red); res != OK {
+				if res := codec.Decode(sector, red); res != OK {
 					t.Fatalf("clean decode = %v", res)
 				}
 			})
 			if allocs != 0 {
-				t.Fatalf("EncodeInto+DecodeInto allocated %.1f times per op, want 0", allocs)
+				t.Fatalf("EncodeInto+Decode allocated %.1f times per op, want 0", allocs)
 			}
 		})
 	}
@@ -71,12 +71,12 @@ func TestEncodeDecodeIntoZeroAllocs(t *testing.T) {
 							red[e[0]-len(sector)] ^= byte(e[1])
 						}
 					}
-					if res := codec.DecodeInto(sector, red); res != c.want {
+					if res := codec.Decode(sector, red); res != c.want {
 						t.Fatalf("decode = %v, want %v", res, c.want)
 					}
 				})
 				if allocs != 0 {
-					t.Fatalf("DecodeInto allocated %.1f times per op, want 0", allocs)
+					t.Fatalf("Decode allocated %.1f times per op, want 0", allocs)
 				}
 			})
 		}

@@ -15,8 +15,12 @@ import "fmt"
 // but only once the device is identified (e.g. by scrubbing or repeated
 // detections). Blind decoding of a dead device is only guaranteed to
 // *detect*.
+//
+// Geometry, encoding and blind decoding are the embedded RSSector's:
+// blind Decode (no failed-device knowledge) corrects up to t random
+// symbol errors.
 type Chipkill struct {
-	rs      *RS
+	*RSSector
 	devices int
 }
 
@@ -25,32 +29,26 @@ type Chipkill struct {
 // at most n-k symbols (else a dead device exceeds the erasure budget) and
 // the stripe must divide evenly.
 func NewChipkill(sectorBytes, paritySyms, devices int) (*Chipkill, error) {
-	rs, err := NewRS(sectorBytes+paritySyms, sectorBytes)
+	s, err := NewRSSector(sectorBytes, paritySyms)
 	if err != nil {
 		return nil, err
 	}
-	n := rs.N()
+	n := s.rs.N()
 	if devices <= 0 || n%devices != 0 {
 		return nil, fmt.Errorf("ecc: %d devices do not evenly stripe %d symbols", devices, n)
 	}
 	perDevice := n / devices
-	if perDevice > rs.ParitySymbols() {
+	if perDevice > s.RedundancyBytes() {
 		return nil, fmt.Errorf("ecc: device owns %d symbols but the code can only erase %d",
-			perDevice, rs.ParitySymbols())
+			perDevice, s.RedundancyBytes())
 	}
-	return &Chipkill{rs: rs, devices: devices}, nil
+	return &Chipkill{RSSector: s, devices: devices}, nil
 }
 
-// Name identifies the organization, e.g. "chipkill-rs-36/32x9".
+// Name identifies the organization, e.g. "chipkill-rs-36/32 x9".
 func (c *Chipkill) Name() string {
 	return fmt.Sprintf("chipkill-rs-%d/%d x%d", c.rs.N(), c.rs.K(), c.devices)
 }
-
-// SectorBytes reports the protected data size.
-func (c *Chipkill) SectorBytes() int { return c.rs.K() }
-
-// RedundancyBytes reports parity bytes per sector.
-func (c *Chipkill) RedundancyBytes() int { return c.rs.ParitySymbols() }
 
 // Devices reports the stripe width.
 func (c *Chipkill) Devices() int { return c.devices }
@@ -65,25 +63,6 @@ func (c *Chipkill) DeviceSymbols(dev int) []int {
 		out = append(out, p)
 	}
 	return out
-}
-
-// Encode computes the parity for a sector.
-func (c *Chipkill) Encode(sector []byte) []byte { return c.rs.Encode(sector) }
-
-// EncodeInto appends the sector's parity bytes to dst and returns the
-// extended slice; it does not allocate when dst has capacity.
-func (c *Chipkill) EncodeInto(dst, sector []byte) []byte { return c.rs.EncodeInto(dst, sector) }
-
-// Decode is blind decoding (no failed-device knowledge): corrects up to
-// t random symbol errors.
-func (c *Chipkill) Decode(sector, redundancy []byte) Result {
-	return c.rs.Decode(sector, redundancy)
-}
-
-// DecodeInto is Decode under the allocation-free-decode naming shared by
-// all sector codecs; it performs no allocation.
-func (c *Chipkill) DecodeInto(sector, redundancy []byte) Result {
-	return c.rs.Decode(sector, redundancy)
 }
 
 // DecodeWithDeadDevice decodes knowing device dev has failed: its symbol

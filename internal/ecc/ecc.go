@@ -57,12 +57,9 @@ type SectorCodec interface {
 	// RedundancyBytes of spare capacity; Encode is a thin wrapper over it.
 	EncodeInto(dst, sector []byte) []byte
 	// Decode verifies sector against redundancy, correcting both in place
-	// when possible.
-	Decode(sector, redundancy []byte) Result
-	// DecodeInto is the allocation-free decode implementation behind
-	// Decode: it allocates nothing, whether the codeword is clean,
+	// when possible. It allocates nothing, whether the codeword is clean,
 	// correctable or uncorrectable.
-	DecodeInto(sector, redundancy []byte) Result
+	Decode(sector, redundancy []byte) Result
 }
 
 // RedundancyRatio reports redundancy bytes per data byte for a codec, e.g.

@@ -148,11 +148,9 @@ func (c *SECDED) synFromData(data, check []byte) (syn int, overall int) {
 }
 
 // Decode verifies data against check, correcting a single-bit error in
-// either in place. It reports OK, Corrected, or Detected (double error).
-func (c *SECDED) Decode(data, check []byte) Result { return c.DecodeInto(data, check) }
-
-// DecodeInto is the allocation-free decode implementation backing Decode.
-func (c *SECDED) DecodeInto(data, check []byte) Result {
+// either in place. It reports OK, Corrected, or Detected (double error),
+// and does not allocate.
+func (c *SECDED) Decode(data, check []byte) Result {
 	if len(data)*8 < c.k || len(check) < c.CheckBytes() {
 		panic("ecc: SECDED decode buffer too small")
 	}
@@ -201,86 +199,3 @@ func (c *SECDED) dataIndex(pos int) int {
 	}
 	return idx
 }
-
-// SECDEDSector protects a sector by interleaving independent (k,k+r+1)
-// SEC-DED codewords over consecutive k-bit words. With 64-bit words and
-// 32-byte sectors this is 4 interleaved (72,64) codewords: 4 redundancy
-// bytes per sector, a 1/8 ratio, and tolerance of one bit error per 8-byte
-// word.
-type SECDEDSector struct {
-	code       *SECDED
-	sectorSize int
-	words      int
-	wordBytes  int
-}
-
-// NewSECDEDSector builds a sector codec over sectorBytes-byte sectors using
-// wordBits-wide SEC-DED codewords. wordBits must divide sectorBytes*8 and
-// be byte-aligned.
-func NewSECDEDSector(sectorBytes, wordBits int) (*SECDEDSector, error) {
-	if wordBits%8 != 0 {
-		return nil, fmt.Errorf("ecc: word width %d is not byte aligned", wordBits)
-	}
-	if (sectorBytes*8)%wordBits != 0 {
-		return nil, fmt.Errorf("ecc: word width %d does not divide sector %dB", wordBits, sectorBytes)
-	}
-	return &SECDEDSector{
-		code:       NewSECDED(wordBits),
-		sectorSize: sectorBytes,
-		words:      sectorBytes * 8 / wordBits,
-		wordBytes:  wordBits / 8,
-	}, nil
-}
-
-// Name identifies the codec, e.g. "secded-72/64".
-func (s *SECDEDSector) Name() string {
-	return fmt.Sprintf("secded-%d/%d", s.code.k+s.code.CheckBits(), s.code.k)
-}
-
-// SectorBytes reports the protected sector size.
-func (s *SECDEDSector) SectorBytes() int { return s.sectorSize }
-
-// RedundancyBytes reports redundancy bytes per sector.
-func (s *SECDEDSector) RedundancyBytes() int { return s.words * s.code.CheckBytes() }
-
-// Encode computes per-word check bytes, concatenated in word order.
-func (s *SECDEDSector) Encode(sector []byte) []byte {
-	return s.EncodeInto(make([]byte, 0, s.RedundancyBytes()), sector)
-}
-
-// EncodeInto appends the sector's check bytes to dst and returns the
-// extended slice; it does not allocate when dst has capacity.
-func (s *SECDEDSector) EncodeInto(dst, sector []byte) []byte {
-	if len(sector) != s.sectorSize {
-		panic(fmt.Sprintf("ecc: sector size %d, want %d", len(sector), s.sectorSize))
-	}
-	for w := 0; w < s.words; w++ {
-		dst = s.code.EncodeInto(dst, sector[w*s.wordBytes:(w+1)*s.wordBytes])
-	}
-	return dst
-}
-
-// Decode verifies each word, correcting in place. The sector result is the
-// worst per-word result (Detected > Corrected > OK).
-func (s *SECDEDSector) Decode(sector, redundancy []byte) Result {
-	return s.DecodeInto(sector, redundancy)
-}
-
-// DecodeInto is the allocation-free decode implementation backing Decode.
-func (s *SECDEDSector) DecodeInto(sector, redundancy []byte) Result {
-	if len(sector) != s.sectorSize || len(redundancy) != s.RedundancyBytes() {
-		panic("ecc: SECDEDSector decode buffer size mismatch")
-	}
-	worst := OK
-	cb := s.code.CheckBytes()
-	for w := 0; w < s.words; w++ {
-		word := sector[w*s.wordBytes : (w+1)*s.wordBytes]
-		chk := redundancy[w*cb : (w+1)*cb]
-		if r := s.code.DecodeInto(word, chk); r > worst {
-			worst = r
-		}
-	}
-	return worst
-}
-
-var _ SectorCodec = (*SECDEDSector)(nil)

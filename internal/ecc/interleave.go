@@ -11,9 +11,8 @@ type WordCode interface {
 	Encode(data []byte) []byte
 	Decode(data, check []byte) Result
 	// EncodeInto appends the check bytes to dst without allocating when dst
-	// has capacity; DecodeInto is the allocation-free decode behind Decode.
+	// has capacity; Decode does not allocate.
 	EncodeInto(dst, data []byte) []byte
-	DecodeInto(data, check []byte) Result
 }
 
 // InterleavedSector protects a sector with consecutive independent
@@ -73,13 +72,8 @@ func (s *InterleavedSector) EncodeInto(dst, sector []byte) []byte {
 }
 
 // Decode verifies each word, correcting in place; the sector result is the
-// worst per-word result.
+// worst per-word result (Detected > Corrected > OK). It does not allocate.
 func (s *InterleavedSector) Decode(sector, redundancy []byte) Result {
-	return s.DecodeInto(sector, redundancy)
-}
-
-// DecodeInto is the allocation-free decode implementation backing Decode.
-func (s *InterleavedSector) DecodeInto(sector, redundancy []byte) Result {
 	if len(sector) != s.sectorSize || len(redundancy) != s.RedundancyBytes() {
 		panic("ecc: interleaved decode buffer size mismatch")
 	}
@@ -88,11 +82,22 @@ func (s *InterleavedSector) DecodeInto(sector, redundancy []byte) Result {
 	for w := 0; w < s.words; w++ {
 		word := sector[w*s.wordBytes : (w+1)*s.wordBytes]
 		chk := redundancy[w*cb : (w+1)*cb]
-		if r := s.code.DecodeInto(word, chk); r > worst {
+		if r := s.code.Decode(word, chk); r > worst {
 			worst = r
 		}
 	}
 	return worst
+}
+
+// NewSECDEDSector builds a sector codec over sectorBytes-byte sectors from
+// interleaved wordBits-wide SEC-DED codewords, e.g. "secded-72/64": with
+// 64-bit words and 32-byte sectors, 4 redundancy bytes per sector (a 1/8
+// ratio) and tolerance of one bit error per 8-byte word. wordBits must be
+// byte-aligned and divide sectorBytes*8.
+func NewSECDEDSector(sectorBytes, wordBits int) (*InterleavedSector, error) {
+	code := NewSECDED(wordBits)
+	name := fmt.Sprintf("secded-%d/%d", wordBits+code.CheckBits(), wordBits)
+	return NewInterleavedSector(name, code, sectorBytes)
 }
 
 // NewSECDAECSector builds the SEC-DAEC organization over 32B sectors with

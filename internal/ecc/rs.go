@@ -348,14 +348,8 @@ func (s *RSSector) Encode(sector []byte) []byte { return s.rs.Encode(sector) }
 // extended slice; it does not allocate when dst has capacity.
 func (s *RSSector) EncodeInto(dst, sector []byte) []byte { return s.rs.EncodeInto(dst, sector) }
 
-// Decode verifies and corrects the sector in place.
+// Decode verifies and corrects the sector in place. It does not allocate.
 func (s *RSSector) Decode(sector, redundancy []byte) Result {
-	return s.rs.Decode(sector, redundancy)
-}
-
-// DecodeInto is Decode under the allocation-free-decode naming shared by
-// all sector codecs; it performs no allocation.
-func (s *RSSector) DecodeInto(sector, redundancy []byte) Result {
 	return s.rs.Decode(sector, redundancy)
 }
 

@@ -211,11 +211,8 @@ func (c *SECDAEC) EncodeInto(dst, data []byte) []byte {
 
 // Decode verifies and corrects in place: any single-bit error, any
 // double-adjacent-bit error. Other patterns with unknown syndromes are
-// detected.
-func (c *SECDAEC) Decode(data, check []byte) Result { return c.DecodeInto(data, check) }
-
-// DecodeInto is the allocation-free decode implementation backing Decode.
-func (c *SECDAEC) DecodeInto(data, check []byte) Result {
+// detected. It does not allocate.
+func (c *SECDAEC) Decode(data, check []byte) Result {
 	if len(data)*8 < c.k || len(check) < c.CheckBytes() {
 		panic("ecc: SEC-DAEC decode buffer too small")
 	}

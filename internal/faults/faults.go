@@ -93,7 +93,7 @@ func (c Campaign) Run(faultName string, inject Injector) Report {
 
 		inject(rng, sector, red)
 
-		res := c.Codec.DecodeInto(sector, red)
+		res := c.Codec.Decode(sector, red)
 		ok := bytes.Equal(sector, golden)
 		switch {
 		case res == ecc.Detected:

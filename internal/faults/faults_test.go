@@ -222,10 +222,6 @@ func (c taggedCodec) EncodeInto(dst, s []byte) []byte {
 	return c.inner.EncodeInto(dst, s, c.tag)
 }
 
-func (c taggedCodec) DecodeInto(sector, redundancy []byte) ecc.Result {
-	return c.Decode(sector, redundancy)
-}
-
 func (c taggedCodec) Decode(sector, redundancy []byte) ecc.Result {
 	switch c.inner.Check(sector, redundancy, c.tag) {
 	case ecc.TagOK:
