@@ -169,11 +169,7 @@ func (c *SECDED) Decode(data, check []byte) Result {
 		}
 		if syn&(syn-1) == 0 {
 			// Power-of-two position → a check bit flipped.
-			bit := 0
-			for 1<<bit != syn {
-				bit++
-			}
-			flipBit(check, bit)
+			flipBit(check, bits.TrailingZeros(uint(syn)))
 			return Corrected
 		}
 		// Data position: find its index.
@@ -186,16 +182,9 @@ func (c *SECDED) Decode(data, check []byte) Result {
 	}
 }
 
-// dataIndex maps a non-power-of-two codeword position to its data bit index.
+// dataIndex maps a non-power-of-two codeword position to its data bit
+// index: the count of non-power-of-two positions below pos, which is pos-1
+// less the bits.Len(pos-1) powers of two among 1..pos-1.
 func (c *SECDED) dataIndex(pos int) int {
-	// Count non-power-of-two positions below pos: pos-1 minus the number of
-	// powers of two < pos... the direct loop is clearer and this is not on
-	// the simulator hot path.
-	idx := 0
-	for p := 1; p < pos; p++ {
-		if p&(p-1) != 0 {
-			idx++
-		}
-	}
-	return idx
+	return (pos - 1) - bits.Len(uint(pos-1))
 }

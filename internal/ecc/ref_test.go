@@ -312,7 +312,7 @@ func checkLocator(t *testing.T, r *RS, data, parity []byte, erasures []int) {
 		gamma = polyMulAsc(gamma, []byte{1, gfAlpha(r.n - 1 - idx)})
 	}
 	want := berlekampMassey(syn, gamma, len(erasures))
-	var lam [maxSymbols + 1]byte
+	var lam [maxParity + 1]byte
 	nl, ok := r.locator(&lam, syn, erasures)
 	if !ok || !bytes.Equal(lam[:nl], want) {
 		t.Fatalf("RS(%d,%d) erasures %v: locator %x, reference %x", r.n, r.k, erasures, lam[:nl], want)

@@ -19,7 +19,7 @@ func mustRS(t *testing.T, n, k int) *RS {
 }
 
 func TestRSRejectsBadParameters(t *testing.T) {
-	for _, nk := range [][2]int{{256, 32}, {10, 10}, {10, 12}, {4, 0}} {
+	for _, nk := range [][2]int{{256, 32}, {10, 10}, {10, 12}, {4, 0}, {65, 32}} {
 		if _, err := NewRS(nk[0], nk[1]); err == nil {
 			t.Fatalf("RS(%d,%d) must be rejected", nk[0], nk[1])
 		}

@@ -94,20 +94,19 @@ func (t *Tagged) Encode(data, tag []byte) []byte {
 }
 
 // EncodeInto appends the stored parity for (tag, data) to dst and returns
-// the extended slice. The tag++data virtual word is fed to the encoder
-// segment by segment, so no concatenation buffer is built and the call
-// does not allocate when dst has capacity.
+// the extended slice. The tag's parity is folded in from data positions
+// 0..tagSyms-1 and the data's from the positions after, so no
+// concatenation buffer is built and the call does not allocate when dst
+// has capacity.
 func (t *Tagged) EncodeInto(dst, data, tag []byte) []byte {
 	if len(data) != t.dataLen || len(tag) != t.tagSyms {
 		panic(fmt.Sprintf("ecc: tagged codec wants %dB data and %dB tag, got %dB/%dB",
 			t.dataLen, t.tagSyms, len(data), len(tag)))
 	}
-	base := len(dst)
-	for i := 0; i < t.rs.ParitySymbols(); i++ {
-		dst = append(dst, 0)
-	}
-	t.rs.encodeBody(dst[base:], tag, data)
-	return dst
+	var rem [maxWords]uint64
+	t.rs.fold(&rem, 0, tag)
+	t.rs.fold(&rem, t.tagSyms, data)
+	return t.rs.appendParity(dst, &rem)
 }
 
 // Check verifies data and parity under an asserted tag, correcting
